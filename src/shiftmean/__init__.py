@@ -2,12 +2,9 @@
 
 from .arith import (
     PrimePowerFn,
-    SieveTable,
-    build_spf_sieve,
     eval_divisor_sum,
     eval_multiplicative,
-    eval_named,
-    factorize,
+    factorize_trial,
     jordan_totient,
     mobius_invert_local,
     multiplicative_table,

@@ -1,8 +1,8 @@
 """Sieve-backed integer arithmetic.
 
-Smallest-prime-factor sieves, factorization, Jacobi symbols, multiplicative
-functions defined by their values on prime powers, and bulk tabulation of
-such functions over an interval.
+One prime sieve, trial-division factorization, Jacobi symbols,
+multiplicative functions defined by their values on prime powers, and bulk
+tabulation of such functions over an interval.
 """
 
 from __future__ import annotations
@@ -13,73 +13,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# spf entries are stored as 32-bit integers; larger limits are rejected.
-SPF_LIMIT_CAP = 2**32 - 1
-DEFAULT_MEMORY_BUDGET = 8 * 2**30  # bytes allowed for a single sieve array
-
 # Exact-integer evaluation refuses results that would exceed 128 bits.
 INT128_CEILING = 1 << 127
 
 Factorization = list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class SieveTable:
-    """Smallest-prime-factor table covering 2 <= n <= limit.
-
-    Immutable after construction; safe to share across threads.
-    """
-
-    limit: int
-    spf: np.ndarray  # uint32; spf[n] = smallest prime factor of n, n >= 2
-
-    def is_prime(self, n: int) -> bool:
-        return 2 <= n <= self.limit and int(self.spf[n]) == n
-
-
-def build_spf_sieve(limit: int, max_bytes: int = DEFAULT_MEMORY_BUDGET) -> SieveTable:
-    """Build a smallest-prime-factor table for [2, limit].
-
-    Cost is O(limit log log limit); the array uses 4 bytes per entry and the
-    call is rejected when that would exceed max_bytes.
-    """
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > SPF_LIMIT_CAP:
-        raise ValueError(f"sieve limit {limit} exceeds 32-bit entry cap {SPF_LIMIT_CAP}")
-    if 4 * (limit + 1) > max_bytes:
-        raise ValueError(
-            f"sieve limit {limit} needs {4 * (limit + 1)} bytes, over budget {max_bytes}"
-        )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    unmarked = np.flatnonzero(spf[2:] == 0) + 2
-    spf[unmarked] = unmarked  # untouched entries are prime
-    return SieveTable(limit=limit, spf=spf)
-
-
-def factorize(n: int, table: SieveTable) -> Factorization:
-    """Return [(p, e), ...] with strictly increasing p and prod p^e == n."""
-    if n < 1 or n > table.limit:
-        raise ValueError(f"n={n} outside sieve range [1, {table.limit}]")
-    out: Factorization = []
-    spf = table.spf
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def factorize_trial(n: int) -> Factorization:
-    """Trial-division factorization; for small n where no sieve is at hand."""
+    """Return [(p, e), ...] with strictly increasing p and prod p^e == n."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     out: Factorization = []
@@ -206,12 +147,12 @@ def partial_sum_fn(fn: PrimePowerFn, name: str = "") -> PrimePowerFn:
 # Exact-integer named functions
 
 
-def totient(n: int, table: Optional[SieveTable] = None) -> int:
+def totient(n: int) -> int:
     """Euler totient, exact."""
-    return jordan_totient(n, 1, table)
+    return jordan_totient(n, 1)
 
 
-def jordan_totient(n: int, k: int, table: Optional[SieveTable] = None) -> int:
+def jordan_totient(n: int, k: int) -> int:
     """Jordan totient J_k(n) = n^k prod_{p|n} (1 - p^-k), exact.
 
     Rejects arguments whose value would exceed 128 bits.
@@ -222,42 +163,35 @@ def jordan_totient(n: int, k: int, table: Optional[SieveTable] = None) -> int:
         raise ValueError(f"k must be positive, got {k}")
     if n ** k >= INT128_CEILING:
         raise ValueError(f"J_{k}({n}) exceeds the 128-bit range")
-    fac = factorize(n, table) if table is not None else factorize_trial(n)
     out = 1
-    for p, e in fac:
+    for p, e in factorize_trial(n):
         out *= p ** (k * e) - p ** (k * (e - 1))
     return out
-
-
-def eval_named(name: str, n: int, k: int = 1) -> int:
-    """Evaluate a named exact-integer function: 'totient' or 'jordan'."""
-    if name == "totient":
-        return totient(n)
-    if name == "jordan":
-        return jordan_totient(n, k)
-    raise ValueError(f"unknown named function {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Prime lists and bulk tabulation
 
-_prime_cache: dict = {"limit": 0, "primes": None}
+# (limit, primes <= limit); replaced in one assignment so a reader never
+# pairs a limit with a prime list sieved for another.
+_prime_cache: tuple = (0, np.empty(0, dtype=np.int64))
 
 
 def primes_up_to(limit: int) -> np.ndarray:
     """Ascending int64 array of primes <= limit (cached across calls)."""
+    global _prime_cache
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if _prime_cache["limit"] < limit:
+    cached_limit, primes = _prime_cache
+    if cached_limit < limit:
         composite = np.zeros(limit + 1, dtype=bool)
         composite[:2] = True
         for p in range(2, isqrt(limit) + 1):
             if not composite[p]:
                 composite[p * p :: p] = True
-        _prime_cache["primes"] = np.flatnonzero(~composite).astype(np.int64)
-        _prime_cache["limit"] = limit
-    primes = _prime_cache["primes"]
-    if _prime_cache["limit"] == limit:
+        cached_limit, primes = limit, np.flatnonzero(~composite).astype(np.int64)
+        _prime_cache = (cached_limit, primes)
+    if cached_limit == limit:
         return primes
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
 

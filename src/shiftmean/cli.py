@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from dataclasses import dataclass
 
 from . import curveconst, curvelab, harness, presets
-from .arith import eval_named
+from .arith import factorize_trial, jordan_totient, totient
 from .curveconst import SymbolConvention
 from .euler import shifted_mean_constant
 from .reports import dumps_json, fmt_csv
@@ -41,7 +40,6 @@ class RunConfig:
     convention: str = SymbolConvention.UNIT.value
     fmt: str = "csv"
     output: str = ""
-    threads: int = 1
     jordan_k: int = 2
     n_min: int = 0
     n_max: int = 0
@@ -106,12 +104,29 @@ def _check_cutoff(cutoff: int, floor: int = 2) -> int:
     return cutoff
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise UsageError(f"--depth: must be >= 1 (got {depth})")
+
+
+def _check_shift(shift: int, cutoff: int) -> None:
+    """The shift correction needs every prime of the shift inside the cutoff."""
+    if shift < 1:
+        raise UsageError(f"--shift: must be >= 1 (got {shift})")
+    largest = factorize_trial(shift)[-1][0] if shift > 1 else 1
+    if largest > cutoff:
+        raise UsageError(f"--shift: prime factor {largest} exceeds --prime-cutoff {cutoff}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
 def _cmd_constant(args) -> int:
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
+    _check_depth(args.depth)
+    if args.target != "c2":
+        _check_shift(args.shift, cutoff)
     cfg = RunConfig(
         subcommand="constant", target=args.target, prime_cutoff=cutoff,
         depth=args.depth, shift=args.shift, fmt="json", output=args.output or "",
@@ -152,12 +167,14 @@ def _cmd_eval(args) -> int:
             raise UsageError(f"n: order evaluations need n >= 2 (got {n})")
         c2 = curveconst.cached_twin_prime_constant(cutoff)
         payload = curveconst.eval_point(n, conv, c2=c2)
-    elif args.target == "totient":
-        payload = {"n": n, "totient": eval_named("totient", n)}
-    elif args.target == "jordan":
-        payload = {"n": n, "k": args.k, "jordan": eval_named("jordan", n, args.k)}
-    else:
+    elif args.target not in ("totient", "jordan"):
         raise UsageError(f"target: unknown eval target {args.target!r}")
+    elif n < 1:
+        raise UsageError(f"n: must be >= 1 (got {n})")
+    elif args.target == "totient":
+        payload = {"n": n, "totient": totient(n)}
+    else:
+        payload = {"n": n, "k": args.k, "jordan": jordan_totient(n, args.k)}
     _emit(dumps_json(payload) + "\n", args.output)
     return 0
 
@@ -165,8 +182,8 @@ def _cmd_eval(args) -> int:
 def _cmd_meanvalue(args) -> int:
     grid = _parse_grid(args)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=2)
-    if args.shift < 1:
-        raise UsageError(f"--shift: must be >= 1 (got {args.shift})")
+    _check_shift(args.shift, cutoff)
+    _check_depth(args.depth)
     try:
         preset = presets.get_preset(args.preset, shift=args.shift)
     except ValueError as exc:
@@ -174,7 +191,6 @@ def _cmd_meanvalue(args) -> int:
     cfg = RunConfig(
         subcommand="meanvalue", target=args.preset, x_grid=grid, prime_cutoff=cutoff,
         depth=args.depth, shift=args.shift, fmt=args.format, output=args.output or "",
-        threads=args.threads,
     )
     _echo_config(cfg)
     report = harness.run_grid(preset, grid, prime_cutoff=cutoff, depth=args.depth)
@@ -189,7 +205,6 @@ def _cmd_verify(args) -> int:
     cfg = RunConfig(
         subcommand="verify", target=args.target, x_grid=grid, prime_cutoff=cutoff,
         convention=conv.value, fmt=args.format, output=args.output or "",
-        threads=args.threads,
     )
     _echo_config(cfg)
     c2 = curveconst.cached_twin_prime_constant(cutoff)
@@ -197,11 +212,13 @@ def _cmd_verify(args) -> int:
         report = curveconst.mean_order_grid(args.target, grid, conv, c2=c2)
         _emit(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.output)
     elif args.target == "gap":
-        lines = ["x,gap"]
-        for x in grid:
-            gap = curveconst.substitution_gap(x, args.gap_d, args.gap_l, conv)
-            lines.append(f"{x},{fmt_csv(gap)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        gaps = [curveconst.substitution_gap(x, args.gap_d, args.gap_l, conv) for x in grid]
+        if args.format == "csv":
+            lines = ["x,gap"] + [f"{x},{fmt_csv(gap)}" for x, gap in zip(grid, gaps)]
+            _emit("\n".join(lines) + "\n", args.output)
+        else:
+            rows = [{"x": x, "gap": gap} for x, gap in zip(grid, gaps)]
+            _emit(dumps_json({"label": "gap", "rows": rows}) + "\n", args.output)
     else:
         raise UsageError(f"target: unknown verify target {args.target!r}")
     return 0
@@ -216,12 +233,11 @@ def _cmd_curvelab(args) -> int:
     cfg = RunConfig(
         subcommand="curvelab", n_min=args.n_min, n_max=args.n_max, cap=args.cap,
         prime_cutoff=cutoff, fmt=args.format, output=args.output or "",
-        threads=args.threads,
     )
     _echo_config(cfg)
     c2 = curveconst.cached_twin_prime_constant(cutoff)
     records = [
-        curvelab.expected_m(n, cap=args.cap, threads=args.threads, c2=c2)
+        curvelab.expected_m(n, cap=args.cap, c2=c2)
         for n in range(args.n_min, args.n_max + 1)
     ]
     if args.format == "csv":
@@ -235,7 +251,6 @@ def _cmd_curvelab(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    threads_default = int(os.environ.get("SHIFTMEAN_THREADS", "1"))
     parser = argparse.ArgumentParser(
         prog="shiftmean",
         description="Mean values of shifted multiplicative functions and "
@@ -249,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest prime folded into constants (default 1e6)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--threads", type=int, default=threads_default,
-                       help="worker threads for parallelizable stages")
         if grid:
             p.add_argument("--x-grid", help="comma-separated ascending x values")
             p.add_argument("--xmax", help="decade grid 1e3..xmax instead of --x-grid")

@@ -2,14 +2,16 @@
 
 The constant attached to a target group order N factors as
 
-    twin_prime_constant * shift_part(N-1) * order_part(N)
+    twin_prime_constant * F(N-1) * G(N)
 
-with both parts multiplicative.  The original (unnormalized) variant swaps
-order_part for a product that is not multiplicative at squares: its factor at
-primes with even valuation carries a quadratic-residue symbol of the p-free
-part of N.  Substituting that symbol by its mean value changes each
-congruence-restricted sum only by O(1), which is what substitution_gap
-measures directly.
+with F = shift_part_fn and G = order_part_fn both multiplicative.  Each
+factor is defined once, by its values on prime powers; scalar values and
+whole tables are both read off that one definition.  The original
+(unnormalized) variant swaps G for a product that is not multiplicative at
+squares: its factor at primes with even valuation carries a quadratic-residue
+symbol of the p-free part of N.  Substituting that symbol by its mean value
+changes each congruence-restricted sum only by O(1), which is what
+substitution_gap measures directly.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import numpy as np
 from .arith import (
     Factorization,
     PrimePowerFn,
+    eval_multiplicative,
     factorize_trial,
     multiplicative_table,
     primes_up_to,
     quad_symbol,
-    totient,
 )
 from .euler import EulerProductValue, prime_zeta_odd
 from .reports import MeanValueReport, MeanValueRow
@@ -113,66 +115,57 @@ averaged_order_kernel = PrimePowerFn(
     name="averaged_order_kernel",
 )
 
-KERNELS = {
-    "shift": shift_kernel,
-    "order": order_kernel,
-    "order_odd": order_kernel_odd,
-    "odd_val": odd_val_kernel,
-    "averaged_order": averaged_order_kernel,
-}
-
-
 # ---------------------------------------------------------------------------
-# Factor functions (scalar via factorization, and as tabulation rules)
+# Factor functions, each defined once by its values on prime powers
 
-def _inv_square_deficit(p: float) -> float:
-    """1 / (1 - 1/(p-1)^2) for p > 2."""
-    return (p - 1.0) ** 2 / (p * (p - 2.0))
-
-
-def shift_part(n: int, fac: Optional[Factorization] = None) -> float:
-    """Multiplicative factor attached to the shifted argument N-1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = 1.0
-    for p, _e in fac if fac is not None else factorize_trial(n):
-        out *= 1.0 - 1.0 / ((p - 1.0) ** 2 * (p + 1.0))
-        if p > 2:
-            out *= _inv_square_deficit(p)
-    return out
+# F: the factor attached to the shifted argument N-1.  Its second factor,
+# 1 / (1 - 1/(p-1)^2), cancels the twin-prime constant's factor at p.
+def _shift_part_rule(p, k):
+    return (1.0 - 1.0 / ((p - 1.0) ** 2 * (p + 1.0))) * ((p - 1.0) ** 2 / (p * (p - 2.0)))
 
 
-def order_part(n: int, odd_support: bool = False,
-               fac: Optional[Factorization] = None) -> float:
-    """Multiplicative factor attached to the order N itself.
-
-    With odd_support the function vanishes on even N (the odd-restricted
-    mean-value run).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if odd_support and n % 2 == 0:
-        return 0.0
-    out = 1.0
-    for p, e in fac if fac is not None else factorize_trial(n):
-        out *= p / (p - 1.0) * (1.0 - 1.0 / (float(p) ** e * (p - 1.0)))
-        if p > 2:
-            out *= _inv_square_deficit(p)
-    return out
+shift_part_fn = PrimePowerFn(
+    _shift_part_rule, two_rule=lambda k: 2.0 / 3.0, name="shift_part"
+)
 
 
-def odd_val_part(n: int, fac: Optional[Factorization] = None) -> float:
-    """Like order_part but with the (1 - 1/(p^e (p-1))) factor only at odd valuations."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = 1.0
-    for p, e in fac if fac is not None else factorize_trial(n):
-        out *= p / (p - 1.0)
-        if p > 2:
-            out *= _inv_square_deficit(p)
-        if e % 2 == 1:
-            out *= 1.0 - 1.0 / (float(p) ** e * (p - 1.0))
-    return out
+# G: the factor attached to the order N itself.
+def _order_part_rule(p, k):
+    return (p - 1.0) / (p - 2.0) * (1.0 - 1.0 / (p**k * (p - 1.0)))
+
+
+order_part_fn = PrimePowerFn(
+    _order_part_rule, two_rule=lambda k: 2.0 - 2.0 ** (1 - k), name="order_part"
+)
+
+
+# G2: like G, but with the (1 - 1/(p^e (p-1))) factor only at odd valuations.
+def _odd_val_part_rule(p, k):
+    base = (p - 1.0) / (p - 2.0)
+    if k % 2 == 1:
+        return base * (1.0 - 1.0 / (p**k * (p - 1.0)))
+    return base + 0.0 * p
+
+
+odd_val_part_fn = PrimePowerFn(
+    _odd_val_part_rule,
+    two_rule=lambda k: 2.0 * (1.0 - 2.0 ** (-k)) if k % 2 == 1 else 2.0,
+    name="odd_val_part",
+)
+
+
+# G4: the symbol-free (mean-substituted) counterpart of even_val_symbol_part.
+def _even_val_mean_rule(p, k):
+    if k % 2 == 1:
+        return 1.0 + 0.0 * p
+    return 1.0 - 1.0 / (p**k * (p - 1.0))
+
+
+even_val_mean_fn = PrimePowerFn(
+    _even_val_mean_rule,
+    two_rule=lambda k: 1.0 - 2.0 ** (-(k + 1)) if k % 2 == 0 else 1.0,
+    name="even_val_mean",
+)
 
 
 def even_val_symbol_part(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
@@ -189,74 +182,6 @@ def even_val_symbol_part(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
         chi = _symbol_at_two(free_part, conv) if p == 2 else quad_symbol(-free_part, p)
         out *= 1.0 - (p - chi) / (float(p) ** (e + 1) * (p - 1.0))
     return out
-
-
-def even_val_mean_part(n: int, fac: Optional[Factorization] = None) -> float:
-    """The symbol-free (mean-substituted) counterpart of even_val_symbol_part."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = 1.0
-    for p, e in fac if fac is not None else factorize_trial(n):
-        if e % 2 != 0:
-            continue
-        if p == 2:
-            out *= 1.0 - 1.0 / 2.0 ** (e + 1)
-        else:
-            out *= 1.0 - 1.0 / (float(p) ** e * (p - 1.0))
-    return out
-
-
-def order_part_original(n: int, conv: SymbolConvention = SymbolConvention.UNIT) -> float:
-    """Order-side factor of the unnormalized constant: odd_val * even_val_symbol."""
-    fac = factorize_trial(n)
-    return odd_val_part(n, fac) * even_val_symbol_part(n, conv, fac)
-
-
-# Parent functions as tabulation rules (multiplicative, one sieve pass).
-
-def _shift_part_rule(p, k):
-    return (1.0 - 1.0 / ((p - 1.0) ** 2 * (p + 1.0))) * _inv_square_deficit(p)
-
-
-shift_part_fn = PrimePowerFn(
-    _shift_part_rule, two_rule=lambda k: 2.0 / 3.0, name="shift_part"
-)
-
-
-def _order_part_rule(p, k):
-    return (p - 1.0) / (p - 2.0) * (1.0 - 1.0 / (p**k * (p - 1.0)))
-
-
-order_part_fn = PrimePowerFn(
-    _order_part_rule, two_rule=lambda k: 2.0 - 2.0 ** (1 - k), name="order_part"
-)
-
-
-def _odd_val_part_rule(p, k):
-    base = (p - 1.0) / (p - 2.0)
-    if k % 2 == 1:
-        return base * (1.0 - 1.0 / (p**k * (p - 1.0)))
-    return base + 0.0 * p
-
-
-odd_val_part_fn = PrimePowerFn(
-    _odd_val_part_rule,
-    two_rule=lambda k: 2.0 * (1.0 - 2.0 ** (-k)) if k % 2 == 1 else 2.0,
-    name="odd_val_part",
-)
-
-
-def _even_val_mean_rule(p, k):
-    if k % 2 == 1:
-        return 1.0 + 0.0 * p
-    return 1.0 - 1.0 / (p**k * (p - 1.0))
-
-
-even_val_mean_fn = PrimePowerFn(
-    _even_val_mean_rule,
-    two_rule=lambda k: 1.0 - 2.0 ** (-(k + 1)) if k % 2 == 0 else 1.0,
-    name="even_val_mean",
-)
 
 
 def even_val_symbol_table(limit: int,
@@ -350,21 +275,13 @@ def cached_twin_prime_constant(prime_cutoff: int = DEFAULT_CONSTANT_CUTOFF) -> E
 
 def order_constant(n: int, *, c2: Optional[EulerProductValue] = None) -> float:
     """The normalized order constant for target order n >= 2."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if c2 is None:
-        c2 = cached_twin_prime_constant()
-    return c2.value * shift_part(n - 1) * order_part(n)
+    return eval_point(n, c2=c2)["Kstar"]
 
 
 def order_constant_original(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
                             *, c2: Optional[EulerProductValue] = None) -> float:
     """The unnormalized (original-form) order constant for n >= 2."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if c2 is None:
-        c2 = cached_twin_prime_constant()
-    return c2.value * shift_part(n - 1) * order_part_original(n, conv)
+    return eval_point(n, conv, c2=c2)["Khat"]
 
 
 def order_constant_direct(n: int, prime_cutoff: int) -> EulerProductValue:
@@ -402,25 +319,31 @@ def order_constant_direct(n: int, prime_cutoff: int) -> EulerProductValue:
 
 def eval_point(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
                *, c2: Optional[EulerProductValue] = None) -> dict:
-    """All factor values at a single order n, for the JSON eval interface."""
+    """All factor values at a single order n, for the JSON eval interface.
+
+    Kstar = c2 * F(n-1) * G(n) and Khat = c2 * F(n-1) * G1(n), with
+    G1 = G2 * G3 the order-side factor of the unnormalized constant.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if c2 is None:
         c2 = cached_twin_prime_constant()
     fac = factorize_trial(n)
-    g2 = odd_val_part(n, fac)
+    f_star = eval_multiplicative(shift_part_fn, factorize_trial(n - 1))
+    g_star = eval_multiplicative(order_part_fn, fac)
+    g2 = eval_multiplicative(odd_val_part_fn, fac)
     g3 = even_val_symbol_part(n, conv, fac)
-    g4 = even_val_mean_part(n, fac)
+    g1 = g2 * g3
     return {
         "N": n,
-        "Kstar": order_constant(n, c2=c2),
-        "Khat": order_constant_original(n, conv, c2=c2),
-        "F_star": shift_part(n - 1),
-        "G_star": order_part(n, fac=fac),
-        "G1": g2 * g3,
+        "Kstar": c2.value * f_star * g_star,
+        "Khat": c2.value * f_star * g1,
+        "F_star": f_star,
+        "G_star": g_star,
+        "G1": g1,
         "G2": g2,
         "G3": g3,
-        "G4": g4,
+        "G4": eval_multiplicative(even_val_mean_fn, fac),
         "convention": conv.value,
     }
 
@@ -485,16 +408,9 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     return MeanValueReport(rows=tuple(rows), error_label="log x", label=which)
 
 
-def mean_order_row(x: int, which: str,
-                   conv: SymbolConvention = SymbolConvention.UNIT,
-                   *, c2: Optional[EulerProductValue] = None) -> MeanValueRow:
-    """Single grid row; see mean_order_grid."""
-    return mean_order_grid(which, [x], conv, c2=c2).rows[0]
-
-
 def substitution_gap(x: int, d: int = 1, modulus: int = 1,
                      conv: SymbolConvention = SymbolConvention.UNIT) -> float:
-    """Congruence-restricted sum of (even_val_symbol_part - even_val_mean_part).
+    """Congruence-restricted sum of (even_val_symbol_part - even_val_mean_fn).
 
     Sums over N <= x with N = 1 (mod d) and N = 0 (mod modulus).  The symbol
     substitution claims this stays O(1) in x for every coprime pair (d,

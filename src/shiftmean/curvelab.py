@@ -13,7 +13,6 @@ degenerates there); records carry a note to that effect.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -139,7 +138,7 @@ def density(order: int, p: int) -> Fraction:
     return Fraction(count, p * p)
 
 
-def expected_m(order: int, cap: int = DEFAULT_ORDER_CAP, threads: int = 1,
+def expected_m(order: int, cap: int = DEFAULT_ORDER_CAP,
                *, c2: Optional[EulerProductValue] = None) -> CurveDensityRecord:
     """Full density record for one target order.
 
@@ -151,9 +150,6 @@ def expected_m(order: int, cap: int = DEFAULT_ORDER_CAP, threads: int = 1,
     if order > cap:
         raise ValueError(f"order {order} exceeds cap {cap}")
     window = hasse_window_primes(order)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(order_histogram, window))  # warm the cache in parallel
     rho = {p: density(order, p) for p in window}
     total = float(sum(rho.values(), start=Fraction(0)))
     predicted = order_constant(order, c2=c2) / math.log(order)

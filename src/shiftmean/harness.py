@@ -65,11 +65,6 @@ def tabulate(spec: TabSpec, limit: int) -> np.ndarray:
     return table
 
 
-def compensated_sum(values) -> float:
-    """Exactly rounded float sum (math.fsum, Shewchuk's algorithm)."""
-    return math.fsum(values)
-
-
 def shifted_sum(f_vals, g_vals, shift: int, x: int):
     """sum_{n=shift+1..x} F(n-shift) G(n).
 

@@ -5,13 +5,12 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
+from shiftmean import arith
 from shiftmean.arith import (
     PrimePowerFn,
-    build_spf_sieve,
     eval_divisor_sum,
     eval_multiplicative,
-    eval_named,
-    factorize,
+    factorize_trial,
     jordan_table,
     jordan_totient,
     mobius_invert_local,
@@ -32,58 +31,50 @@ ZERO_FN = PrimePowerFn(lambda p, k: 0.0 * p, name="zero")
 
 
 def test_spf_small_table():
-    t = build_spf_sieve(10)
-    assert t.spf[2:11].tolist() == [2, 3, 2, 5, 2, 7, 2, 3, 2]
+    # the first prime of a factorization is the smallest prime factor
+    spf = [factorize_trial(n)[0][0] for n in range(2, 11)]
+    assert spf == [2, 3, 2, 5, 2, 7, 2, 3, 2]
 
 
 def test_spf_smallest_case():
-    assert build_spf_sieve(2).spf[2] == 2
+    assert factorize_trial(2) == [(2, 1)]
 
 
 def test_spf_prime_square():
-    assert build_spf_sieve(49).spf[49] == 7
+    assert factorize_trial(49) == [(7, 2)]
 
 
-def test_spf_rejects_bad_limits():
-    with pytest.raises(ValueError):
-        build_spf_sieve(1)
-    with pytest.raises(ValueError):
-        build_spf_sieve(2**32)
-    with pytest.raises(ValueError):
-        build_spf_sieve(10**6, max_bytes=1000)
-
-
-def test_spf_entries_are_prime_divisors(sieve_10k):
-    spf = sieve_10k.spf
+def test_spf_entries_are_prime_divisors():
+    primes = set(primes_up_to(10**4).tolist())
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randrange(2, 10**4 + 1)
-        p = int(spf[n])
+        p = factorize_trial(n)[0][0]
         assert n % p == 0
-        assert sieve_10k.is_prime(p)
+        assert p in primes
         # smallest: no prime below p divides n
         for q in range(2, p):
-            assert n % q != 0 or not sieve_10k.is_prime(q)
+            assert n % q != 0 or q not in primes
 
 
-def test_factorize_examples(sieve_10k):
-    assert factorize(12, sieve_10k) == [(2, 2), (3, 1)]
-    assert factorize(1, sieve_10k) == []
-    assert factorize(97, sieve_10k) == [(97, 1)]
+def test_factorize_examples():
+    assert factorize_trial(12) == [(2, 2), (3, 1)]
+    assert factorize_trial(1) == []
+    assert factorize_trial(97) == [(97, 1)]
 
 
-def test_factorize_rejects_out_of_range(sieve_10k):
+def test_factorize_rejects_out_of_range():
     with pytest.raises(ValueError):
-        factorize(0, sieve_10k)
+        factorize_trial(0)
     with pytest.raises(ValueError):
-        factorize(10**4 + 1, sieve_10k)
+        factorize_trial(-5)
 
 
-def test_factorize_reconstructs_and_valuations(sieve_10k):
+def test_factorize_reconstructs_and_valuations():
     rng = random.Random(11)
     for _ in range(500):
         n = rng.randrange(1, 10**4 + 1)
-        fac = factorize(n, sieve_10k)
+        fac = factorize_trial(n)
         prod = 1
         for p, e in fac:
             prod *= p**e
@@ -158,47 +149,47 @@ def test_quad_symbol_cancellation_nonsquare_odd():
 # divisor sums and local Moebius inversion
 
 
-def _divisor_sum_brute(fn, n, table):
+def _divisor_sum_brute(fn, n):
     """Direct enumeration over divisors; the oracle eval_divisor_sum must match."""
     total = 0.0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += eval_multiplicative(fn, factorize(d, table))
+            total += eval_multiplicative(fn, factorize_trial(d))
     return total
 
 
-def test_eval_divisor_sum_phi_ratio(sieve_10k):
-    val = eval_divisor_sum(PHI_RATIO, factorize(6, sieve_10k))
+def test_eval_divisor_sum_phi_ratio():
+    val = eval_divisor_sum(PHI_RATIO, factorize_trial(6))
     assert val == pytest.approx(Fraction(1, 3), abs=1e-15)  # (1-1/2)(1-1/3)
 
 
-def test_eval_divisor_sum_trivial(sieve_10k):
-    assert eval_divisor_sum(PHI_RATIO, factorize(1, sieve_10k)) == 1.0
-    assert eval_divisor_sum(ZERO_FN, factorize(360, sieve_10k)) == 1.0
+def test_eval_divisor_sum_trivial():
+    assert eval_divisor_sum(PHI_RATIO, factorize_trial(1)) == 1.0
+    assert eval_divisor_sum(ZERO_FN, factorize_trial(360)) == 1.0
 
 
-def test_eval_divisor_sum_matches_brute_force(sieve_10k):
+def test_eval_divisor_sum_matches_brute_force():
     rng = random.Random(5)
     bumpy = PrimePowerFn(lambda p, k: (-1.0) ** k / (p + k), name="bumpy")
     for fn in (PHI_RATIO, bumpy):
         for n in list(range(1, 200)) + [rng.randrange(1, 10**4) for _ in range(100)]:
-            fac = factorize(n, sieve_10k)
+            fac = factorize_trial(n)
             assert eval_divisor_sum(fn, fac) == pytest.approx(
-                _divisor_sum_brute(fn, n, sieve_10k), rel=1e-12, abs=1e-12
+                _divisor_sum_brute(fn, n), rel=1e-12, abs=1e-12
             )
 
 
-def test_eval_divisor_sum_full_range(sieve_10k):
+def test_eval_divisor_sum_full_range():
     # every n <= 1e4, against divisor enumeration done by sieve accumulation
     limit = 10**4
     point_vals = np.array(
-        [0.0] + [eval_multiplicative(PHI_RATIO, factorize(d, sieve_10k)) for d in range(1, limit + 1)]
+        [0.0] + [eval_multiplicative(PHI_RATIO, factorize_trial(d)) for d in range(1, limit + 1)]
     )
     divsums = np.zeros(limit + 1)
     for d in range(1, limit + 1):
         divsums[d::d] += point_vals[d]
     for n in range(1, limit + 1):
-        got = eval_divisor_sum(PHI_RATIO, factorize(n, sieve_10k))
+        got = eval_divisor_sum(PHI_RATIO, factorize_trial(n))
         assert got == pytest.approx(divsums[n], rel=1e-12, abs=1e-12), n
 
 
@@ -263,11 +254,11 @@ def _jordan_brute(n, k):
 
 
 def test_eval_named_examples():
-    assert eval_named("totient", 10) == 4
-    assert eval_named("totient", 1) == 1
-    assert eval_named("jordan", 6, 2) == 24
+    assert totient(10) == 4
+    assert totient(1) == 1
+    assert jordan_totient(6, 2) == 24
     with pytest.raises(ValueError):
-        eval_named("sigma", 5)
+        totient(0)
 
 
 def test_jordan_matches_tuple_count_oracle():
@@ -281,16 +272,17 @@ def test_jordan_overflow_rejected():
         jordan_totient(10**6, 22)
 
 
-def test_totient_with_table(sieve_10k):
-    assert totient(9973, sieve_10k) == 9972  # prime
-    assert totient(10**4, sieve_10k) == 4000
+def test_totient_with_table():
+    table = totient_table(10**4)
+    assert totient(9973) == int(table[9973]) == 9972  # prime
+    assert totient(10**4) == int(table[10**4]) == 4000
 
 
 # ---------------------------------------------------------------------------
 # multiplicativity of induced functions
 
 
-def test_induced_function_multiplicative_on_random_coprime_pairs(sieve_1m):
+def test_induced_function_multiplicative_on_random_coprime_pairs():
     rng = random.Random(17)
     fns = [
         PHI_RATIO,
@@ -302,9 +294,9 @@ def test_induced_function_multiplicative_on_random_coprime_pairs(sieve_1m):
         n = rng.randrange(2, 10**6 // m)
         if gcd(m, n) != 1:
             continue
-        fm = factorize(m, sieve_1m)
-        fn_ = factorize(n, sieve_1m)
-        fmn = factorize(m * n, sieve_1m)
+        fm = factorize_trial(m)
+        fn_ = factorize_trial(n)
+        fmn = factorize_trial(m * n)
         for fn in fns:
             lhs = eval_multiplicative(fn, fmn)
             rhs = eval_multiplicative(fn, fm) * eval_multiplicative(fn, fn_)
@@ -316,18 +308,18 @@ def test_induced_function_multiplicative_on_random_coprime_pairs(sieve_1m):
 # tabulation
 
 
-def test_multiplicative_table_matches_pointwise_eval(sieve_10k):
+def test_multiplicative_table_matches_pointwise_eval():
     from shiftmean.curveconst import order_kernel, order_part_fn
 
     for fn in (order_part_fn, partial_sum_fn(order_kernel)):
         table = multiplicative_table(fn, 5000)
         for n in range(1, 5001):
-            expect = eval_multiplicative(fn, factorize(n, sieve_10k))
+            expect = eval_multiplicative(fn, factorize_trial(n))
             assert table[n] == pytest.approx(expect, rel=1e-12), n
     assert table[0] == 0.0
 
 
-def test_multiplicative_table_handles_zero_values(sieve_10k):
+def test_multiplicative_table_handles_zero_values():
     # odd-support table: zero at p = 2 wipes all even entries
     from shiftmean.curveconst import order_kernel_odd
 
@@ -335,21 +327,21 @@ def test_multiplicative_table_handles_zero_values(sieve_10k):
     table = multiplicative_table(dsum, 2000)
     assert np.all(table[2::2] == 0.0)
     for n in range(1, 2000, 2):
-        expect = eval_divisor_sum(order_kernel_odd, factorize(n, sieve_10k))
+        expect = eval_divisor_sum(order_kernel_odd, factorize_trial(n))
         assert table[n] == pytest.approx(expect, rel=1e-12)
 
 
-def test_totient_table_exact(sieve_10k):
+def test_totient_table_exact():
     table = totient_table(5000)
     assert table[1:7].tolist() == [1, 1, 2, 2, 4, 2]
     for n in range(1, 5001, 97):
-        assert int(table[n]) == totient(n, sieve_10k)
+        assert int(table[n]) == totient(n)
 
 
-def test_jordan_table_exact_and_wide(sieve_10k):
+def test_jordan_table_exact_and_wide():
     t2 = jordan_table(3000, 2)
     for n in range(1, 3001, 53):
-        assert int(t2[n]) == jordan_totient(n, 2, sieve_10k)
+        assert int(t2[n]) == jordan_totient(n, 2)
     # object-dtype path for wide values
     t9 = jordan_table(300, 9)
     assert t9.dtype == object
@@ -364,3 +356,6 @@ def test_primes_up_to_cache_consistency():
     small = primes_up_to(100)
     assert small.tolist() == [p for p in big.tolist() if p <= 100]
     assert primes_up_to(1).size == 0
+    limit, primes = arith._prime_cache
+    assert limit >= 10**4 and primes[-1] <= limit
+    assert primes_up_to(limit) is primes

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -75,6 +76,18 @@ def test_verify_gap_csv(capsys):
     assert abs(float(lines[1].split(",")[1])) < 0.1
 
 
+def test_verify_gap_json(capsys):
+    code, out, _ = run_cli(
+        ["verify", "gap", "--x-grid", "1e3,1e4", "--prime-cutoff", "1e4", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["label"] == "gap"
+    assert [row["x"] for row in payload["rows"]] == [1000, 10000]
+    assert all(abs(row["gap"]) < 0.1 for row in payload["rows"])
+
+
 def test_curvelab_subcommand(capsys):
     code, out, _ = run_cli(
         ["curvelab", "--n-min", "20", "--n-max", "22", "--prime-cutoff", "1e5"], capsys
@@ -124,6 +137,64 @@ def test_runtime_error_exits_1(capsys):
     code, _, err = run_cli(["eval", "jordan", "1000000", "--k", "40"], capsys)
     assert code == 1
     assert "runtime error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, field",
+    [
+        (["constant", "kstar", "--depth", "0"], None, 2, "--depth"),
+        (["constant", "kstar", "--depth", "-3"], None, 2, "--depth"),
+        (["meanvalue", "kstar", "--x-grid", "1e3", "--depth", "0"], None, 2, "--depth"),
+        (["constant", "kstar", "--shift", "1000003", "--prime-cutoff", "1e6"], None, 2, "--shift"),
+        (["meanvalue", "kstar", "--shift", "1000003", "--xmax", "2e6"], None, 2, "--shift"),
+        (["eval", "totient", "0"], None, 2, "n:"),
+        (["meanvalue", "phi", "--x-grid", "1e3", "--threads", "2"], None, 2, "--threads"),
+        (["constant", "c2", "--prime-cutoff", "1e4"], {"SHIFTMEAN_THREADS": "abc"}, 0, None),
+    ],
+)
+def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):
+    for name, value in (env or {}).items():
+        monkeypatch.setenv(name, value)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects unknown options itself
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    if field is not None:
+        assert field in err
+
+
+# sha256 of stdout, recorded before the factor functions were reduced to one
+# definition each; these calls must stay byte-identical.
+GOLDEN_STDOUT = {
+    "verify t2a --x-grid 1000,10000,100000":
+        "d2084bc690936be925dba7e8884d78149117f91cf86111c76f454db813f3ca06",
+    "verify t2b --x-grid 1000,10000,100000":
+        "a0ee169c99d8b75746d73b521f1e699322b82a43a727644f653813198e2db346",
+    "verify t3 --x-grid 1000,10000,100000":
+        "ac4f2be14c21a2a8a121748503e5638b8cfd564f5700226deb8c254d6a38c4f5",
+    "verify gap --x-grid 1000,100000":
+        "427b8e8140dc2a353340f0cbfa99cb4c59ed7f7242c6fb0517ab809b79376400",
+    "meanvalue kstar --x-grid 1000,20000":
+        "8acc94dc2f0c563441666672e6ec209cf47f03a4ab5d6b9df6b25d4b78389965",
+    "meanvalue phi --x-grid 1000,20000":
+        "ae340d52ddaeeafb9c9c4e96d10863578a09624f7168a3a8a810f17ae5230e46",
+    "meanvalue jordan-2 --x-grid 1000,20000":
+        "3e3b97e4baabdb849b57b64adf236b192f2dc41bbdeb9db020fd670abadf592b",
+    "constant c2 --prime-cutoff 1e5":
+        "86bcdaf2a78dcba1c05b9b10c3a4f4d5301afba12c2784a32d79f9033337c240",
+    "constant kstar --prime-cutoff 1e5":
+        "78883115ee21fed52551f461b179651a21ead22ccf73fe80878a4f4fcfd52338",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(args, capsys):
+    code, out, _ = run_cli(args.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[args]
 
 
 def test_unknown_subcommand_exits_2():

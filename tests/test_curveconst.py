@@ -1,29 +1,31 @@
 import numpy as np
 import pytest
 
-from shiftmean.arith import factorize, multiplicative_table, quad_symbol, totient
+from shiftmean.arith import (
+    eval_divisor_sum,
+    eval_multiplicative,
+    factorize_trial,
+    multiplicative_table,
+    quad_symbol,
+    totient,
+)
 from shiftmean.curveconst import (
     SymbolConvention,
     averaged_order_kernel,
     even_val_mean_fn,
-    even_val_mean_part,
     even_val_symbol_part,
     even_val_symbol_table,
     eval_point,
     mean_order_grid,
     odd_val_kernel,
-    odd_val_part,
     odd_val_part_fn,
     order_constant,
     order_constant_direct,
     order_constant_original,
     order_kernel,
     order_kernel_odd,
-    order_part,
     order_part_fn,
-    order_part_original,
     shift_kernel,
-    shift_part,
     shift_part_fn,
     substitution_gap,
     twin_prime_constant,
@@ -33,6 +35,23 @@ from shiftmean.euler import local_factor
 
 UNIT = SymbolConvention.UNIT
 KRONECKER = SymbolConvention.KRONECKER
+
+
+# scalar factor values, read off the prime-power definition of each factor
+def shift_part(n):
+    return eval_multiplicative(shift_part_fn, factorize_trial(n))
+
+
+def order_part(n):
+    return eval_multiplicative(order_part_fn, factorize_trial(n))
+
+
+def odd_val_part(n):
+    return eval_multiplicative(odd_val_part_fn, factorize_trial(n))
+
+
+def even_val_mean_part(n):
+    return eval_multiplicative(even_val_mean_fn, factorize_trial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +116,9 @@ def test_order_part_values():
 
 
 def test_order_part_odd_support():
-    assert order_part(10, odd_support=True) == 0.0
-    assert order_part(9, odd_support=True) == pytest.approx(17 / 9, rel=1e-14)
+    # the odd-restricted factor is the divisor sum of the odd-support kernel
+    assert eval_divisor_sum(order_kernel_odd, factorize_trial(10)) == 0.0
+    assert eval_divisor_sum(order_kernel_odd, factorize_trial(9)) == pytest.approx(17 / 9, rel=1e-14)
 
 
 def test_even_val_parts_examples():
@@ -113,7 +133,7 @@ def test_even_val_parts_examples():
     assert even_val_mean_part(4) == pytest.approx(7 / 8, rel=1e-15)
 
 
-def test_even_val_symbol_part_uses_cofactor_symbol(sieve_10k):
+def test_even_val_symbol_part_uses_cofactor_symbol():
     # 45 = 3^2 * 5: cofactor of 3^2 is 5, symbol(-5 mod 3) = symbol(1 mod 3) = 1
     expect = 1 - (3 - 1) / (27 * 2)
     assert even_val_symbol_part(45) == pytest.approx(expect, rel=1e-15)
@@ -121,17 +141,18 @@ def test_even_val_symbol_part_uses_cofactor_symbol(sieve_10k):
 
 
 def test_original_order_part_is_product_of_parts():
+    c2 = twin_prime_constant(10**3)
     for n in range(2, 500):
-        assert order_part_original(n) == pytest.approx(
-            odd_val_part(n) * even_val_symbol_part(n), rel=1e-14
-        )
+        out = eval_point(n, c2=c2)
+        assert out["G1"] == pytest.approx(odd_val_part(n) * even_val_symbol_part(n), rel=1e-14)
+        assert out["Khat"] == pytest.approx(c2.value * shift_part(n - 1) * out["G1"], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # divisor-sum reconstruction oracles: each kernel rebuilds its parent
 
 
-def _check_reconstruction(kernel, parent, limit, sieve):
+def _check_reconstruction(kernel, parent, limit):
     table = multiplicative_table(kernel, limit)
     divsums = np.zeros(limit + 1)
     divsums[0] = 0.0
@@ -141,47 +162,58 @@ def _check_reconstruction(kernel, parent, limit, sieve):
         assert divsums[n] == pytest.approx(parent(n), rel=1e-12), n
 
 
-def test_shift_kernel_rebuilds_shift_part(sieve_10k):
-    _check_reconstruction(shift_kernel, shift_part, 2000, sieve_10k)
+def test_shift_kernel_rebuilds_shift_part():
+    _check_reconstruction(shift_kernel, shift_part, 2000)
 
 
-def test_order_kernel_rebuilds_order_part(sieve_10k):
-    _check_reconstruction(order_kernel, order_part, 2000, sieve_10k)
+def test_order_kernel_rebuilds_order_part():
+    _check_reconstruction(order_kernel, order_part, 2000)
 
 
-def test_odd_val_kernel_rebuilds_odd_val_part(sieve_10k):
-    _check_reconstruction(odd_val_kernel, odd_val_part, 2000, sieve_10k)
+def test_odd_val_kernel_rebuilds_odd_val_part():
+    _check_reconstruction(odd_val_kernel, odd_val_part, 2000)
 
 
-def test_averaged_kernel_rebuilds_product(sieve_10k):
+def test_averaged_kernel_rebuilds_product():
     _check_reconstruction(
         averaged_order_kernel,
         lambda n: odd_val_part(n) * even_val_mean_part(n),
         2000,
-        sieve_10k,
     )
 
 
-def test_parent_fn_tables_match_scalar_functions(sieve_10k):
+def test_parent_fn_tables_match_scalar_functions():
+    # scalar values and tables come from one definition, so they agree exactly
     limit = 2000
+    for fn in (shift_part_fn, order_part_fn, odd_val_part_fn, even_val_mean_fn):
+        table = multiplicative_table(fn, limit)
+        for n in range(1, limit + 1):
+            assert table[n] == eval_multiplicative(fn, factorize_trial(n)), (fn.name, n)
+
+
+def test_eval_point_equals_tables_exactly():
+    limit = 10**4
+    c2 = twin_prime_constant(10**5)
     fs = multiplicative_table(shift_part_fn, limit)
     gs = multiplicative_table(order_part_fn, limit)
     g2 = multiplicative_table(odd_val_part_fn, limit)
     g4 = multiplicative_table(even_val_mean_fn, limit)
-    for n in range(1, limit + 1):
-        fac = factorize(n, sieve_10k)
-        assert fs[n] == pytest.approx(shift_part(n, fac), rel=1e-13)
-        assert gs[n] == pytest.approx(order_part(n, fac=fac), rel=1e-13)
-        assert g2[n] == pytest.approx(odd_val_part(n, fac), rel=1e-13)
-        assert g4[n] == pytest.approx(even_val_mean_part(n, fac), rel=1e-13)
+    for n in range(2, limit + 1):
+        out = eval_point(n, c2=c2)
+        assert out["F_star"] == fs[n - 1], n
+        assert out["G_star"] == gs[n], n
+        assert out["G2"] == g2[n], n
+        assert out["G4"] == g4[n], n
+        assert out["Kstar"] == order_constant(n, c2=c2), n
+        assert out["Khat"] == order_constant_original(n, c2=c2), n
 
 
-def test_symbol_table_matches_scalar_both_conventions(sieve_10k):
+def test_symbol_table_matches_scalar_both_conventions():
     for conv in (UNIT, KRONECKER):
         table = even_val_symbol_table(2000, conv)
         for n in range(1, 2001):
             assert table[n] == pytest.approx(
-                even_val_symbol_part(n, conv, factorize(n, sieve_10k)), rel=1e-13
+                even_val_symbol_part(n, conv, factorize_trial(n)), rel=1e-13
             ), (n, conv)
 
 
@@ -233,12 +265,11 @@ def test_order_constant_composition():
         order_constant(1, c2=c2)
 
 
-def test_order_constant_direct_n1_reduction(sieve_10k):
+def test_order_constant_direct_n1_reduction():
     # at n = 1 all indicator factors drop to the bare product
     got = order_constant_direct(1, 10**4)
-    primes = [p for p in range(2, 10**4 + 1) if sieve_10k.is_prime(p)]
     expect = 1.0
-    for p in primes:
+    for p in (p for p in range(2, 10**4 + 1) if factorize_trial(p) == [(p, 1)]):
         expect *= 1 - 1 / ((p - 1.0) ** 2 * (p + 1.0))
     assert got.value == pytest.approx(expect, rel=1e-12)
 

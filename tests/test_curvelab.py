@@ -123,13 +123,6 @@ def test_expected_m_record_invariants():
     assert "excluded" in rec.note
 
 
-def test_expected_m_threads_agree():
-    c2 = twin_prime_constant(10**5)
-    a = expected_m(30, c2=c2, threads=1)
-    b = expected_m(30, c2=c2, threads=2)
-    assert a == b
-
-
 def test_expected_m_domain_errors():
     c2 = twin_prime_constant(10**5)
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from shiftmean.euler import MonomialBaseline, PrimePowerFn, ShiftedPairSpec, shi
 from shiftmean.harness import (
     DivisorSumFn,
     NamedFn,
-    compensated_sum,
     fit_error_exponent,
     run_grid,
     shifted_sum,
@@ -86,14 +85,14 @@ def test_shifted_sum_validates_arguments():
         shifted_sum(ones, ones, 1, 11)
 
 
-def test_shifted_sum_exact_against_per_point_oracle(sieve_10k):
+def test_shifted_sum_exact_against_per_point_oracle():
     # exact-path sums equal a wide-integer recomputation from per-point
     # factorizations, term by term
     x = 10**4
     phi_vals = tabulate(NamedFn("totient"), x)
     j2_vals = tabulate(NamedFn("jordan", 2), x)
-    for vals, fn in ((phi_vals, lambda n: totient(n, sieve_10k)),
-                     (j2_vals, lambda n: jordan_totient(n, 2, sieve_10k))):
+    for vals, fn in ((phi_vals, totient),
+                     (j2_vals, lambda n: jordan_totient(n, 2))):
         for h in (1, 2):
             got = shifted_sum(vals, vals, h, x)
             expect = sum(fn(n - h) * fn(n) for n in range(h + 1, x + 1))
@@ -109,7 +108,12 @@ def test_compensated_sum_alternating_millions():
     vals = sign * (1.0 + (n % 1000) * 2.0**-30)
     exact_scaled = int(np.sum(sign * (2**30 + (n % 1000))))  # scale 2^30
     exact = exact_scaled * 2.0**-30
-    assert abs(compensated_sum(vals.tolist()) - exact) <= 1e-10
+    # shift 1 pairs F(n-1) = 1 with G(n) = vals[n-2] for n = 2 .. len(vals)+1
+    g_vals = np.concatenate(([0.0, 0.0], vals))
+    f_vals = np.ones(len(g_vals))
+    got = shifted_sum(f_vals, g_vals, 1, len(g_vals) - 1)
+    assert isinstance(got, float)
+    assert abs(got - exact) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
