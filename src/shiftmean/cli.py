@@ -173,6 +173,8 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"n: must be >= 1 (got {n})")
     elif args.target == "totient":
         payload = {"n": n, "totient": totient(n)}
+    elif args.k < 1:
+        raise UsageError(f"--k: must be >= 1 (got {args.k})")
     else:
         payload = {"n": n, "k": args.k, "jordan": jordan_totient(n, args.k)}
     _emit(dumps_json(payload) + "\n", args.output)
@@ -183,6 +185,8 @@ def _cmd_meanvalue(args) -> int:
     grid = _parse_grid(args)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=2)
     _check_shift(args.shift, cutoff)
+    if args.shift >= grid[0]:
+        raise UsageError(f"--shift: must be below the first grid point {grid[0]} (got {args.shift})")
     _check_depth(args.depth)
     try:
         preset = presets.get_preset(args.preset, shift=args.shift)
@@ -226,6 +230,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_curvelab(args) -> int:
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
+    if args.cap > curvelab.MAX_ORDER_CAP:
+        raise UsageError(f"--cap: must be <= {curvelab.MAX_ORDER_CAP} (got {args.cap})")
     if args.n_min < 7 or args.n_max < args.n_min:
         raise UsageError(f"--n-min/--n-max: need 7 <= n-min <= n-max (got {args.n_min}, {args.n_max})")
     if args.n_max > args.cap:
@@ -305,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curvelab", help="per-prime curve densities vs the order constant")
     p.add_argument("--n-min", type=int, default=20)
     p.add_argument("--n-max", type=int, default=curvelab.DEFAULT_ORDER_CAP)
-    p.add_argument("--cap", type=int, default=curvelab.DEFAULT_ORDER_CAP)
+    p.add_argument("--cap", type=int, default=curvelab.DEFAULT_ORDER_CAP,
+                   help=f"largest admissible order, at most {curvelab.MAX_ORDER_CAP}")
     add_common(p, grid=False)
     p.set_defaults(handler=_cmd_curvelab)
 

