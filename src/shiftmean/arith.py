@@ -152,6 +152,11 @@ def totient(n: int) -> int:
     return jordan_totient(n, 1)
 
 
+def _power_exceeds_128_bits(n: int, k: int) -> bool:
+    """n^k >= 2^127, decided without computing n^k when k >= 127."""
+    return n > 1 and (k >= 127 or n**k >= INT128_CEILING)
+
+
 def jordan_totient(n: int, k: int) -> int:
     """Jordan totient J_k(n) = n^k prod_{p|n} (1 - p^-k), exact.
 
@@ -161,7 +166,7 @@ def jordan_totient(n: int, k: int) -> int:
         raise ValueError(f"n must be positive, got {n}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if n ** k >= INT128_CEILING:
+    if _power_exceeds_128_bits(n, k):
         raise ValueError(f"J_{k}({n}) exceeds the 128-bit range")
     out = 1
     for p, e in factorize_trial(n):
@@ -234,12 +239,7 @@ def multiplicative_table(fn: PrimePowerFn, limit: int) -> np.ndarray:
 
 def totient_table(limit: int) -> np.ndarray:
     """Exact int64 array of totient values for 0 <= n <= limit."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in primes_up_to(limit).tolist():
-        phi[p::p] -= phi[p::p] // p
-    return phi
+    return jordan_table(limit, 1)
 
 
 def jordan_table(limit: int, k: int) -> np.ndarray:
@@ -252,7 +252,7 @@ def jordan_table(limit: int, k: int) -> np.ndarray:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if limit ** k >= INT128_CEILING:
+    if _power_exceeds_128_bits(limit, k):
         raise ValueError(f"J_{k} values up to {limit} exceed the 128-bit range")
     if limit ** k < 2**62:
         jk = np.arange(limit + 1, dtype=np.int64) ** k

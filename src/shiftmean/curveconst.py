@@ -33,6 +33,7 @@ from .arith import (
     quad_symbol,
 )
 from .euler import EulerProductValue, prime_zeta_odd
+from .harness import prefix_dots
 from .reports import MeanValueReport, MeanValueRow
 
 DEFAULT_CONSTANT_CUTOFF = 10**8
@@ -392,11 +393,10 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     else:
         order_vals = multiplicative_table(odd_val_part_fn, xmax) * even_val_symbol_table(xmax, conv)
 
-    # products[i] is the term at N = i + 2
-    products = shift_vals[1:xmax] * order_vals[2 : xmax + 1]
+    sums = prefix_dots(shift_vals[1:xmax], order_vals[2 : xmax + 1], [x - 1 for x in xs])
     rows = []
-    for x in xs:
-        emp = c2.value * math.fsum(products[: x - 1].tolist())
+    for x, total in zip(xs, sums):
+        emp = c2.value * total
         pred = slope * x
         residual = emp - pred
         rows.append(
@@ -425,4 +425,5 @@ def substitution_gap(x: int, d: int = 1, modulus: int = 1,
     n = np.arange(x + 1, dtype=np.int64)
     mask = (n % d == 1 % d) & (n % modulus == 0)
     mask[0] = False
-    return math.fsum((symbol_vals[mask] - mean_vals[mask]).tolist())
+    diff = symbol_vals[mask] - mean_vals[mask]
+    return prefix_dots(diff, np.broadcast_to(1.0, diff.shape), [len(diff)])[0]

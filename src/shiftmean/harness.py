@@ -1,10 +1,11 @@
-"""Empirical side: tabulate, sum with compensation, compare against prediction.
+"""Empirical side: tabulate, sum exactly, compare against prediction.
 
 Shifted sums start at n = shift + 1 so the shifted argument stays >= 1.
-Exact-integer functions (totient family) accumulate in arbitrary-precision
-integers; everything else flows through floats with exactly rounded
-(Shewchuk) summation, so accumulation error stays at the one-ulp scale no
-matter how many terms enter.
+Every empirical sum goes through prefix_dots, one blockwise pass that is
+exact: integer arrays (totient family) give Python ints, and float products
+are accumulated into one integer and rounded once per requested prefix, so
+each result is the exactly rounded sum (what math.fsum returns) no matter
+how many terms enter.
 """
 
 from __future__ import annotations
@@ -65,28 +66,80 @@ def tabulate(spec: TabSpec, limit: int) -> np.ndarray:
     return table
 
 
-def shifted_sum(f_vals, g_vals, shift: int, x: int):
-    """sum_{n=shift+1..x} F(n-shift) G(n).
+# Terms per block of prefix_dots: bounds its working memory, and keeps every
+# per-exponent limb sum below 2^16 * 2^18 = 2^34, exact in float64.
+SUM_BLOCK = 2**16
 
-    Arrays are indexed by n and must cover [0, x].  Integer arrays are
-    accumulated exactly (Python integers) and return int; float arrays get a
-    compensated sum and return float.
+# A finite float64 is m * 2^(e - 53) with |m| < 2^53 an integer and
+# e >= -1073 (np.frexp), so every one is an integer multiple of 2^-1126.
+_EXP_BIAS = 1073
+_SCALE = 1 << 1126
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+    return int(np.dot(a.astype(object), b.astype(object)))
+
+
+def _scaled_float_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """The exact sum of the float64 products a*b, times 2^1126."""
+    terms = np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64)
+    if not np.isfinite(terms).all():
+        raise ValueError("non-finite term in sum")
+    frac, exp = np.frexp(terms)
+    exp += _EXP_BIAS
+    # Cut the 53-bit integer mantissa into three 18-bit limbs, the top one
+    # signed.  Every step is exact in float64: scaling by powers of two,
+    # floor, and differences of integers below 2^53.
+    mant = frac * 2.0**53
+    top = np.floor(mant * 2.0**-36)
+    rest = mant - top * 2.0**36
+    mid = np.floor(rest * 2.0**-18)
+    limbs = (rest - mid * 2.0**18, mid, top)
+    total = 0
+    for k, limb in enumerate(limbs):
+        sums = np.bincount(exp, weights=limb)
+        nonzero = np.flatnonzero(sums)
+        for e, s in zip(nonzero.tolist(), sums[nonzero].tolist()):
+            total += int(s) << (e + 18 * k)
+    return total
+
+
+def prefix_dots(a, b, ends) -> list:
+    """sum(a[:e] * b[:e]) for each e in ends (ascending), in one pass.
+
+    Integer arrays (int64 or object) give exact ints.  Otherwise the float64
+    products are summed exactly and each prefix is rounded once, so every
+    result equals math.fsum of that prefix's products.  A non-finite product
+    raises ValueError.  Work runs in blocks of at most SUM_BLOCK terms.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    ends = [int(e) for e in ends]
+    if any(hi < lo for lo, hi in zip([0, *ends], [*ends, min(len(a), len(b))])):
+        raise ValueError(f"prefix ends must ascend within [0, {min(len(a), len(b))}]")
+    exact = all(v.dtype == object or v.dtype.kind in "iu" for v in (a, b))
+    dot = _exact_dot if exact else _scaled_float_dot
+    out, total, lo = [], 0, 0
+    for end in ends:
+        while lo < end:
+            hi = min(end, lo + SUM_BLOCK)
+            total += dot(a[lo:hi], b[lo:hi])
+            lo = hi
+        out.append(total if exact else total / _SCALE)
+    return out
+
+
+def shifted_sum(f_vals, g_vals, shift: int, x: int):
+    """sum_{n=shift+1..x} F(n-shift) G(n), exactly (see prefix_dots).
+
+    Arrays are indexed by n and must cover [0, x].  Integer arrays give an
+    exact int; otherwise the result is the exactly rounded float.
     """
     if shift < 1:
         raise ValueError(f"shift must be >= 1, got {shift}")
     if x > len(f_vals) - 1 or x > len(g_vals) - 1:
         raise ValueError(f"arrays do not cover [0, {x}]")
-    exact = all(
-        isinstance(a, np.ndarray) and (a.dtype == object or np.issubdtype(a.dtype, np.integer))
-        for a in (f_vals, g_vals)
-    )
-    if x <= shift:
-        return 0 if exact else 0.0
-    left = f_vals[1 : x - shift + 1]
-    right = g_vals[shift + 1 : x + 1]
-    if exact:
-        return sum(int(a) * int(b) for a, b in zip(left.tolist(), right.tolist()))
-    return math.fsum((np.asarray(left, dtype=np.float64) * np.asarray(right, dtype=np.float64)).tolist())
+    terms = max(0, x - shift)
+    return prefix_dots(f_vals[1 : terms + 1], g_vals[shift + 1 : shift + 1 + terms], [terms])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +216,7 @@ def run_grid(
         f_vals, g_vals = values
     else:
         f_vals = tabulate(f_tab, xmax)
-        g_vals = tabulate(g_tab, xmax)
+        g_vals = f_vals if g_tab == f_tab else tabulate(g_tab, xmax)
 
     rows = []
     for x in xs:

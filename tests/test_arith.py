@@ -272,6 +272,15 @@ def test_jordan_overflow_rejected():
         jordan_totient(10**6, 22)
 
 
+def test_jordan_huge_order_rejected_before_the_power():
+    # n^k is never built: for n >= 2 and k >= 127 it is already >= 2^127
+    with pytest.raises(ValueError):
+        jordan_totient(6, 10**9)
+    with pytest.raises(ValueError):
+        jordan_table(2000, 10**9)
+    assert jordan_totient(1, 10**9) == 1
+
+
 def test_totient_with_table():
     table = totient_table(10**4)
     assert totient(9973) == int(table[9973]) == 9972  # prime

@@ -133,8 +133,12 @@ def test_cutoff_out_of_range_exits_2(capsys):
     assert "prime-cutoff" in err
 
 
-def test_runtime_error_exits_1(capsys):
-    code, _, err = run_cli(["eval", "jordan", "1000000", "--k", "40"], capsys)
+@pytest.mark.parametrize("argv", [
+    ["eval", "jordan", "1000000", "--k", "40"],
+    ["eval", "jordan", "6", "--k", "1000000000"],
+], ids=["k40", "k1e9"])
+def test_runtime_error_exits_1(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "runtime error" in err
 
@@ -195,6 +199,13 @@ GOLDEN_STDOUT = {
         "d8146cade6caed037c721a0837f9817b520e707e264a5cacadc4a294043eab61",
     "curvelab --n-min 20 --n-max 120 --format json":
         "e6b8427521bbf6435e1b347b94882567c1b6fa2c95038b7855cb90df5d7262e5",
+    # recorded before every empirical sum went through harness.prefix_dots
+    "verify t3 --x-grid 1000,70000,200000":
+        "4abaec8cc9be1df64ee02d7bd2b43bd14a6a648a31b41dcb6b7ae26611e80c6b",
+    "meanvalue jordan-3 --x-grid 1000,100000":
+        "ecf42c8eae79adb229f1a1f95b8d8bed1d0570d12e3ef1935c0fb6a3f3a94ff3",
+    "meanvalue khat --shift 6 --x-grid 1000,150000 --format json":
+        "df8074349528ec3e8b18ff6134f506484572780dc047bdce63993a0753189060",
 }
 
 

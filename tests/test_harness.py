@@ -1,15 +1,23 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftmean import harness
 
 from shiftmean.arith import jordan_totient, totient
 from shiftmean.curveconst import shift_kernel
 from shiftmean.euler import MonomialBaseline, PrimePowerFn, ShiftedPairSpec, shifted_mean_constant
 from shiftmean.harness import (
+    SUM_BLOCK,
     DivisorSumFn,
     NamedFn,
     fit_error_exponent,
+    prefix_dots,
     run_grid,
     shifted_sum,
     tabulate,
@@ -117,7 +125,122 @@ def test_compensated_sum_alternating_millions():
 
 
 # ---------------------------------------------------------------------------
+# prefix_dots: the one summation path
+
+# mixed signs, signed zeros, subnormals and decimal exponents across +-300
+_wide_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+)
+_factors = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 3.0]), st.floats(-4.0, 4.0))
+
+
+def _ends(n):
+    return st.lists(st.integers(0, n), max_size=6).map(sorted)
+
+
+@st.composite
+def _float_case(draw):
+    a = draw(st.lists(_wide_floats, max_size=60))
+    b = draw(st.lists(_factors, min_size=len(a), max_size=len(a)))
+    return np.array(a), np.array(b), draw(_ends(len(a)))
+
+
+@st.composite
+def _int_case(draw):
+    n = draw(st.integers(0, 40))
+    near = st.integers(2**62 - 1000, 2**62).flatmap(lambda v: st.sampled_from([v, -v]))
+    wide = st.integers(-(2**126), 2**126)
+    if draw(st.booleans()):
+        a = np.array(draw(st.lists(near, min_size=n, max_size=n)), dtype=np.int64)
+        b = np.array(draw(st.lists(near, min_size=n, max_size=n)), dtype=np.int64)
+    else:
+        a = np.array(draw(st.lists(wide, min_size=n, max_size=n)), dtype=object)
+        b = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64)
+    return a, b, draw(_ends(n))
+
+
+@settings(deadline=None)
+@given(_float_case())
+def test_prefix_dots_floats_equal_fsum_of_every_prefix(case):
+    a, b, ends = case
+    terms = (a * b).tolist()
+    got = prefix_dots(a, b, ends)
+    assert got == [math.fsum(terms[:e]) for e in ends]
+    assert got == [float(sum(map(Fraction, terms[:e]), Fraction(0))) for e in ends]
+    assert all(isinstance(v, float) for v in got)
+
+
+@settings(deadline=None)
+@given(_int_case())
+def test_prefix_dots_integers_are_exact(case):
+    a, b, ends = case
+    got = prefix_dots(a, b, ends)
+    assert got == [sum(int(u) * int(v) for u, v in zip(a[:e], b[:e])) for e in ends]
+    assert all(isinstance(v, int) for v in got)
+
+
+def test_prefix_dots_across_block_edges():
+    n = 2 * SUM_BLOCK + 10
+    ends = [0, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK, n]
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    b = rng.standard_normal(n)
+    terms = (a * b).tolist()
+    assert prefix_dots(a, b, ends) == [math.fsum(terms[:e]) for e in ends]
+    ai = rng.integers(-(2**40), 2**40, n)
+    bi = rng.integers(-(2**20), 2**20, n)
+    prods = [int(u) * int(v) for u, v in zip(ai.tolist(), bi.tolist())]
+    assert prefix_dots(ai, bi, ends) == [sum(prods[:e]) for e in ends]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prefix_dots_rejects_non_finite_terms(bad):
+    a = np.ones(SUM_BLOCK + 5)
+    a[SUM_BLOCK + 2] = bad
+    with pytest.raises(ValueError):
+        prefix_dots(a, np.ones_like(a), [len(a)])
+
+
+def test_prefix_dots_rejects_bad_ends():
+    ones = np.ones(10)
+    for ends in ([5, 4], [-1], [11]):
+        with pytest.raises(ValueError):
+            prefix_dots(ones, ones, ends)
+
+
+def test_prefix_dots_memory_bounded():
+    # the blockwise pass holds O(SUM_BLOCK) scratch whatever the length; a
+    # tolist of the products would hold 4e6 Python floats (> 150 MB)
+    a = np.random.default_rng(3).standard_normal(4 * 10**6)
+    b = np.full_like(a, 1.5)
+    tracemalloc.start()
+    try:
+        prefix_dots(a, b, [10**6, len(a)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # grids and reports
+
+
+def test_run_grid_tabulates_a_shared_table_once(monkeypatch):
+    calls = []
+
+    def counting(spec, limit):
+        calls.append(spec)
+        return tabulate(spec, limit)
+
+    monkeypatch.setattr(harness, "tabulate", counting)
+    rep = run_grid("phi", [1000, 2000], prime_cutoff=10**4)
+    assert calls == [NamedFn("totient")]
+    phi = tabulate(NamedFn("totient"), 2000)
+    assert rep.rows[-1].empirical == float(shifted_sum(phi, phi, 1, 2000))
+
 
 
 def test_run_grid_phi_small():
