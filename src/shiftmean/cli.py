@@ -23,6 +23,9 @@ from .reports import dumps_json, fmt_csv
 
 DEFAULT_GRID_START = 1000
 
+# eval factors n by trial division: a prime near 1e16 takes about 11 s.
+MAX_EVAL_N = 10**16
+
 
 class UsageError(ValueError):
     """Configuration problem; maps to exit code 2."""
@@ -55,8 +58,8 @@ def _parse_int(text: str, field: str) -> int:
         value = float(text)
         if value != int(value):
             raise ValueError
-        return int(value)
-    except ValueError:
+        return int(text) if text.isdigit() else int(value)  # exact past 2**53
+    except (ValueError, OverflowError):  # OverflowError: int(inf)
         raise UsageError(f"{field}: expected an integer (got {text!r})") from None
 
 
@@ -162,6 +165,8 @@ def _cmd_eval(args) -> int:
         jordan_k=args.k,
     )
     _echo_config(cfg)
+    if n > MAX_EVAL_N:
+        raise UsageError(f"n: must be <= {MAX_EVAL_N} (got {n})")
     if args.target in ("kstar", "khat"):
         if n < 2:
             raise UsageError(f"n: order evaluations need n >= 2 (got {n})")

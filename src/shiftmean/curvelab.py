@@ -5,9 +5,8 @@ y^2 = x^3 + ax + b over F_p with exactly N points; the per-prime density of
 such (a, b) pairs, summed over the window, should track
 order_constant(N) / log N.  Point counts run through a quadratic-residue
 character sum; a naive enumeration is kept alongside as the oracle.  The
-per-prime histogram of orders is exact: it counts every (a, b), but
-enumerates b only for a = 0 and one a per quartic coset, since
-(a, b) -> (u^4 a, u^6 b) preserves the curve up to isomorphism.
+per-prime histogram of orders is exact and enumerates no curve: it reads
+Hurwitz class numbers H(4p - t^2) off one table (Deuring; Birch 1968).
 
 Primes 2 and 3 are excluded throughout (the short Weierstrass form
 degenerates there); records carry a note to that effect.
@@ -27,14 +26,13 @@ from .curveconst import _qr_table, order_constant
 from .euler import EulerProductValue
 from .reports import dumps_json, fmt_csv
 
-# Largest admissible target order, and the ceiling on it.  Histograms cost
-# O(p^2) per window prime (at most five rows of p x p cells): N <= 200 runs in
-# under half a second and N <= MAX_ORDER_CAP in about 8 s on 2 cores.
+# Largest admissible target order, and the ceiling on it.  A histogram costs
+# O(sqrt p) lookups once the class-number table reaches 4p, and the table up
+# to D costs O(D^1.5): N <= MAX_ORDER_CAP runs in about 0.5 s on 2 cores.
+# N <= 20000 would take about 8 s and 390 MB, most of it in the cached
+# full-length histograms, so a larger ceiling needs its own design.
 DEFAULT_ORDER_CAP = 200
 MAX_ORDER_CAP = 2000
-
-# Cells (b, x) per character-sum block; a whole row fits up to p = 509.
-HIST_BLOCK_CELLS = 1 << 18
 
 EXCLUDED_PRIMES_NOTE = "primes 2 and 3 excluded (short Weierstrass form degenerates)"
 
@@ -100,57 +98,53 @@ def count_points_naive(a: int, b: int, p: int) -> int:
 
 _hist_cache: dict[int, np.ndarray] = {}
 
+# h6[D] = 6 H(D) for every D < len(h6); replaced, never edited, when it grows.
+_h6_cache: np.ndarray = np.zeros(1, dtype=np.int64)
 
-def _quartic_coset_reps(p: int) -> list[int]:
-    """One a from each coset of F_p^* / (F_p^*)^4, smallest first.
 
-    There are g = gcd(4, p - 1) cosets; a -> a^((p-1)/g) labels them.
+def class_number_table(limit: int) -> np.ndarray:
+    """h6[D] = 6 H(D) for 0 <= D <= limit (at least), H the Hurwitz class number.
+
+    6 H(D) sums over the reduced forms (a, b, c) with b^2 - 4ac = -D a weight
+    of 6, or 3 for a(x^2 + y^2) and 2 for a(x^2 + xy + y^2) (Cohen, A Course
+    in Computational Algebraic Number Theory, 5.3).  Forms are enumerated with
+    0 <= b <= a <= c, one numpy pass per a; when 0 < b < a < c, the form with
+    -b is reduced too, so the weight is 12.  The cached table grows to at
+    least twice its length, so a rising limit rebuilds it O(log limit) times.
     """
-    g = math.gcd(4, p - 1)
-    reps: dict[int, int] = {}
-    a = 1
-    while len(reps) < g:
-        reps.setdefault(pow(a, (p - 1) // g, p), a)
-        a += 1
-    return list(reps.values())
-
-
-def _order_row(a: int, p: int) -> np.ndarray:
-    """bincount of the orders of y^2 = x^3 + ax + b over nonsingular b.
-
-    The character table is repeated twice so that t + b < 2p indexes it
-    without a reduction; b runs in blocks of at most HIST_BLOCK_CELLS cells.
-    """
-    chi2 = np.tile(_qr_table(p), 2)
-    xs = np.arange(p, dtype=np.int64)
-    t = ((xs * xs % p) * xs + a * xs) % p
-    bs = np.arange(p, dtype=np.int64)
-    char_sums = np.empty(p, dtype=np.int64)
-    step = max(1, HIST_BLOCK_CELLS // p)
-    for lo in range(0, p, step):
-        block = bs[lo:lo + step]
-        char_sums[lo:lo + step] = chi2[t[None, :] + block[:, None]].sum(axis=1)
-    nonsingular = (4 * a**3 + 27 * bs * bs) % p != 0
-    return np.bincount(p + 1 + char_sums[nonsingular], minlength=2 * p + 3)
+    global _h6_cache
+    if len(_h6_cache) > limit:
+        return _h6_cache
+    limit = max(limit, 2 * (len(_h6_cache) - 1))
+    h6 = np.zeros(limit + 1, dtype=np.int64)
+    for a in range(1, math.isqrt(limit // 3) + 1):  # 4ac - b^2 >= 3a^2
+        b = np.arange(a + 1, dtype=np.int64)[:, None]
+        c = np.arange(a, (limit + a * a) // (4 * a) + 1, dtype=np.int64)
+        d = 4 * a * c - b * b
+        w = np.where((b == 0) | (b == a) | (c == a), 6, 12)
+        w[0, 0], w[a, 0] = 3, 2  # a(x^2 + y^2), a(x^2 + xy + y^2)
+        keep = d <= limit
+        h6 += np.bincount(d[keep], weights=w[keep], minlength=limit + 1).astype(np.int64)
+    _h6_cache = h6
+    return h6
 
 
 def order_histogram(p: int) -> np.ndarray:
     """hist[m] = number of nonsingular (a, b) in F_p^2 with curve order m.
 
-    For fixed a, b -> u^6 b permutes F_p and (a, b) -> (u^4 a, u^6 b) is an
-    isomorphism (the discriminant scales by u^12), so the orders over b
-    depend only on the coset of a in F_p^* / (F_p^*)^4.  Rows are enumerated
-    for a = 0 and one representative per coset, weighted by the coset size
-    (p - 1) / gcd(4, p - 1); cached per prime since many target orders share
-    a window prime.
+    By Deuring's theorem, in the form Birch (1968) gives it, exactly
+    (p - 1)/2 * H(4p - t^2) nonsingular pairs have p + 1 - t points when
+    t^2 < 4p, and none otherwise; H is the Hurwitz class number, read off
+    class_number_table.  Cached per prime since many target orders share a
+    window prime.
     """
-    _check_prime(p)
-    if p in _hist_cache:
+    if p in _hist_cache:  # only primes enter the cache
         return _hist_cache[p]
-    hist = _order_row(0, p).astype(np.int64)
-    coset_size = (p - 1) // math.gcd(4, p - 1)
-    for a in _quartic_coset_reps(p):
-        hist += coset_size * _order_row(a, p)
+    _check_prime(p)
+    s = math.isqrt(4 * p)  # 4p is not a square, so t^2 < 4p means |t| <= s
+    t = np.arange(-s, s + 1, dtype=np.int64)
+    hist = np.zeros(2 * p + 3, dtype=np.int64)
+    hist[p + 1 - t] = (p - 1) * class_number_table(4 * p)[4 * p - t * t] // 12
     _hist_cache[p] = hist
     return hist
 
@@ -159,12 +153,12 @@ def hasse_window_primes(order: int) -> list[int]:
     """Primes p >= 5 with (p + 1 - order)^2 <= 4p, in ascending order."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    hi = order + 2 * math.isqrt(order) + 4
-    return [
-        int(p)
-        for p in primes_up_to(hi)
-        if p >= 5 and (p + 1 - order) ** 2 <= 4 * p
-    ]
+    # |p + 1 - order| <= 2 sqrt p puts sqrt p within 1 of sqrt order, so the
+    # window lies inside [order - 3 - 2 isqrt(order), order + 2 isqrt(order) + 4].
+    r = math.isqrt(order)
+    primes = primes_up_to(order + 2 * r + 4)
+    lo = np.searchsorted(primes, max(5, order - 3 - 2 * r))
+    return [p for p in primes[lo:].tolist() if (p + 1 - order) ** 2 <= 4 * p]
 
 
 def density(order: int, p: int) -> Fraction:
@@ -182,8 +176,8 @@ def expected_m(order: int, cap: int = DEFAULT_ORDER_CAP,
                *, c2: Optional[EulerProductValue] = None) -> CurveDensityRecord:
     """Full density record for one target order.
 
-    Work per window prime is O(p^2) (see order_histogram); cap bounds the
-    largest admissible order and may not exceed MAX_ORDER_CAP.
+    Each window prime costs one histogram (see order_histogram); cap bounds
+    the largest admissible order and may not exceed MAX_ORDER_CAP.
     """
     if cap > MAX_ORDER_CAP:
         raise ValueError(f"cap {cap} exceeds the ceiling {MAX_ORDER_CAP}")

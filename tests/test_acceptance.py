@@ -228,6 +228,13 @@ def test_acceptance_9_twin_prime_constant(c2_full):
     assert defect <= 5e-8
 
 
+def test_twin_prime_constant_within_sharp_tail_of_mpmath(c2_full):
+    # measured 3.41e-10 against a sharp tail of 3.79e-10 at cutoff 1e8
+    mpmath = pytest.importorskip("mpmath")
+    defect = abs(c2_full.value - float(mpmath.twinprime))
+    assert defect <= c2_full.tail_bound_sharp
+
+
 def test_acceptance_10_curvelab(c2_full):
     t0 = time.perf_counter()
     dual_ok = True

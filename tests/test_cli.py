@@ -157,6 +157,10 @@ def test_runtime_error_exits_1(argv, capsys):
         (["curvelab", "--n-min", "20", "--n-max", "20", "--cap", "5000"], None, 2, "--cap"),
         (["meanvalue", "phi", "--shift", "5000", "--x-grid", "1000,2000"], None, 2, "--shift"),
         (["eval", "jordan", "6", "--k", "0"], None, 2, "--k"),
+        (["eval", "kstar", "100000000000000000000"], None, 2, "n:"),
+        (["eval", "totient", "100000000000000000000"], None, 2, "n:"),
+        (["eval", "totient", "10000000000000001"], None, 2, "n:"),
+        (["eval", "totient", "inf"], None, 2, "n:"),
     ],
 )
 def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):

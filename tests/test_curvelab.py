@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from shiftmean import curvelab
 from shiftmean.curvelab import (
     MAX_ORDER_CAP,
     CurveDensityRecord,
+    class_number_table,
     count_points,
     count_points_naive,
     density,
@@ -103,24 +105,84 @@ def _histogram_by_every_a(p):
     return hist
 
 
+def _quartic_coset_reps(p):
+    """One a from each coset of F_p^* / (F_p^*)^4; a -> a^((p-1)/g) labels them."""
+    g = math.gcd(4, p - 1)
+    reps = {}
+    a = 1
+    while len(reps) < g:
+        reps.setdefault(pow(a, (p - 1) // g, p), a)
+        a += 1
+    return list(reps.values())
+
+
+def _coset_histogram(p):
+    """Reference: rows for a = 0 and one a per quartic coset, weighted by coset size.
+
+    (a, b) -> (u^4 a, u^6 b) is an isomorphism and b -> u^6 b permutes F_p, so
+    the orders over b depend only on the coset of a in F_p^* / (F_p^*)^4.
+    """
+    chi2 = np.tile(_qr_table(p).astype(np.int64), 2)  # t + b < 2p needs no reduction
+    xs = np.arange(p, dtype=np.int64)
+    bs = np.arange(p, dtype=np.int64)
+
+    def row(a):
+        t = ((xs * xs % p) * xs + a * xs) % p
+        counts = p + 1 + chi2[t[None, :] + bs[:, None]].sum(axis=1)
+        nonsingular = (4 * a**3 + 27 * bs * bs) % p != 0
+        return np.bincount(counts[nonsingular], minlength=2 * p + 3)
+
+    coset_size = (p - 1) // math.gcd(4, p - 1)
+    return row(0) + sum(coset_size * row(a) for a in _quartic_coset_reps(p))
+
+
+def _reset_tables(monkeypatch):
+    monkeypatch.setattr(curvelab, "_hist_cache", {})
+    monkeypatch.setattr(curvelab, "_h6_cache", np.zeros(1, dtype=np.int64))
+
+
 @pytest.mark.parametrize("p", [17, 19, 101, 103, 229])
-def test_coset_histogram_equals_enumeration_over_every_a(p):
+def test_coset_histogram_equals_enumeration_over_every_a(p, monkeypatch):
     # 17, 101, 229 are 1 mod 4 (four quartic cosets); 19, 103 are 3 mod 4 (two)
-    curvelab._hist_cache.clear()
+    _reset_tables(monkeypatch)
+    every_a = _histogram_by_every_a(p)
+    assert np.array_equal(_coset_histogram(p), every_a)
     hist = order_histogram(p)
     assert hist.dtype == np.int64
-    assert np.array_equal(hist, _histogram_by_every_a(p))
+    assert np.array_equal(hist, every_a)
 
 
-def test_histogram_memory_bounded_at_large_p():
-    curvelab._hist_cache.pop(2003, None)
+def test_class_number_histogram_equals_coset_oracle_to_599(monkeypatch):
+    # the table grows from empty as p rises, through every rebuild up to 4 * 599
+    _reset_tables(monkeypatch)
+    primes = [p for p in range(5, 600) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 107
+    for p in primes:
+        hist = order_histogram(p)
+        assert hist.dtype == np.int64 and len(hist) == 2 * p + 3
+        assert np.array_equal(hist, _coset_histogram(p)), p
+
+
+def test_class_number_table_known_values(monkeypatch):
+    monkeypatch.setattr(curvelab, "_h6_cache", np.zeros(1, dtype=np.int64))
+    h6 = class_number_table(23)
+    known = {3: 2, 4: 3, 7: 6, 8: 6, 11: 6, 12: 8, 15: 12, 16: 9, 19: 6, 20: 12, 23: 18}
+    assert {d: int(h6[d]) for d in known} == known
+    assert len(class_number_table(len(h6))) > len(h6)  # grown to cover the limit itself
+    h6 = class_number_table(4000)
+    d = np.arange(len(h6))
+    assert not h6[(d % 4 == 1) | (d % 4 == 2)].any()
+    assert (h6[1:][(d[1:] % 4 == 0) | (d[1:] % 4 == 3)] > 0).all()
+
+
+def test_histogram_memory_bounded_at_large_p(monkeypatch):
+    _reset_tables(monkeypatch)
     tracemalloc.start()
     try:
         hist = order_histogram(2003)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        curvelab._hist_cache.pop(2003, None)
     assert int(hist.sum()) == 2003 * 2003 - 2003
     assert peak < 16 * 2**20
 
@@ -148,6 +210,12 @@ def test_hasse_window_primes_explicit():
     for p in hasse_window_primes(100):
         assert (p + 1 - 100) ** 2 <= 4 * p
         assert p >= 5
+
+
+def test_hasse_window_primes_equal_definition_to_3000():
+    primes = [p for p in range(5, 3200) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for n in range(1, 3001):
+        assert hasse_window_primes(n) == [p for p in primes if (p + 1 - n) ** 2 <= 4 * p], n
 
 
 def test_expected_m_record_invariants():
