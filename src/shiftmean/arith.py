@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,28 +102,6 @@ def eval_multiplicative(fn: PrimePowerFn, fac: Factorization) -> float:
     for p, e in fac:
         out *= fn(p, e)
     return out
-
-
-def eval_divisor_sum(fn: PrimePowerFn, fac: Factorization) -> float:
-    """Sum of fn over the divisors of n, as the product of local partial sums.
-
-    Equals sum_{d | n} fn(d) with fn extended multiplicatively.
-    """
-    out = 1.0
-    for p, e in fac:
-        out *= 1.0 + sum(fn(p, j) for j in range(1, e + 1))
-    return out
-
-
-def mobius_invert_local(r: Sequence[float]) -> list[float]:
-    """Invert partial sums at a single prime: f(p^k) = r(p^k) - r(p^(k-1)).
-
-    r lists (r(p^0), r(p^1), ..., r(p^K)) with r(p^0) = 1; returns
-    [f(p^1), ..., f(p^K)], the unique table whose divisor sums rebuild r.
-    """
-    if not len(r) or r[0] != 1:
-        raise ValueError("r must start with r(p^0) = 1")
-    return [r[k] - r[k - 1] for k in range(1, len(r))]
 
 
 def partial_sum_fn(fn: PrimePowerFn, name: str = "") -> PrimePowerFn:

@@ -26,6 +26,11 @@ DEFAULT_GRID_START = 1000
 # eval factors n by trial division: a prime near 1e16 takes about 11 s.
 MAX_EVAL_N = 10**16
 
+# Tables and sums up to x peak at 35-48 bytes per x (311-475 MB of RSS at
+# x = 1e7 for meanvalue kstar, verify t3 and verify gap), so this ceiling
+# keeps a run near 2.4 GB.
+MAX_X = 5 * 10**7
+
 
 class UsageError(ValueError):
     """Configuration problem; maps to exit code 2."""
@@ -55,27 +60,30 @@ def _echo_config(cfg: RunConfig) -> None:
 
 def _parse_int(text: str, field: str) -> int:
     try:
+        if text.isdecimal():
+            return int(text)  # exact past 2**53
         value = float(text)
         if value != int(value):
             raise ValueError
-        return int(text) if text.isdigit() else int(value)  # exact past 2**53
+        return int(value)
     except (ValueError, OverflowError):  # OverflowError: int(inf)
         raise UsageError(f"{field}: expected an integer (got {text!r})") from None
 
 
 def _parse_grid(args, field_grid="--x-grid", field_max="--xmax") -> tuple:
     if args.x_grid:
-        try:
-            xs = tuple(int(float(s)) for s in args.x_grid.split(","))
-        except ValueError:
-            raise UsageError(f"{field_grid}: malformed grid {args.x_grid!r}") from None
-        if not xs or any(b <= a for a, b in zip(xs, xs[1:])) or xs[0] < 2:
+        xs = tuple(_parse_int(s, field_grid) for s in args.x_grid.split(","))
+        if any(b <= a for a, b in zip(xs, xs[1:])) or xs[0] < 2:
             raise UsageError(f"{field_grid}: grid must be ascending and start at x >= 2")
+        if xs[-1] > MAX_X:
+            raise UsageError(f"{field_grid}: x must be <= {MAX_X} (got {xs[-1]})")
         return xs
     if args.xmax:
         xmax = _parse_int(args.xmax, field_max)
         if xmax < DEFAULT_GRID_START:
             raise UsageError(f"{field_max}: must be >= {DEFAULT_GRID_START}")
+        if xmax > MAX_X:
+            raise UsageError(f"{field_max}: must be <= {MAX_X} (got {xmax})")
         xs, x = [], DEFAULT_GRID_START
         while x <= xmax:
             xs.append(x)
@@ -211,6 +219,10 @@ def _cmd_verify(args) -> int:
     grid = _parse_grid(args)
     conv = _convention(args.convention)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
+    if args.target == "gap":
+        for field, value in (("--gap-d", args.gap_d), ("--gap-l", args.gap_l)):
+            if value < 1:
+                raise UsageError(f"{field}: must be >= 1 (got {value})")
     cfg = RunConfig(
         subcommand="verify", target=args.target, x_grid=grid, prime_cutoff=cutoff,
         convention=conv.value, fmt=args.format, output=args.output or "",

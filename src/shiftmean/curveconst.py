@@ -32,7 +32,7 @@ from .arith import (
     primes_up_to,
     quad_symbol,
 )
-from .euler import EulerProductValue, prime_zeta_odd
+from .euler import EulerProductValue
 from .harness import prefix_dots
 from .reports import MeanValueReport, MeanValueRow
 
@@ -88,25 +88,6 @@ order_kernel_odd = PrimePowerFn(
     _order_kernel_rule,
     two_rule=lambda k: -1.0 if k == 1 else 0.0,
     name="order_kernel_odd",
-)
-
-
-def _odd_val_kernel_rule(p, k):
-    if k == 1:
-        return (p - 1.0) / (p * (p - 2.0))
-    if k % 2 == 0:
-        return 1.0 / (p ** (k - 1) * (p - 2.0))
-    return -1.0 / (p**k * (p - 2.0))
-
-
-def _odd_val_kernel_two(k):
-    if k == 1:
-        return 0.0
-    return 2.0 ** (2 - k) if k % 2 == 0 else -(2.0 ** (1 - k))
-
-
-odd_val_kernel = PrimePowerFn(
-    _odd_val_kernel_rule, two_rule=_odd_val_kernel_two, name="odd_val_kernel"
 )
 
 
@@ -249,21 +230,6 @@ def twin_prime_constant(prime_cutoff: int) -> EulerProductValue:
     )
 
 
-def twin_prime_oracle() -> float:
-    """Prime-zeta-accelerated value of the full product, ~1e-13 accurate.
-
-    log of the product is -sum_{m>=2} ((2^m - 2)/m) * sum_{p odd} p^-m,
-    folding the odd prime zeta values instead of truncating at a cutoff.
-    """
-    acc = 0.0
-    for m in range(2, 130):
-        term = (2.0**m - 2.0) / m * prime_zeta_odd(m)
-        acc -= term
-        if abs(term) < 1e-20:
-            break
-    return math.exp(acc)
-
-
 _c2_cache: dict[int, EulerProductValue] = {}
 
 
@@ -277,45 +243,6 @@ def cached_twin_prime_constant(prime_cutoff: int = DEFAULT_CONSTANT_CUTOFF) -> E
 def order_constant(n: int, *, c2: Optional[EulerProductValue] = None) -> float:
     """The normalized order constant for target order n >= 2."""
     return eval_point(n, c2=c2)["Kstar"]
-
-
-def order_constant_original(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
-                            *, c2: Optional[EulerProductValue] = None) -> float:
-    """The unnormalized (original-form) order constant for n >= 2."""
-    return eval_point(n, conv, c2=c2)["Khat"]
-
-
-def order_constant_direct(n: int, prime_cutoff: int) -> EulerProductValue:
-    """The order constant straight from its defining product, truncated.
-
-    Runs over p <= cutoff with p not dividing n; the squared residue symbol
-    of n-1 reduces to an indicator: 1 when p does not divide n-1, else 0.
-    Returns the truncated value with tail accounting; multiply by n/totient(n)
-    to compare with order_constant.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if prime_cutoff < 3:
-        raise ValueError(f"prime cutoff must be >= 3, got {prime_cutoff}")
-    primes = primes_up_to(prime_cutoff)
-    pf = primes.astype(np.float64)
-    indicator = ((n - 1) % primes != 0).astype(np.float64)
-    if n == 1:
-        indicator[:] = 0.0  # n-1 = 0 is divisible by every prime
-    deficits = -(indicator * pf + 1.0) / ((pf - 1.0) ** 2 * (pf + 1.0))
-    for p, e in factorize_trial(n):
-        if p <= prime_cutoff:
-            idx = int(np.searchsorted(primes, p))
-            deficits[idx] = -1.0 / (float(p) ** e * (p - 1.0))
-    value = float(np.exp(np.sum(np.log1p(deficits))))
-    crude = 2.0 / (prime_cutoff - 1)
-    return EulerProductValue(
-        value=value,
-        prime_cutoff=prime_cutoff,
-        power_depth=1,
-        tail_bound=abs(value) * math.expm1(crude),
-        tail_bound_sharp=abs(value) / (prime_cutoff * (math.log(prime_cutoff) - 1.0)),
-    )
 
 
 def eval_point(n: int, conv: SymbolConvention = SymbolConvention.UNIT,

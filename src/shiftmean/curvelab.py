@@ -3,10 +3,10 @@
 For a target order N, every prime p in the Hasse window admits curves
 y^2 = x^3 + ax + b over F_p with exactly N points; the per-prime density of
 such (a, b) pairs, summed over the window, should track
-order_constant(N) / log N.  Point counts run through a quadratic-residue
-character sum; a naive enumeration is kept alongside as the oracle.  The
-per-prime histogram of orders is exact and enumerates no curve: it reads
-Hurwitz class numbers H(4p - t^2) off one table (Deuring; Birch 1968).
+order_constant(N) / log N.  The per-prime histogram of orders is exact and
+enumerates no curve: it reads Hurwitz class numbers H(4p - t^2) off one
+table (Deuring; Birch 1968).  Point counts of single curves, by character
+sum and by enumeration, are the tests' oracles (tests/oracles.py).
 
 Primes 2 and 3 are excluded throughout (the short Weierstrass form
 degenerates there); records carry a note to that effect.
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import primes_up_to
-from .curveconst import _qr_table, order_constant
+from .curveconst import order_constant
 from .euler import EulerProductValue
 from .reports import dumps_json, fmt_csv
 
@@ -61,39 +61,6 @@ def _check_prime(p: int) -> None:
     for q in range(2, math.isqrt(p) + 1):
         if p % q == 0:
             raise ValueError(f"p must be prime, got {p}")
-
-
-def count_points(a: int, b: int, p: int) -> int:
-    """Order of y^2 = x^3 + ax + b over F_p, point at infinity included.
-
-    p + 1 + sum_x chi(x^3 + ax + b) with chi the quadratic-residue character
-    (chi(0) = 0), read off a precomputed table.
-    """
-    _check_prime(p)
-    a %= p
-    b %= p
-    if (4 * a * a * a + 27 * b * b) % p == 0:
-        raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p}")
-    chi = _qr_table(p)
-    x = np.arange(p, dtype=np.int64)
-    vals = ((x * x % p) * x + a * x + b) % p
-    return p + 1 + int(chi[vals].sum())
-
-
-def count_points_naive(a: int, b: int, p: int) -> int:
-    """Order by direct enumeration of all (x, y); the oracle for count_points."""
-    _check_prime(p)
-    a %= p
-    b %= p
-    if (4 * a * a * a + 27 * b * b) % p == 0:
-        raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p}")
-    total = 1  # point at infinity
-    for x in range(p):
-        rhs = (x * x * x + a * x + b) % p
-        for y in range(p):
-            if y * y % p == rhs:
-                total += 1
-    return total
 
 
 _hist_cache: dict[int, np.ndarray] = {}

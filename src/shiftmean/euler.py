@@ -4,7 +4,9 @@ Computes the constant in front of the main term of sums
 sum_{n<=x} F(n-h) G(n) where F(n) = A(n) sum_{d|n} f(d) and
 G(n) = B(n) sum_{d|n} g(d) with f, g multiplicative and A(n) = n^a,
 B(n) = n^b monomials.  The constant is a product of per-prime local factors
-with a correction factor at each prime dividing the shift h.
+with a correction factor at each prime dividing the shift h.  The
+independent checks of it (the rearranged double sum, prime-zeta values)
+live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ class MonomialBaseline:
     def main_term(self, x: float) -> float:
         d = self.deg_shifted + self.deg_direct + 1
         return float(x) ** d / d
-
-    def progression_error(self, x: float) -> float:
-        return float(x) ** (self.deg_shifted + self.deg_direct)
 
 
 @dataclass(frozen=True)
@@ -116,16 +115,6 @@ def paired_power_sum(f: PrimePowerFn, g: PrimePowerFn, p: int, min_exp: int,
     for e in range(i + 1, depth + 1):
         w = float(p) ** (e + i)
         total += (f(p, e) * g(p, i) + f(p, i) * g(p, e)) / w
-    return total
-
-
-def local_factor(f: PrimePowerFn, g: PrimePowerFn, p: int, depth: int) -> float:
-    """1 + sum_{j=1..depth} (f(p^j)+g(p^j))/p^j, one factor of the prime product."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    total = 1.0
-    for j in range(1, depth + 1):
-        total += (f(p, j) * 1.0 + 1.0 * g(p, j)) / float(p) ** j
     return total
 
 
@@ -205,110 +194,3 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int = DEFAULT_PRI
         power_depth=depth_used,
         tail_bound=tail,
     )
-
-
-def double_sum_oracle(pair: ShiftedPairSpec, cutoff: int) -> float:
-    """Brute-force rearranged double sum; converges to the same constant.
-
-    Sums f(d) g(d1) gcd(d,d1) / (d d1) over all d, d1 <= cutoff whose gcd
-    divides the shift.  Values of f and g come from direct per-integer
-    factorization, independent of the Euler-product path this checks.
-    """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    h = pair.shift
-
-    def table_values(fn: PrimePowerFn) -> np.ndarray:
-        vals = np.empty(cutoff + 1)
-        vals[0] = 0.0
-        for n in range(1, cutoff + 1):
-            v = 1.0
-            for p, e in factorize_trial(n):
-                v *= fn(p, e)
-            vals[n] = v
-        return vals
-
-    f_vals = table_values(pair.f)
-    g_vals = table_values(pair.g)
-    d1 = np.arange(cutoff + 1, dtype=np.int64)
-    g_over_d1 = np.zeros(cutoff + 1)
-    g_over_d1[1:] = g_vals[1:] / d1[1:]
-
-    contributions = []
-    for d in range(1, cutoff + 1):
-        fd = f_vals[d]
-        if fd == 0.0:
-            continue
-        common = np.gcd(d, d1[1:])
-        mask = h % common == 0
-        inner = float(np.sum(g_over_d1[1:][mask] * common[mask]))
-        contributions.append(fd / d * inner)
-    return math.fsum(contributions)
-
-
-def predicted_main(pair: ShiftedPairSpec, x: float,
-                   constant: Optional[EulerProductValue] = None,
-                   prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                   depth: int = DEFAULT_DEPTH) -> float:
-    """Predicted main term at x: constant times the baseline main term."""
-    if x < pair.shift + 1:
-        raise ValueError(f"x={x} smaller than shift+1={pair.shift + 1}")
-    if constant is None:
-        constant = shifted_mean_constant(pair, prime_cutoff, depth)
-    return constant.value * pair.baseline.main_term(x)
-
-
-# ---------------------------------------------------------------------------
-# Prime zeta machinery: independent high-precision oracles for the products
-
-
-def riemann_zeta(s: float, terms: int = 10000) -> float:
-    """Riemann zeta for real s > 1 via Euler-Maclaurin; ~1e-15 relative."""
-    if s <= 1:
-        raise ValueError(f"zeta oracle needs s > 1, got {s}")
-    n = np.arange(1, terms, dtype=np.float64)
-    head = float(np.sum(n ** (-float(s))))
-    t = float(terms)
-    return (
-        head
-        + t ** (1 - s) / (s - 1)
-        + 0.5 * t ** (-s)
-        + s / 12.0 * t ** (-s - 1)
-        - s * (s + 1) * (s + 2) / 720.0 * t ** (-s - 3)
-        + s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240.0 * t ** (-s - 5)
-    )
-
-
-_MU_SMALL = [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1,
-             0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1, -1, 0, 1, 1, 1, 0, -1, 1, 1,
-             0, -1, -1, -1, 0, 0, 1, -1, 0, 0, 0, 1, 0, -1, 0, 1, 0, 1, 1, -1]
-
-
-def prime_zeta(s: float) -> float:
-    """P(s) = sum over primes of p^-s for s > 1.
-
-    Moebius-zeta folding for small s; direct summation once s >= 14, where
-    the folded result carries only absolute (not relative) accuracy and
-    downstream weights would amplify that.
-    """
-    if s >= 14:
-        return float(np.sum(primes_up_to(10000).astype(np.float64) ** (-float(s))))
-    total = 0.0
-    for k in range(1, len(_MU_SMALL)):
-        mu = _MU_SMALL[k]
-        if mu == 0:
-            continue
-        ks = k * s
-        if ks > 120:
-            break
-        lz = math.log(riemann_zeta(ks)) if ks < 50 else riemann_zeta(ks) - 1.0
-        total += mu / k * lz
-    return total
-
-
-def prime_zeta_odd(s: float) -> float:
-    """Sum over odd primes of p^-s; avoids the 2^-s cancellation for large s."""
-    if s >= 14:
-        odd = primes_up_to(10000)[1:].astype(np.float64)
-        return float(np.sum(odd ** (-float(s))))
-    return prime_zeta(s) - 2.0 ** (-s)

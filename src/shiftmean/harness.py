@@ -10,9 +10,8 @@ how many terms enter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,14 +22,8 @@ from .arith import (
     partial_sum_fn,
     totient_table,
 )
-from .euler import (
-    DEFAULT_DEPTH,
-    DEFAULT_PRIME_CUTOFF,
-    EulerProductValue,
-    ShiftedPairSpec,
-    shifted_mean_constant,
-)
-from .reports import ExponentFit, MeanValueReport, MeanValueRow
+from .euler import shifted_mean_constant
+from .reports import MeanValueReport, MeanValueRow
 
 
 @dataclass(frozen=True)
@@ -43,10 +36,9 @@ class NamedFn:
 
 @dataclass(frozen=True)
 class DivisorSumFn:
-    """Tabulation target n^deg * sum_{d|n} fn(d)."""
+    """Tabulation target sum_{d|n} fn(d)."""
 
     fn: PrimePowerFn
-    deg: int = 0
 
 
 TabSpec = Union[NamedFn, DivisorSumFn]
@@ -60,10 +52,7 @@ def tabulate(spec: TabSpec, limit: int) -> np.ndarray:
         if spec.name == "jordan":
             return jordan_table(limit, spec.k)
         raise ValueError(f"unknown named function {spec.name!r}")
-    table = multiplicative_table(partial_sum_fn(spec.fn), limit)
-    if spec.deg:
-        table = table * np.arange(limit + 1, dtype=np.float64) ** spec.deg
-    return table
+    return multiplicative_table(partial_sum_fn(spec.fn), limit)
 
 
 # Terms per block of prefix_dots: bounds its working memory, and keeps every
@@ -145,64 +134,14 @@ def shifted_sum(f_vals, g_vals, shift: int, x: int):
 # ---------------------------------------------------------------------------
 # Grid runs
 
-# Named candidate error shapes; normalized residuals divide by these.
-CANDIDATE_ERRORS: dict[str, Callable[[float], float]] = {
-    "x^2 log^2 x": lambda x: float(x) ** 2 * math.log(x) ** 2,
-    "log x": lambda x: math.log(x),
-}
+def run_grid(preset, x_grid, *, prime_cutoff: int, depth: int) -> MeanValueReport:
+    """Empirical sums of a presets.Preset against its predicted main term.
 
-
-def power_error(exponent: int) -> tuple[str, Callable[[float], float]]:
-    return f"x^{exponent}", lambda x: float(x) ** exponent
-
-
-def resolve_error(candidate_error) -> tuple[str, Callable[[float], float]]:
-    if isinstance(candidate_error, str):
-        if candidate_error not in CANDIDATE_ERRORS:
-            raise ValueError(f"unknown candidate error {candidate_error!r}")
-        return candidate_error, CANDIDATE_ERRORS[candidate_error]
-    if isinstance(candidate_error, tuple):
-        return candidate_error
-    raise ValueError("candidate_error must be a name or a (label, fn) pair")
-
-
-def run_grid(
-    target,
-    x_grid,
-    candidate_error=None,
-    *,
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    depth: int = DEFAULT_DEPTH,
-    constant: Optional[EulerProductValue] = None,
-    values=None,
-) -> MeanValueReport:
-    """Empirical sums against the predicted main term over a grid of x.
-
-    target is a preset name, a Preset, or a bare ShiftedPairSpec (tabulated
-    through its divisor-sum form).  values, when given, overrides tabulation
-    with explicit (F, G) arrays covering [0, max x].
+    One row per x in the ascending grid; the constant is the preset pair's
+    Euler product at the given prime cutoff and power depth, and the
+    normalized column divides each residual by the preset's error function.
     """
-    from . import presets as _presets  # local import; presets builds on this module
-
-    if isinstance(target, str):
-        target = _presets.get_preset(target)
-    if isinstance(target, _presets.Preset):
-        pair = target.pair
-        f_tab, g_tab = target.f_tab, target.g_tab
-        if candidate_error is None:
-            candidate_error = (target.error_label, target.error_fn)
-        label = target.name
-    elif isinstance(target, ShiftedPairSpec):
-        pair = target
-        f_tab = DivisorSumFn(pair.f, pair.baseline.deg_shifted)
-        g_tab = DivisorSumFn(pair.g, pair.baseline.deg_direct)
-        label = ""
-    else:
-        raise ValueError(f"cannot run a grid for {target!r}")
-    if candidate_error is None:
-        raise ValueError("candidate_error is required for a bare pair spec")
-    err_label, err_fn = resolve_error(candidate_error)
-
+    pair = preset.pair
     xs = [int(v) for v in x_grid]
     if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("x grid must be non-empty and strictly increasing")
@@ -210,13 +149,9 @@ def run_grid(
         raise ValueError(f"grid starts at {xs[0]}, need x > shift={pair.shift}")
     xmax = xs[-1]
 
-    if constant is None:
-        constant = shifted_mean_constant(pair, prime_cutoff, depth)
-    if values is not None:
-        f_vals, g_vals = values
-    else:
-        f_vals = tabulate(f_tab, xmax)
-        g_vals = f_vals if g_tab == f_tab else tabulate(g_tab, xmax)
+    constant = shifted_mean_constant(pair, prime_cutoff, depth)
+    f_vals = tabulate(preset.f_tab, xmax)
+    g_vals = f_vals if preset.g_tab == preset.f_tab else tabulate(preset.g_tab, xmax)
 
     rows = []
     for x in xs:
@@ -230,18 +165,7 @@ def run_grid(
                 empirical=emp_f,
                 predicted=pred,
                 residual=residual,
-                normalized=residual / err_fn(x),
+                normalized=residual / preset.error_fn(x),
             )
         )
-    return MeanValueReport(rows=tuple(rows), error_label=err_label, label=label)
-
-
-def fit_error_exponent(report: MeanValueReport) -> ExponentFit:
-    """Ordinary least squares of log|residual| on log x; zero residuals dropped."""
-    pts = [(math.log(r.x), math.log(abs(r.residual))) for r in report.rows if r.residual != 0.0]
-    if len(pts) < 3:
-        raise ValueError(f"insufficient data: {len(pts)} usable rows, need >= 3")
-    lx = np.array([p[0] for p in pts])
-    ly = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return ExponentFit(slope=float(slope), intercept=float(intercept), n_samples=len(pts))
+    return MeanValueReport(rows=tuple(rows), error_label=preset.error_label, label=preset.name)

@@ -6,13 +6,14 @@ grid harness so verification runs need no manual table entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .arith import PrimePowerFn
 from .curveconst import averaged_order_kernel, order_kernel, order_kernel_odd, shift_kernel
 from .euler import MonomialBaseline, ShiftedPairSpec
-from .harness import CANDIDATE_ERRORS, DivisorSumFn, NamedFn, TabSpec, power_error
+from .harness import DivisorSumFn, NamedFn, TabSpec
 
 PRESET_NAMES = ("phi", "jordan-k", "kstar", "kstar-odd", "khat")
 
@@ -50,7 +51,7 @@ def phi_preset(shift: int = 1) -> Preset:
         f_tab=NamedFn("totient"),
         g_tab=NamedFn("totient"),
         error_label="x^2 log^2 x",
-        error_fn=CANDIDATE_ERRORS["x^2 log^2 x"],
+        error_fn=lambda x: float(x) ** 2 * math.log(x) ** 2,
         description="totient pair, main term x^3/3 times its prime product",
     )
 
@@ -60,14 +61,13 @@ def jordan_preset(k: int, shift: int = 1) -> Preset:
     if k < 1:
         raise ValueError(f"jordan order must be >= 1, got {k}")
     kern = _jordan_kernel(k)
-    label, fn = power_error(2 * k)
     return Preset(
         name=f"jordan-{k}",
         pair=ShiftedPairSpec(f=kern, g=kern, shift=shift, baseline=MonomialBaseline(k, k)),
         f_tab=NamedFn("jordan", k),
         g_tab=NamedFn("jordan", k),
-        error_label=label,
-        error_fn=fn,
+        error_label=f"x^{2 * k}",
+        error_fn=lambda x: float(x) ** (2 * k),
         description=f"Jordan totient pair of order {k}, main term x^{2*k+1}/{2*k+1}",
     )
 
@@ -82,7 +82,7 @@ def kstar_preset(shift: int = 1) -> Preset:
         f_tab=DivisorSumFn(shift_kernel),
         g_tab=DivisorSumFn(order_kernel),
         error_label="log x",
-        error_fn=CANDIDATE_ERRORS["log x"],
+        error_fn=math.log,
         description="normalized order-constant pair, main term x",
     )
 
@@ -97,7 +97,7 @@ def kstar_odd_preset(shift: int = 1) -> Preset:
         f_tab=DivisorSumFn(shift_kernel),
         g_tab=DivisorSumFn(order_kernel_odd),
         error_label="log x",
-        error_fn=CANDIDATE_ERRORS["log x"],
+        error_fn=math.log,
         description="odd-support order-constant pair, main term x/3",
     )
 
@@ -112,7 +112,7 @@ def khat_preset(shift: int = 1) -> Preset:
         f_tab=DivisorSumFn(shift_kernel),
         g_tab=DivisorSumFn(averaged_order_kernel),
         error_label="log x",
-        error_fn=CANDIDATE_ERRORS["log x"],
+        error_fn=math.log,
         description="unnormalized order-constant pair (symbol averaged), main term 31x/30",
     )
 

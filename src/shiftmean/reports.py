@@ -87,12 +87,3 @@ class MeanValueReport:
                 ],
             }
         )
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    """Least-squares slope of log|residual| against log x."""
-
-    slope: float
-    intercept: float
-    n_samples: int

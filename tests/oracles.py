@@ -1,0 +1,314 @@
+"""Independent reference implementations the tests compare the package against.
+
+None of these runs on a command-line path.  Each recomputes a quantity the
+package produces by a different route: the constant as a rearranged double
+sum (brute and regrouped by gcd), prime-zeta values and the twin-prime
+product built from them, the order constant from its defining product,
+local factors and divisor sums term by term, point counts by character sum
+and by enumeration, and the least-squares error exponent of a report.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from shiftmean.arith import Factorization, PrimePowerFn, factorize_trial, primes_up_to
+from shiftmean.curveconst import _qr_table
+from shiftmean.curvelab import _check_prime
+from shiftmean.euler import EulerProductValue, ShiftedPairSpec
+from shiftmean.reports import MeanValueReport
+
+# ---------------------------------------------------------------------------
+# Rearranged double sum
+
+
+def double_sum_oracle(pair: ShiftedPairSpec, cutoff: int) -> float:
+    """Brute-force rearranged double sum; converges to the same constant.
+
+    Sums f(d) g(d1) gcd(d,d1) / (d d1) over all d, d1 <= cutoff whose gcd
+    divides the shift.  Values of f and g come from direct per-integer
+    factorization, independent of the Euler-product path this checks.
+    """
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    h = pair.shift
+
+    def table_values(fn: PrimePowerFn) -> np.ndarray:
+        vals = np.empty(cutoff + 1)
+        vals[0] = 0.0
+        for n in range(1, cutoff + 1):
+            v = 1.0
+            for p, e in factorize_trial(n):
+                v *= fn(p, e)
+            vals[n] = v
+        return vals
+
+    f_vals = table_values(pair.f)
+    g_vals = table_values(pair.g)
+    d1 = np.arange(cutoff + 1, dtype=np.int64)
+    g_over_d1 = np.zeros(cutoff + 1)
+    g_over_d1[1:] = g_vals[1:] / d1[1:]
+
+    contributions = []
+    for d in range(1, cutoff + 1):
+        fd = f_vals[d]
+        if fd == 0.0:
+            continue
+        common = np.gcd(d, d1[1:])
+        mask = h % common == 0
+        inner = float(np.sum(g_over_d1[1:][mask] * common[mask]))
+        contributions.append(fd / d * inner)
+    return math.fsum(contributions)
+
+
+def double_sum_by_gcd(pair: ShiftedPairSpec, cutoff: int) -> float:
+    """The same truncated double sum as double_sum_oracle, in O(D log D).
+
+    Grouping the pairs (d, d1) by e = gcd(d, d1) and Moebius-inverting the
+    coprimality of d/e and d1/e gives
+
+        sum_{e | h} e * sum_{k <= D/e} mu(k) F(ek) G(ek),
+        F(m) = sum_{m | d <= D} f(d)/d,  G(m) = sum_{m | d <= D} g(d)/d,
+
+    which is exact on the box d, d1 <= D.  Values of f, g and mu come from
+    direct per-integer factorization, as in double_sum_oracle.
+    """
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    f_vals, g_vals, mu = np.zeros(cutoff + 1), np.zeros(cutoff + 1), np.zeros(cutoff + 1)
+    for n in range(1, cutoff + 1):
+        fac = factorize_trial(n)
+        f_vals[n] = math.prod(pair.f(p, e) for p, e in fac)
+        g_vals[n] = math.prod(pair.g(p, e) for p, e in fac)
+        mu[n] = 0.0 if any(e > 1 for _, e in fac) else (-1.0) ** len(fac)
+    d = np.arange(1, cutoff + 1, dtype=np.float64)
+    f_vals[1:] /= d
+    g_vals[1:] /= d
+    big_f = np.zeros(cutoff + 1)
+    big_g = np.zeros(cutoff + 1)
+    for m in range(1, cutoff + 1):
+        big_f[m] = math.fsum(f_vals[m::m])
+        big_g[m] = math.fsum(g_vals[m::m])
+    terms = []
+    for e in range(1, min(pair.shift, cutoff) + 1):
+        if pair.shift % e == 0:
+            k = np.arange(1, cutoff // e + 1)
+            terms.append(e * math.fsum(mu[k] * big_f[e * k] * big_g[e * k]))
+    return math.fsum(terms)
+
+
+# ---------------------------------------------------------------------------
+# Prime zeta machinery: independent high-precision values for the products
+
+
+def riemann_zeta(s: float, terms: int = 10000) -> float:
+    """Riemann zeta for real s > 1 via Euler-Maclaurin; ~1e-15 relative."""
+    if s <= 1:
+        raise ValueError(f"zeta oracle needs s > 1, got {s}")
+    n = np.arange(1, terms, dtype=np.float64)
+    head = float(np.sum(n ** (-float(s))))
+    t = float(terms)
+    return (
+        head
+        + t ** (1 - s) / (s - 1)
+        + 0.5 * t ** (-s)
+        + s / 12.0 * t ** (-s - 1)
+        - s * (s + 1) * (s + 2) / 720.0 * t ** (-s - 3)
+        + s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240.0 * t ** (-s - 5)
+    )
+
+
+_MU_SMALL = [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1,
+             0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1, -1, 0, 1, 1, 1, 0, -1, 1, 1,
+             0, -1, -1, -1, 0, 0, 1, -1, 0, 0, 0, 1, 0, -1, 0, 1, 0, 1, 1, -1]
+
+
+def prime_zeta(s: float) -> float:
+    """P(s) = sum over primes of p^-s for s > 1.
+
+    Moebius-zeta folding for small s; direct summation once s >= 14, where
+    the folded result carries only absolute (not relative) accuracy and
+    downstream weights would amplify that.
+    """
+    if s >= 14:
+        return float(np.sum(primes_up_to(10000).astype(np.float64) ** (-float(s))))
+    total = 0.0
+    for k in range(1, len(_MU_SMALL)):
+        mu = _MU_SMALL[k]
+        if mu == 0:
+            continue
+        ks = k * s
+        if ks > 120:
+            break
+        lz = math.log(riemann_zeta(ks)) if ks < 50 else riemann_zeta(ks) - 1.0
+        total += mu / k * lz
+    return total
+
+
+def prime_zeta_odd(s: float) -> float:
+    """Sum over odd primes of p^-s; avoids the 2^-s cancellation for large s."""
+    if s >= 14:
+        odd = primes_up_to(10000)[1:].astype(np.float64)
+        return float(np.sum(odd ** (-float(s))))
+    return prime_zeta(s) - 2.0 ** (-s)
+
+
+def twin_prime_oracle() -> float:
+    """Prime-zeta-accelerated value of the full product, ~1e-13 accurate.
+
+    log of the product is -sum_{m>=2} ((2^m - 2)/m) * sum_{p odd} p^-m,
+    folding the odd prime zeta values instead of truncating at a cutoff.
+    """
+    acc = 0.0
+    for m in range(2, 130):
+        term = (2.0**m - 2.0) / m * prime_zeta_odd(m)
+        acc -= term
+        if abs(term) < 1e-20:
+            break
+    return math.exp(acc)
+
+
+# ---------------------------------------------------------------------------
+# The order constant from its defining product
+
+
+def order_constant_direct(n: int, prime_cutoff: int) -> EulerProductValue:
+    """The order constant straight from its defining product, truncated.
+
+    Runs over p <= cutoff with p not dividing n; the squared residue symbol
+    of n-1 reduces to an indicator: 1 when p does not divide n-1, else 0.
+    Returns the truncated value with tail accounting; multiply by n/totient(n)
+    to compare with order_constant.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if prime_cutoff < 3:
+        raise ValueError(f"prime cutoff must be >= 3, got {prime_cutoff}")
+    primes = primes_up_to(prime_cutoff)
+    pf = primes.astype(np.float64)
+    indicator = ((n - 1) % primes != 0).astype(np.float64)
+    if n == 1:
+        indicator[:] = 0.0  # n-1 = 0 is divisible by every prime
+    deficits = -(indicator * pf + 1.0) / ((pf - 1.0) ** 2 * (pf + 1.0))
+    for p, e in factorize_trial(n):
+        if p <= prime_cutoff:
+            idx = int(np.searchsorted(primes, p))
+            deficits[idx] = -1.0 / (float(p) ** e * (p - 1.0))
+    value = float(np.exp(np.sum(np.log1p(deficits))))
+    crude = 2.0 / (prime_cutoff - 1)
+    return EulerProductValue(
+        value=value,
+        prime_cutoff=prime_cutoff,
+        power_depth=1,
+        tail_bound=abs(value) * math.expm1(crude),
+        tail_bound_sharp=abs(value) / (prime_cutoff * (math.log(prime_cutoff) - 1.0)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Local factors and divisor sums, term by term
+
+
+def local_factor(f: PrimePowerFn, g: PrimePowerFn, p: int, depth: int) -> float:
+    """1 + sum_{j=1..depth} (f(p^j)+g(p^j))/p^j, one factor of the prime product."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    total = 1.0
+    for j in range(1, depth + 1):
+        total += (f(p, j) * 1.0 + 1.0 * g(p, j)) / float(p) ** j
+    return total
+
+
+def eval_divisor_sum(fn: PrimePowerFn, fac: Factorization) -> float:
+    """Sum of fn over the divisors of n, as the product of local partial sums.
+
+    Equals sum_{d | n} fn(d) with fn extended multiplicatively.
+    """
+    out = 1.0
+    for p, e in fac:
+        out *= 1.0 + sum(fn(p, j) for j in range(1, e + 1))
+    return out
+
+
+def _odd_val_kernel_rule(p, k):
+    if k == 1:
+        return (p - 1.0) / (p * (p - 2.0))
+    if k % 2 == 0:
+        return 1.0 / (p ** (k - 1) * (p - 2.0))
+    return -1.0 / (p**k * (p - 2.0))
+
+
+def _odd_val_kernel_two(k):
+    if k == 1:
+        return 0.0
+    return 2.0 ** (2 - k) if k % 2 == 0 else -(2.0 ** (1 - k))
+
+
+# Moebius inverse of curveconst.odd_val_part_fn; its divisor sums rebuild it.
+odd_val_kernel = PrimePowerFn(
+    _odd_val_kernel_rule, two_rule=_odd_val_kernel_two, name="odd_val_kernel"
+)
+
+
+# ---------------------------------------------------------------------------
+# Point counts
+
+
+def count_points(a: int, b: int, p: int) -> int:
+    """Order of y^2 = x^3 + ax + b over F_p, point at infinity included.
+
+    p + 1 + sum_x chi(x^3 + ax + b) with chi the quadratic-residue character
+    (chi(0) = 0), read off a precomputed table.
+    """
+    _check_prime(p)
+    a %= p
+    b %= p
+    if (4 * a * a * a + 27 * b * b) % p == 0:
+        raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p}")
+    chi = _qr_table(p)
+    x = np.arange(p, dtype=np.int64)
+    vals = ((x * x % p) * x + a * x + b) % p
+    return p + 1 + int(chi[vals].sum())
+
+
+def count_points_naive(a: int, b: int, p: int) -> int:
+    """Order by direct enumeration of all (x, y); the oracle for count_points."""
+    _check_prime(p)
+    a %= p
+    b %= p
+    if (4 * a * a * a + 27 * b * b) % p == 0:
+        raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p}")
+    total = 1  # point at infinity
+    for x in range(p):
+        rhs = (x * x * x + a * x + b) % p
+        for y in range(p):
+            if y * y % p == rhs:
+                total += 1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Error exponents
+
+
+@dataclass(frozen=True)
+class ExponentFit:
+    """Least-squares slope of log|residual| against log x."""
+
+    slope: float
+    intercept: float
+    n_samples: int
+
+
+def fit_error_exponent(report: MeanValueReport) -> ExponentFit:
+    """Ordinary least squares of log|residual| on log x; zero residuals dropped."""
+    pts = [(math.log(r.x), math.log(abs(r.residual))) for r in report.rows if r.residual != 0.0]
+    if len(pts) < 3:
+        raise ValueError(f"insufficient data: {len(pts)} usable rows, need >= 3")
+    lx = np.array([p[0] for p in pts])
+    ly = np.array([p[1] for p in pts])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    return ExponentFit(slope=float(slope), intercept=float(intercept), n_samples=len(pts))

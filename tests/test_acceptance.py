@@ -26,23 +26,30 @@ from shiftmean.curveconst import (
     even_val_mean_fn,
     even_val_symbol_part,
     mean_order_grid,
-    odd_val_kernel,
     odd_val_part_fn,
     order_constant,
-    order_constant_direct,
-    order_constant_original,
     order_kernel,
     order_kernel_odd,
     order_part_fn,
     shift_kernel,
     shift_part_fn,
     substitution_gap,
+)
+from shiftmean.curvelab import expected_m
+from shiftmean.euler import shifted_mean_constant
+from shiftmean.harness import shifted_sum
+from shiftmean.presets import get_preset, jordan_preset, kstar_preset, phi_preset
+
+from oracles import (
+    count_points,
+    count_points_naive,
+    double_sum_by_gcd,
+    fit_error_exponent,
+    local_factor,
+    odd_val_kernel,
+    order_constant_direct,
     twin_prime_oracle,
 )
-from shiftmean.curvelab import count_points, count_points_naive, expected_m
-from shiftmean.euler import double_sum_oracle, local_factor, shifted_mean_constant
-from shiftmean.harness import fit_error_exponent, shifted_sum
-from shiftmean.presets import get_preset, jordan_preset, kstar_preset, phi_preset
 
 GRID = (10**3, 10**4, 10**5, 10**6)
 FULL_CUTOFF = 10**8
@@ -161,7 +168,7 @@ def test_acceptance_7_oracle_equivalences(c2_full):
     defects = []
     for preset in (phi_preset(), kstar_preset()):
         c = shifted_mean_constant(preset.pair, 10**6)
-        defects.append(abs(double_sum_oracle(preset.pair, D) - c.value))
+        defects.append(abs(double_sum_by_gcd(preset.pair, D) - c.value))
     ok_i = all(d <= 1e-3 for d in defects)
 
     # (ii) defining product vs the factored form, within reported tails

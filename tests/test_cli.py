@@ -1,8 +1,13 @@
+import ast
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import shiftmean
+from shiftmean import curveconst, curvelab
 from shiftmean.cli import build_parser, main
 
 
@@ -161,6 +166,13 @@ def test_runtime_error_exits_1(argv, capsys):
         (["eval", "totient", "100000000000000000000"], None, 2, "n:"),
         (["eval", "totient", "10000000000000001"], None, 2, "n:"),
         (["eval", "totient", "inf"], None, 2, "n:"),
+        (["meanvalue", "phi", "--x-grid", "1000,inf"], None, 2, "--x-grid"),
+        (["meanvalue", "phi", "--x-grid", "1000,2000.7"], None, 2, "--x-grid"),
+        (["meanvalue", "phi", "--x-grid", "1000,100000000000000000001"], None, 2, "--x-grid"),
+        (["verify", "t2a", "--x-grid", "10,1e30"], None, 2, "--x-grid"),
+        (["verify", "t2a", "--xmax", "1e30"], None, 2, "--xmax"),
+        (["verify", "gap", "--x-grid", "1000", "--gap-d", "0"], None, 2, "--gap-d"),
+        (["verify", "gap", "--x-grid", "1000", "--gap-l", "-3"], None, 2, "--gap-l"),
     ],
 )
 def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):
@@ -250,3 +262,69 @@ def test_parser_builds():
     parser = build_parser()
     ns = parser.parse_args(["verify", "t3", "--x-grid", "1e3", "--convention", "kronecker"])
     assert ns.convention == "kronecker"
+
+
+# Small calls that together cover every subcommand, target, preset, format,
+# convention and output mode.
+COVERAGE_ARGV = [
+    "constant c2 --prime-cutoff 1e4",
+    "constant phi --shift 6 --prime-cutoff 1e4",
+    "constant jordan-2 --prime-cutoff 1e4",
+    "constant kstar --prime-cutoff 1e4 --output {out}",
+    "constant kstar-odd --prime-cutoff 1e4",
+    "constant khat --prime-cutoff 1e4",
+    "eval kstar 561 --prime-cutoff 1e4",
+    "eval khat 36 --convention kronecker --prime-cutoff 1e4",
+    "eval khat 45 --prime-cutoff 1e4",
+    "eval totient 10",
+    "eval jordan 6 --k 3",
+    "meanvalue phi --x-grid 100,200 --prime-cutoff 1e4",
+    "meanvalue jordan-2 --x-grid 100,200 --prime-cutoff 1e4 --format json",
+    "meanvalue kstar --shift 2 --x-grid 100,200 --prime-cutoff 1e4",
+    "meanvalue kstar-odd --x-grid 100 --prime-cutoff 1e4",
+    "meanvalue khat --xmax 2000 --prime-cutoff 1e4",
+    "verify t2a --x-grid 100,1000 --prime-cutoff 1e4",
+    "verify t2b --xmax 1000 --prime-cutoff 1e4 --format json",
+    "verify t3 --x-grid 1000 --prime-cutoff 1e4",
+    "verify t3 --x-grid 1000 --convention kronecker --prime-cutoff 1e4",
+    "verify gap --x-grid 1000 --prime-cutoff 1e4",
+    "verify gap --x-grid 1000,2000 --gap-d 3 --gap-l 4 --prime-cutoff 1e4 --format json",
+    "curvelab --n-min 20 --n-max 22 --prime-cutoff 1e4",
+    "curvelab --n-min 20 --n-max 20 --prime-cutoff 1e4 --format json",
+]
+
+
+def _src_defs() -> set:
+    """(file, name, first line) of every def in the package, decorators included."""
+    defs = set()
+    for path in sorted(Path(shiftmean.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                defs.add((str(path), node.name, first))
+    return defs
+
+
+def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
+    # Test-only code belongs in tests/; the package holds what the CLI runs.
+    # Empty caches, so each function that fills one is entered.
+    monkeypatch.setattr(curveconst, "_c2_cache", {})
+    monkeypatch.setattr(curvelab, "_hist_cache", {})
+    curveconst._qr_table.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_name, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(args.format(out=tmp_path / "out.json").split()) for args in COVERAGE_ARGV]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(COVERAGE_ARGV)
+    entered = {(str(Path(f).resolve()), name, line) for f, name, line in entered}
+    missing = sorted(f"{Path(f).name}:{line} {name}" for f, name, line in _src_defs() - entered)
+    assert missing == []

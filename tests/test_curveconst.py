@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shiftmean.arith import (
-    eval_divisor_sum,
     eval_multiplicative,
     factorize_trial,
     multiplicative_table,
@@ -17,11 +16,8 @@ from shiftmean.curveconst import (
     even_val_symbol_table,
     eval_point,
     mean_order_grid,
-    odd_val_kernel,
     odd_val_part_fn,
     order_constant,
-    order_constant_direct,
-    order_constant_original,
     order_kernel,
     order_kernel_odd,
     order_part_fn,
@@ -29,9 +25,15 @@ from shiftmean.curveconst import (
     shift_part_fn,
     substitution_gap,
     twin_prime_constant,
+)
+
+from oracles import (
+    eval_divisor_sum,
+    local_factor,
+    odd_val_kernel,
+    order_constant_direct,
     twin_prime_oracle,
 )
-from shiftmean.euler import local_factor
 
 UNIT = SymbolConvention.UNIT
 KRONECKER = SymbolConvention.KRONECKER
@@ -205,7 +207,7 @@ def test_eval_point_equals_tables_exactly():
         assert out["G2"] == g2[n], n
         assert out["G4"] == g4[n], n
         assert out["Kstar"] == order_constant(n, c2=c2), n
-        assert out["Khat"] == order_constant_original(n, c2=c2), n
+        assert out["Khat"] == c2.value * out["F_star"] * out["G1"], n
 
 
 def test_symbol_table_matches_scalar_both_conventions():
@@ -287,7 +289,7 @@ def test_order_constant_direct_identity_small_range():
 def test_order_constant_original_squarefree_matches_odd_val_form():
     c2 = twin_prime_constant(10**5)
     for n in (5, 6, 15, 21, 30):
-        assert order_constant_original(n, c2=c2) == pytest.approx(
+        assert eval_point(n, c2=c2)["Khat"] == pytest.approx(
             c2.value * shift_part(n - 1) * odd_val_part(n), rel=1e-14
         )
 
@@ -324,10 +326,11 @@ def test_mean_order_grid_agrees_with_preset_route():
     # two independent tabulation routes: kernel divisor sums through the
     # grid harness vs parent-product rules here, tied by the twin-prime factor
     from shiftmean.harness import run_grid
+    from shiftmean.presets import get_preset
 
     c2 = twin_prime_constant(10**5)
     x = 2000
-    via_harness = run_grid("kstar", [x], prime_cutoff=10**5)
+    via_harness = run_grid(get_preset("kstar"), [x], prime_cutoff=10**5, depth=60)
     via_parents = mean_order_grid("t2a", [x], c2=c2)
     assert c2.value * via_harness.rows[0].empirical == pytest.approx(
         via_parents.rows[0].empirical, rel=1e-12

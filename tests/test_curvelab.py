@@ -12,8 +12,6 @@ from shiftmean.curvelab import (
     MAX_ORDER_CAP,
     CurveDensityRecord,
     class_number_table,
-    count_points,
-    count_points_naive,
     density,
     expected_m,
     hasse_window_primes,
@@ -21,6 +19,8 @@ from shiftmean.curvelab import (
     records_to_csv,
     records_to_json,
 )
+
+from oracles import count_points, count_points_naive
 
 SMALL_PRIMES = (5, 7, 11, 13)
 

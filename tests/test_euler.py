@@ -11,16 +11,14 @@ from shiftmean.euler import (
     DegenerateLocalFactor,
     MonomialBaseline,
     ShiftedPairSpec,
-    double_sum_oracle,
-    local_factor,
     paired_power_sum,
-    predicted_main,
-    prime_zeta,
-    riemann_zeta,
     shift_local_factor,
     shifted_mean_constant,
 )
-from shiftmean.presets import jordan_preset, kstar_preset, phi_preset
+from shiftmean.harness import run_grid
+from shiftmean.presets import get_preset, jordan_preset, kstar_preset, phi_preset
+
+from oracles import double_sum_by_gcd, double_sum_oracle, local_factor, prime_zeta, riemann_zeta
 
 # Independent high-precision values of the full products, frozen from the
 # prime-zeta oracle (ln prod(1 - 2/p^(k+1)) = -sum_m (2^m/m) P((k+1) m)).
@@ -211,9 +209,22 @@ def test_double_sum_oracle_converges_to_constant():
     # errors shrink in trend across three decades of cutoff on every preset
     for preset in (phi_preset(), jordan_preset(2), kstar_preset()):
         c = shifted_mean_constant(preset.pair, 10**6).value
-        errs = [abs(double_sum_oracle(preset.pair, D) - c) for D in (100, 1000, 10000)]
+        errs = [abs(double_sum_by_gcd(preset.pair, D) - c) for D in (100, 1000, 10000)]
         assert errs[2] < errs[0], preset.name
         assert errs[2] <= 1e-3, preset.name
+
+
+def test_double_sum_by_gcd_equals_brute_form():
+    # the regrouped oracle sums the same truncated box as the brute one
+    cases = [("phi", 1), ("phi", 6), ("kstar", 2), ("jordan-2", 12), ("khat", 4)]
+    for name, h in cases:
+        pair = get_preset(name, shift=h).pair
+        for D in (1, 2, 300, 2000):
+            brute = double_sum_oracle(pair, D)
+            assert double_sum_by_gcd(pair, D) == pytest.approx(brute, rel=1e-14, abs=1e-15), (
+                name, h, D)
+    with pytest.raises(ValueError):
+        double_sum_by_gcd(phi_preset().pair, 0)
 
 
 def test_double_sum_oracle_with_shift():
@@ -227,24 +238,30 @@ def test_double_sum_oracle_with_shift():
 # predicted main term and baseline
 
 
+# The predicted main term is constant.value * baseline.main_term(x).
+
+
 def test_predicted_main_flat_baseline():
     pair = kstar_preset().pair
     c = shifted_mean_constant(pair, 10**4)
-    assert predicted_main(pair, 50, constant=c) == pytest.approx(c.value * 50)
+    assert c.value * pair.baseline.main_term(50) == pytest.approx(c.value * 50)
+    row = run_grid(kstar_preset(), [50], prime_cutoff=10**4, depth=60).rows[0]
+    assert row.predicted == c.value * pair.baseline.main_term(50)
 
 
 def test_predicted_main_degree_scaling():
     phi_pair = phi_preset().pair
     c = shifted_mean_constant(phi_pair, 10**4)
-    assert predicted_main(phi_pair, 100, constant=c) == pytest.approx(c.value * 100**3 / 3)
+    assert c.value * phi_pair.baseline.main_term(100) == pytest.approx(c.value * 100**3 / 3)
     j2 = jordan_preset(2).pair
     cj = shifted_mean_constant(j2, 10**4)
-    assert predicted_main(j2, 100, constant=cj) == pytest.approx(cj.value * 100**5 / 5)
+    assert cj.value * j2.baseline.main_term(100) == pytest.approx(cj.value * 100**5 / 5)
 
 
 def test_predicted_main_rejects_tiny_x():
+    # a grid run predicts only where the shifted argument is positive
     with pytest.raises(ValueError):
-        predicted_main(phi_preset(shift=5).pair, 5)
+        run_grid(phi_preset(shift=5), [5], prime_cutoff=10**4, depth=60)
 
 
 def test_baseline_progression_sums_within_error_scale():
@@ -259,7 +276,7 @@ def test_baseline_progression_sums_within_error_scale():
                         direct = sum(
                             (n - h) ** a * n**b for n in range(h + 1, x + 1) if n % m == r
                         )
-                        assert abs(direct - bl.main_term(x) / m) <= 8.0 * bl.progression_error(x)
+                        assert abs(direct - bl.main_term(x) / m) <= 8.0 * float(x) ** (a + b)
 
 
 def test_baseline_rejects_negative_degrees():
@@ -277,8 +294,6 @@ def test_pair_spec_rejects_bad_shift():
 def test_pair_partial_sums_bounded():
     # sanity proxy for absolute convergence: sum_{d<=D} |f(d)|/d is
     # non-decreasing and stays under a fixed bound on every preset table
-    from shiftmean.presets import get_preset
-
     D = 10**5
     d = np.arange(1, D + 1, dtype=np.float64)
     presets = [phi_preset(), jordan_preset(2), kstar_preset(),

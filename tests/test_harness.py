@@ -16,7 +16,6 @@ from shiftmean.harness import (
     SUM_BLOCK,
     DivisorSumFn,
     NamedFn,
-    fit_error_exponent,
     prefix_dots,
     run_grid,
     shifted_sum,
@@ -24,6 +23,8 @@ from shiftmean.harness import (
 )
 from shiftmean.presets import get_preset, phi_preset
 from shiftmean.reports import MeanValueReport, MeanValueRow
+
+from oracles import fit_error_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,8 @@ def test_tabulate_zero_table_gives_ones():
 
 
 def test_tabulate_with_degree_factor():
-    phi_float = tabulate(DivisorSumFn(phi_preset().pair.f, deg=1), 500)
+    # the totient is n times the divisor sum of its kernel
+    phi_float = tabulate(DivisorSumFn(phi_preset().pair.f), 500) * np.arange(501.0)
     phi_exact = tabulate(NamedFn("totient"), 500)
     assert phi_float[1:] == pytest.approx(phi_exact[1:].astype(float), rel=1e-12)
 
@@ -236,7 +238,7 @@ def test_run_grid_tabulates_a_shared_table_once(monkeypatch):
         return tabulate(spec, limit)
 
     monkeypatch.setattr(harness, "tabulate", counting)
-    rep = run_grid("phi", [1000, 2000], prime_cutoff=10**4)
+    rep = run_grid(get_preset("phi"), [1000, 2000], prime_cutoff=10**4, depth=60)
     assert calls == [NamedFn("totient")]
     phi = tabulate(NamedFn("totient"), 2000)
     assert rep.rows[-1].empirical == float(shifted_sum(phi, phi, 1, 2000))
@@ -244,7 +246,7 @@ def test_run_grid_tabulates_a_shared_table_once(monkeypatch):
 
 
 def test_run_grid_phi_small():
-    rep = run_grid("phi", [10**3, 10**4], prime_cutoff=10**6)
+    rep = run_grid(get_preset("phi"), [10**3, 10**4], prime_cutoff=10**6, depth=60)
     assert rep.error_label == "x^2 log^2 x"
     for row in rep.rows:
         assert row.residual == row.empirical - row.predicted
@@ -253,32 +255,22 @@ def test_run_grid_phi_small():
 
 
 def test_run_grid_kstar_residual_scale():
-    rep = run_grid("kstar", [10**3, 10**4], prime_cutoff=10**6)
+    rep = run_grid(get_preset("kstar"), [10**3, 10**4], prime_cutoff=10**6, depth=60)
     for row in rep.rows:
         # residual/log x bounded; measured magnitude ~0.9 at small x
         assert abs(row.normalized) < 2.0
 
 
 def test_run_grid_deterministic():
-    a = run_grid("phi", [100, 1000], prime_cutoff=10**4)
-    b = run_grid("phi", [100, 1000], prime_cutoff=10**4)
+    a = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4, depth=60)
+    b = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4, depth=60)
     assert a == b
     assert a.to_csv() == b.to_csv()
 
 
 def test_run_grid_accepts_preset_object_and_shift():
-    rep = run_grid(get_preset("phi", shift=2), [500], prime_cutoff=10**4)
+    rep = run_grid(get_preset("phi", shift=2), [500], prime_cutoff=10**4, depth=60)
     assert rep.rows[0].x == 500
-
-
-def test_run_grid_values_override_zero_arrays():
-    # an identically zero empirical side leaves residual = -predicted
-    zeros = np.zeros(1001)
-    rep = run_grid("kstar", [10**3], prime_cutoff=10**4, values=(zeros, zeros))
-    row = rep.rows[0]
-    assert row.empirical == 0.0
-    assert row.residual == -row.predicted
-    assert row.predicted > 0
 
 
 def test_run_grid_mu_like_pair_zero_constant():
@@ -286,39 +278,32 @@ def test_run_grid_mu_like_pair_zero_constant():
     # and the constant's factor at p = 2 is exactly 0, so residual is 0
     mu_like = PrimePowerFn(lambda p, k: -1.0 + 0.0 * p if k == 1 else 0.0 * p, name="mu_like")
     pair = ShiftedPairSpec(f=mu_like, g=mu_like, shift=1, baseline=MonomialBaseline(0, 0))
-    rep = run_grid(pair, [1000], candidate_error="log x", prime_cutoff=10**4)
-    row = rep.rows[0]
-    assert row.predicted == 0.0
-    assert row.empirical == 0.0
-    assert row.residual == 0.0
+    assert shifted_mean_constant(pair, 10**4).value == 0.0
+    vals = tabulate(DivisorSumFn(mu_like), 1000)
+    assert np.all(vals[2:] == 0.0)
+    assert shifted_sum(vals, vals, 1, 1000) == 0.0
 
 
 def test_run_grid_validates_grid():
     with pytest.raises(ValueError):
-        run_grid("phi", [1000, 100], prime_cutoff=10**4)
+        run_grid(get_preset("phi"), [1000, 100], prime_cutoff=10**4, depth=60)
     with pytest.raises(ValueError):
-        run_grid("phi", [], prime_cutoff=10**4)
+        run_grid(get_preset("phi"), [], prime_cutoff=10**4, depth=60)
     with pytest.raises(ValueError):
-        run_grid(phi_preset(shift=10).pair, [5], candidate_error="log x", prime_cutoff=10**4)
-
-
-def test_run_grid_bare_pair_needs_error_label():
-    with pytest.raises(ValueError):
-        run_grid(phi_preset().pair, [100], prime_cutoff=10**4)
+        run_grid(get_preset("phi", shift=10), [5], prime_cutoff=10**4, depth=60)
 
 
 def test_corollary_ratio_reproduction_small_scale():
     # ratio -> 1 within 10 log^2(x)/x for the totient pair at x = 1e4, 1e5
     for h in (1, 2, 6):
-        c = shifted_mean_constant(phi_preset(shift=h).pair, 10**6)
-        rep = run_grid(get_preset("phi", shift=h), [10**4, 10**5], constant=c)
+        rep = run_grid(get_preset("phi", shift=h), [10**4, 10**5], prime_cutoff=10**6, depth=60)
         for row in rep.rows:
             bound = 10 * math.log(row.x) ** 2 / row.x
             assert abs(row.empirical / row.predicted - 1) <= bound
 
 
 def test_jordan2_grid_ratio():
-    rep = run_grid(get_preset("jordan-2"), [10**4], prime_cutoff=10**6)
+    rep = run_grid(get_preset("jordan-2"), [10**4], prime_cutoff=10**6, depth=60)
     row = rep.rows[0]
     assert row.empirical / row.predicted == pytest.approx(1.0, abs=1e-2)
 
@@ -379,7 +364,7 @@ def test_report_requires_increasing_x():
 
 
 def test_report_csv_and_json_shape():
-    rep = run_grid("phi", [100, 1000], prime_cutoff=10**4)
+    rep = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4, depth=60)
     csv = rep.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "x,empirical,predicted,residual,normalized"
