@@ -12,9 +12,7 @@ from .arith import (
 )
 from .curveconst import (
     SymbolConvention,
-    cached_twin_prime_constant,
     mean_order_grid,
-    order_constant,
     substitution_gap,
     twin_prime_constant,
 )

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: constant, eval, meanvalue, verify, curvelab.  Every run echoes
-its effective configuration to stderr so outputs can be reproduced; the data
-itself goes to stdout or --output.  Identical invocations produce
+its subcommand's options to stderr, parsed, so outputs can be reproduced;
+the data itself goes to stdout or --output.  Identical invocations produce
 byte-identical files (fixed float formatting, fixed reduction order).
 
 Exit codes: 0 success, 2 usage/configuration error, 1 runtime error.
@@ -11,9 +11,7 @@ Exit codes: 0 success, 2 usage/configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from dataclasses import dataclass
 
 from . import curveconst, curvelab, harness, presets
 from .arith import factorize_trial, jordan_totient, totient
@@ -36,26 +34,10 @@ class UsageError(ValueError):
     """Configuration problem; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    target: str = ""
-    n: int = 0
-    x_grid: tuple = ()
-    prime_cutoff: int = 0
-    depth: int = 0
-    shift: int = 1
-    convention: str = SymbolConvention.UNIT.value
-    fmt: str = "csv"
-    output: str = ""
-    jordan_k: int = 2
-    n_min: int = 0
-    n_max: int = 0
-    cap: int = curvelab.DEFAULT_ORDER_CAP
-
-
-def _echo_config(cfg: RunConfig) -> None:
-    print("config: " + dumps_json(dataclasses.asdict(cfg)).replace("\n", " "), file=sys.stderr)
+def _echo_config(args, **parsed) -> None:
+    """Echo the subcommand's options to stderr, parsed values in place of raw text."""
+    config = {k: v for k, v in vars(args).items() if k != "handler"} | parsed
+    print("config: " + dumps_json(config).replace("\n", " "), file=sys.stderr)
 
 
 def _parse_int(text: str, field: str) -> int:
@@ -124,6 +106,8 @@ def _check_shift(shift: int, cutoff: int) -> None:
     """The shift correction needs every prime of the shift inside the cutoff."""
     if shift < 1:
         raise UsageError(f"--shift: must be >= 1 (got {shift})")
+    if shift > MAX_EVAL_N:  # trial division below is O(sqrt(shift))
+        raise UsageError(f"--shift: must be <= {MAX_EVAL_N} (got {shift})")
     largest = factorize_trial(shift)[-1][0] if shift > 1 else 1
     if largest > cutoff:
         raise UsageError(f"--shift: prime factor {largest} exceeds --prime-cutoff {cutoff}")
@@ -138,11 +122,7 @@ def _cmd_constant(args) -> int:
     _check_depth(args.depth)
     if args.target != "c2":
         _check_shift(args.shift, cutoff)
-    cfg = RunConfig(
-        subcommand="constant", target=args.target, prime_cutoff=cutoff,
-        depth=args.depth, shift=args.shift, fmt="json", output=args.output or "",
-    )
-    _echo_config(cfg)
+    _echo_config(args, prime_cutoff=cutoff)
     if args.target == "c2":
         ev = curveconst.twin_prime_constant(cutoff)
     else:
@@ -167,18 +147,13 @@ def _cmd_eval(args) -> int:
     n = _parse_int(args.n, "n")
     conv = _convention(args.convention)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
-    cfg = RunConfig(
-        subcommand="eval", target=args.target, n=n, prime_cutoff=cutoff,
-        convention=conv.value, fmt="json", output=args.output or "",
-        jordan_k=args.k,
-    )
-    _echo_config(cfg)
+    _echo_config(args, n=n, prime_cutoff=cutoff)
     if n > MAX_EVAL_N:
         raise UsageError(f"n: must be <= {MAX_EVAL_N} (got {n})")
     if args.target in ("kstar", "khat"):
         if n < 2:
             raise UsageError(f"n: order evaluations need n >= 2 (got {n})")
-        c2 = curveconst.cached_twin_prime_constant(cutoff)
+        c2 = curveconst.twin_prime_constant(cutoff)
         payload = curveconst.eval_point(n, conv, c2=c2)
     elif args.target not in ("totient", "jordan"):
         raise UsageError(f"target: unknown eval target {args.target!r}")
@@ -197,19 +172,15 @@ def _cmd_eval(args) -> int:
 def _cmd_meanvalue(args) -> int:
     grid = _parse_grid(args)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=2)
-    _check_shift(args.shift, cutoff)
     if args.shift >= grid[0]:
         raise UsageError(f"--shift: must be below the first grid point {grid[0]} (got {args.shift})")
+    _check_shift(args.shift, cutoff)
     _check_depth(args.depth)
     try:
         preset = presets.get_preset(args.preset, shift=args.shift)
     except ValueError as exc:
         raise UsageError(f"preset: {exc}") from None
-    cfg = RunConfig(
-        subcommand="meanvalue", target=args.preset, x_grid=grid, prime_cutoff=cutoff,
-        depth=args.depth, shift=args.shift, fmt=args.format, output=args.output or "",
-    )
-    _echo_config(cfg)
+    _echo_config(args, prime_cutoff=cutoff, x_grid=grid)
     report = harness.run_grid(preset, grid, prime_cutoff=cutoff, depth=args.depth)
     _emit(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.output)
     return 0
@@ -223,17 +194,13 @@ def _cmd_verify(args) -> int:
         for field, value in (("--gap-d", args.gap_d), ("--gap-l", args.gap_l)):
             if value < 1:
                 raise UsageError(f"{field}: must be >= 1 (got {value})")
-    cfg = RunConfig(
-        subcommand="verify", target=args.target, x_grid=grid, prime_cutoff=cutoff,
-        convention=conv.value, fmt=args.format, output=args.output or "",
-    )
-    _echo_config(cfg)
-    c2 = curveconst.cached_twin_prime_constant(cutoff)
+    _echo_config(args, prime_cutoff=cutoff, x_grid=grid)
     if args.target in curveconst.MEAN_TARGETS:
+        c2 = curveconst.twin_prime_constant(cutoff)
         report = curveconst.mean_order_grid(args.target, grid, conv, c2=c2)
         _emit(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.output)
     elif args.target == "gap":
-        gaps = [curveconst.substitution_gap(x, args.gap_d, args.gap_l, conv) for x in grid]
+        gaps = curveconst.substitution_gap(grid, args.gap_d, args.gap_l, conv)
         if args.format == "csv":
             lines = ["x,gap"] + [f"{x},{fmt_csv(gap)}" for x, gap in zip(grid, gaps)]
             _emit("\n".join(lines) + "\n", args.output)
@@ -253,12 +220,8 @@ def _cmd_curvelab(args) -> int:
         raise UsageError(f"--n-min/--n-max: need 7 <= n-min <= n-max (got {args.n_min}, {args.n_max})")
     if args.n_max > args.cap:
         raise UsageError(f"--n-max: exceeds cap {args.cap}")
-    cfg = RunConfig(
-        subcommand="curvelab", n_min=args.n_min, n_max=args.n_max, cap=args.cap,
-        prime_cutoff=cutoff, fmt=args.format, output=args.output or "",
-    )
-    _echo_config(cfg)
-    c2 = curveconst.cached_twin_prime_constant(cutoff)
+    _echo_config(args, prime_cutoff=cutoff)
+    c2 = curveconst.twin_prime_constant(cutoff)
     records = [
         curvelab.expected_m(n, cap=args.cap, c2=c2)
         for n in range(args.n_min, args.n_max + 1)

@@ -36,8 +36,6 @@ from .euler import EulerProductValue
 from .harness import prefix_dots
 from .reports import MeanValueReport, MeanValueRow
 
-DEFAULT_CONSTANT_CUTOFF = 10**8
-
 ORIGINAL_MEAN = 31.0 / 30.0  # mean value of the unnormalized constant
 
 
@@ -230,23 +228,8 @@ def twin_prime_constant(prime_cutoff: int) -> EulerProductValue:
     )
 
 
-_c2_cache: dict[int, EulerProductValue] = {}
-
-
-def cached_twin_prime_constant(prime_cutoff: int = DEFAULT_CONSTANT_CUTOFF) -> EulerProductValue:
-    """Computed once per cutoff and reused by every order-constant evaluation."""
-    if prime_cutoff not in _c2_cache:
-        _c2_cache[prime_cutoff] = twin_prime_constant(prime_cutoff)
-    return _c2_cache[prime_cutoff]
-
-
-def order_constant(n: int, *, c2: Optional[EulerProductValue] = None) -> float:
-    """The normalized order constant for target order n >= 2."""
-    return eval_point(n, c2=c2)["Kstar"]
-
-
 def eval_point(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
-               *, c2: Optional[EulerProductValue] = None) -> dict:
+               *, c2: EulerProductValue) -> dict:
     """All factor values at a single order n, for the JSON eval interface.
 
     Kstar = c2 * F(n-1) * G(n) and Khat = c2 * F(n-1) * G1(n), with
@@ -254,8 +237,6 @@ def eval_point(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if c2 is None:
-        c2 = cached_twin_prime_constant()
     fac = factorize_trial(n)
     f_star = eval_multiplicative(shift_part_fn, factorize_trial(n - 1))
     g_star = eval_multiplicative(order_part_fn, fac)
@@ -293,7 +274,7 @@ def _mean_slope(which: str) -> float:
 
 
 def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConvention.UNIT,
-                    *, c2: Optional[EulerProductValue] = None) -> MeanValueReport:
+                    *, c2: EulerProductValue) -> MeanValueReport:
     """Empirical sum of the order constant over N <= x against its main term.
 
     t2a: all N, main term x.  t2b: odd N only, main term x/3.  t3: the
@@ -308,8 +289,6 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     if xs[0] < 2:
         raise ValueError("grid must start at x >= 2")
     xmax = xs[-1]
-    if c2 is None:
-        c2 = cached_twin_prime_constant()
 
     shift_vals = multiplicative_table(shift_part_fn, xmax - 1)
     if which == "t2a":
@@ -335,22 +314,25 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     return MeanValueReport(rows=tuple(rows), error_label="log x", label=which)
 
 
-def substitution_gap(x: int, d: int = 1, modulus: int = 1,
-                     conv: SymbolConvention = SymbolConvention.UNIT) -> float:
-    """Congruence-restricted sum of (even_val_symbol_part - even_val_mean_fn).
+def substitution_gap(x_grid, d: int = 1, modulus: int = 1,
+                     conv: SymbolConvention = SymbolConvention.UNIT) -> list:
+    """Congruence-restricted sums of (even_val_symbol_part - even_val_mean_fn).
 
-    Sums over N <= x with N = 1 (mod d) and N = 0 (mod modulus).  The symbol
-    substitution claims this stays O(1) in x for every coprime pair (d,
-    modulus); incompatible congruences give the empty sum, 0.
+    One sum per x in the ascending grid, over N <= x with N = 1 (mod d) and
+    N = 0 (mod modulus).  For coprime (d, modulus) those N form one residue
+    class mod d * modulus, so both tables are built once, at the largest x,
+    and a strided slice of their difference is summed in one pass.  The
+    symbol substitution claims each sum stays O(1) in x; incompatible
+    congruences give the empty sum, 0.
     """
-    if x < 1 or d < 1 or modulus < 1:
+    xs = [int(x) for x in x_grid]
+    if not xs or xs[0] < 1 or d < 1 or modulus < 1:
         raise ValueError("x, d, modulus must all be >= 1")
     if math.gcd(d, modulus) > 1:
-        return 0.0
-    symbol_vals = even_val_symbol_table(x, conv)
-    mean_vals = multiplicative_table(even_val_mean_fn, x)
-    n = np.arange(x + 1, dtype=np.int64)
-    mask = (n % d == 1 % d) & (n % modulus == 0)
-    mask[0] = False
-    diff = symbol_vals[mask] - mean_vals[mask]
-    return prefix_dots(diff, np.broadcast_to(1.0, diff.shape), [len(diff)])[0]
+        return [0.0] * len(xs)
+    step = d * modulus
+    start = modulus * pow(modulus, -1, d) % step or step  # least N >= 1 in the class
+    diff = even_val_symbol_table(xs[-1], conv)[start::step]
+    diff -= multiplicative_table(even_val_mean_fn, xs[-1])[start::step]
+    ends = [len(range(start, x + 1, step)) for x in xs]
+    return prefix_dots(diff, np.broadcast_to(1.0, diff.shape), ends)

@@ -2,9 +2,9 @@
 
 For a target order N, every prime p in the Hasse window admits curves
 y^2 = x^3 + ax + b over F_p with exactly N points; the per-prime density of
-such (a, b) pairs, summed over the window, should track
-order_constant(N) / log N.  The per-prime histogram of orders is exact and
-enumerates no curve: it reads Hurwitz class numbers H(4p - t^2) off one
+such (a, b) pairs, summed over the window, should track Kstar(N) / log N,
+with Kstar the order constant.  The per-prime histogram of orders is exact
+and enumerates no curve: it reads Hurwitz class numbers H(4p - t^2) off one
 table (Deuring; Birch 1968).  Point counts of single curves, by character
 sum and by enumeration, are the tests' oracles (tests/oracles.py).
 
@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .arith import primes_up_to
-from .curveconst import order_constant
+from .curveconst import eval_point
 from .euler import EulerProductValue
 from .reports import dumps_json, fmt_csv
 
@@ -44,7 +43,7 @@ class CurveDensityRecord:
     rho maps each Hasse-window prime to the exact fraction of (a, b) pairs
     (over all p^2, singular ones counting zero) whose curve has the target
     order; expected_m sums those densities and predicted is
-    order_constant / log(order).
+    Kstar / log(order), Kstar the order constant of eval_point.
     """
 
     order: int
@@ -140,7 +139,7 @@ def density(order: int, p: int) -> Fraction:
 
 
 def expected_m(order: int, cap: int = DEFAULT_ORDER_CAP,
-               *, c2: Optional[EulerProductValue] = None) -> CurveDensityRecord:
+               *, c2: EulerProductValue) -> CurveDensityRecord:
     """Full density record for one target order.
 
     Each window prime costs one histogram (see order_histogram); cap bounds
@@ -155,7 +154,7 @@ def expected_m(order: int, cap: int = DEFAULT_ORDER_CAP,
     window = hasse_window_primes(order)
     rho = {p: density(order, p) for p in window}
     total = float(sum(rho.values(), start=Fraction(0)))
-    predicted = order_constant(order, c2=c2) / math.log(order)
+    predicted = eval_point(order, c2=c2)["Kstar"] / math.log(order)
     return CurveDensityRecord(
         order=order,
         hasse_primes=tuple(window),

@@ -4,8 +4,9 @@ None of these runs on a command-line path.  Each recomputes a quantity the
 package produces by a different route: the constant as a rearranged double
 sum (brute and regrouped by gcd), prime-zeta values and the twin-prime
 product built from them, the order constant from its defining product,
-local factors and divisor sums term by term, point counts by character sum
-and by enumeration, and the least-squares error exponent of a report.
+the symbol-substitution gap over a mask of its congruence class, local
+factors and divisor sums term by term, point counts by character sum and by
+enumeration, and the least-squares error exponent of a report.
 """
 
 from __future__ import annotations
@@ -15,8 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shiftmean.arith import Factorization, PrimePowerFn, factorize_trial, primes_up_to
-from shiftmean.curveconst import _qr_table
+from shiftmean.arith import (
+    Factorization,
+    PrimePowerFn,
+    factorize_trial,
+    multiplicative_table,
+    primes_up_to,
+)
+from shiftmean.curveconst import (
+    SymbolConvention,
+    _qr_table,
+    even_val_mean_fn,
+    even_val_symbol_table,
+)
 from shiftmean.curvelab import _check_prime
 from shiftmean.euler import EulerProductValue, ShiftedPairSpec
 from shiftmean.reports import MeanValueReport
@@ -181,7 +193,7 @@ def order_constant_direct(n: int, prime_cutoff: int) -> EulerProductValue:
     Runs over p <= cutoff with p not dividing n; the squared residue symbol
     of n-1 reduces to an indicator: 1 when p does not divide n-1, else 0.
     Returns the truncated value with tail accounting; multiply by n/totient(n)
-    to compare with order_constant.
+    to compare with eval_point's Kstar.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -206,6 +218,29 @@ def order_constant_direct(n: int, prime_cutoff: int) -> EulerProductValue:
         tail_bound=abs(value) * math.expm1(crude),
         tail_bound_sharp=abs(value) / (prime_cutoff * (math.log(prime_cutoff) - 1.0)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The symbol-substitution gap at one x, over a mask
+
+
+def substitution_gap_by_mask(x: int, d: int = 1, modulus: int = 1,
+                             conv: SymbolConvention = SymbolConvention.UNIT) -> float:
+    """The gap at one x, from tables built up to x and a mask of the class.
+
+    Tests N % d == 1 % d and N % modulus == 0 for every 1 <= N <= x, so it
+    needs no residue-class arithmetic, and sums with math.fsum.
+    """
+    if x < 1 or d < 1 or modulus < 1:
+        raise ValueError("x, d, modulus must all be >= 1")
+    if math.gcd(d, modulus) > 1:
+        return 0.0
+    symbol_vals = even_val_symbol_table(x, conv)
+    mean_vals = multiplicative_table(even_val_mean_fn, x)
+    n = np.arange(x + 1, dtype=np.int64)
+    mask = (n % d == 1 % d) & (n % modulus == 0)
+    mask[0] = False
+    return math.fsum(symbol_vals[mask] - mean_vals[mask])
 
 
 # ---------------------------------------------------------------------------

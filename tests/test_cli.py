@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -173,6 +174,9 @@ def test_runtime_error_exits_1(argv, capsys):
         (["verify", "t2a", "--xmax", "1e30"], None, 2, "--xmax"),
         (["verify", "gap", "--x-grid", "1000", "--gap-d", "0"], None, 2, "--gap-d"),
         (["verify", "gap", "--x-grid", "1000", "--gap-l", "-3"], None, 2, "--gap-l"),
+        (["constant", "kstar", "--shift", "100000000000000000039"], None, 2, "--shift"),
+        (["meanvalue", "kstar", "--shift", "100000000000000000039", "--x-grid", "1000"],
+         None, 2, "--shift"),
     ],
 )
 def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):
@@ -187,6 +191,43 @@ def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypa
     assert "Traceback" not in err
     if field is not None:
         assert field in err
+
+
+@pytest.mark.parametrize("flag", ["--gap-d", "--gap-l"])
+def test_verify_gap_huge_modulus(flag, capsys):
+    # N = 1 alone (d) or no N at all (l) lies in the class below x
+    code, out, err = run_cli(
+        ["verify", "gap", "--x-grid", "1000", flag, "100000000000000000000"], capsys
+    )
+    assert code == 0, err
+    assert out == "x,gap\n1000,0\n"
+
+
+CONFIG_ARGV = [
+    "constant c2",
+    "eval totient 10",
+    "meanvalue phi --x-grid 100,200",
+    "verify gap --x-grid 100,200",
+    "curvelab --n-min 20 --n-max 20",
+]
+
+
+@pytest.mark.parametrize("args", CONFIG_ARGV)
+def test_config_echo_has_the_subcommand_options(args, capsys):
+    code, _, err = run_cli(args.split(), capsys)
+    assert code == 0
+    line = next(l for l in err.splitlines() if l.startswith("config: "))
+    config = json.loads(line[len("config: "):])
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    name = args.split()[0]
+    dests = {a.dest for a in sub.choices[name]._actions if a.dest != "help"}
+    assert set(config) == dests | {"subcommand"}
+    assert config["subcommand"] == name
+    assert config["prime_cutoff"] == 1000000  # parsed from the default "1e6"
+    if "x_grid" in config:
+        assert config["x_grid"] == [100, 200]
+    if "n" in config:
+        assert config["n"] == 10
 
 
 # sha256 of stdout, recorded before the factor functions were reduced to one
@@ -308,7 +349,6 @@ def _src_defs() -> set:
 def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
     # Test-only code belongs in tests/; the package holds what the CLI runs.
     # Empty caches, so each function that fills one is entered.
-    monkeypatch.setattr(curveconst, "_c2_cache", {})
     monkeypatch.setattr(curvelab, "_hist_cache", {})
     curveconst._qr_table.cache_clear()
     entered = set()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from shiftmean.arith import (
     eval_multiplicative,
     factorize_trial,
     multiplicative_table,
+    primes_up_to,
     quad_symbol,
     totient,
 )
@@ -17,7 +20,6 @@ from shiftmean.curveconst import (
     eval_point,
     mean_order_grid,
     odd_val_part_fn,
-    order_constant,
     order_kernel,
     order_kernel_odd,
     order_part_fn,
@@ -32,6 +34,7 @@ from oracles import (
     local_factor,
     odd_val_kernel,
     order_constant_direct,
+    substitution_gap_by_mask,
     twin_prime_oracle,
 )
 
@@ -206,7 +209,7 @@ def test_eval_point_equals_tables_exactly():
         assert out["G_star"] == gs[n], n
         assert out["G2"] == g2[n], n
         assert out["G4"] == g4[n], n
-        assert out["Kstar"] == order_constant(n, c2=c2), n
+        assert out["Kstar"] == c2.value * out["F_star"] * out["G_star"], n
         assert out["Khat"] == c2.value * out["F_star"] * out["G1"], n
 
 
@@ -260,11 +263,11 @@ def test_twin_prime_constant_vs_oracle_midrange():
 
 def test_order_constant_composition():
     c2 = twin_prime_constant(10**5)
-    assert order_constant(2, c2=c2) == pytest.approx(c2.value, rel=1e-14)
+    assert eval_point(2, c2=c2)["Kstar"] == pytest.approx(c2.value, rel=1e-14)
     expect3 = c2.value * (2 / 3) * (5 / 3)
-    assert order_constant(3, c2=c2) == pytest.approx(expect3, rel=1e-14)
+    assert eval_point(3, c2=c2)["Kstar"] == pytest.approx(expect3, rel=1e-14)
     with pytest.raises(ValueError):
-        order_constant(1, c2=c2)
+        eval_point(1, c2=c2)
 
 
 def test_order_constant_direct_n1_reduction():
@@ -280,7 +283,7 @@ def test_order_constant_direct_identity_small_range():
     c2 = twin_prime_constant(10**6)
     for n in range(2, 200):
         direct = order_constant_direct(n, 10**6)
-        lhs = order_constant(n, c2=c2)
+        lhs = eval_point(n, c2=c2)["Kstar"]
         rhs = direct.value * n / totient(n)
         tol = direct.tail_bound * n / totient(n) + abs(lhs) * 2 / (10**6 - 1)
         assert abs(lhs - rhs) <= tol, n
@@ -347,8 +350,8 @@ def test_mean_order_grid_t3_convention_sensitivity():
 
 
 def test_substitution_gap_trivial_cases():
-    assert substitution_gap(5, 1, 7) == 0.0  # x < modulus: empty range
-    assert substitution_gap(100, 2, 2) == 0.0  # incompatible congruences
+    assert substitution_gap([5], 1, 7) == [0.0]  # x < modulus: empty range
+    assert substitution_gap([100], 2, 2) == [0.0]  # incompatible congruences
     # squarefree-only contributions vanish term by term
     squarefree = [n for n in range(1, 50) if all(n % (p * p) for p in (2, 3, 5, 7))]
     table_sym = even_val_symbol_table(49)
@@ -359,7 +362,7 @@ def test_substitution_gap_trivial_cases():
 
 def test_substitution_gap_small_magnitude():
     for x in (10**3, 10**4):
-        assert abs(substitution_gap(x)) < 0.05
+        assert abs(substitution_gap([x])[0]) < 0.05
 
 
 def test_substitution_gap_congruence_restriction():
@@ -372,4 +375,27 @@ def test_substitution_gap_congruence_restriction():
         for n in range(1, x + 1)
         if n % d == 1 and n % modulus == 0
     )
-    assert substitution_gap(x, d, modulus) == pytest.approx(expect, abs=1e-12)
+    assert substitution_gap([x], d, modulus)[0] == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)
+@pytest.mark.parametrize("d, modulus", [(1, 1), (3, 4), (5, 7), (8, 1), (1, 9), (4, 6)])
+def test_substitution_gap_matches_mask_oracle(d, modulus, conv):
+    # grid points below the first class member, on members and between them
+    members = [n for n in range(1, 400) if n % d == 1 % d and n % modulus == 0][:3]
+    grid = sorted({2, 3, 2999, 3000} | {m + o for m in members for o in (-1, 0, 1)} - {0})
+    got = substitution_gap(grid, d, modulus, conv)
+    assert got == [substitution_gap_by_mask(x, d, modulus, conv) for x in grid]
+
+
+def test_substitution_gap_memory():
+    # one table pair and a strided difference: 27.8 MiB measured; the
+    # mask-based version (tests/oracles.py) peaked at 40.2 MiB on this call
+    primes_up_to(10**6)  # warm the prime cache so only the gap's arrays count
+    tracemalloc.start()
+    try:
+        substitution_gap([10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * 2**20
