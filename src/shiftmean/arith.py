@@ -1,8 +1,8 @@
 """Sieve-backed integer arithmetic.
 
 One prime sieve, trial-division factorization, Jacobi symbols,
-multiplicative functions defined by their values on prime powers, and bulk
-tabulation of such functions over an interval.
+multiplicative functions defined by their values on prime powers, and one
+prime-power sieve that tabulates them (float or exact) over an interval.
 """
 
 from __future__ import annotations
@@ -179,40 +179,41 @@ def primes_up_to(limit: int) -> np.ndarray:
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
+def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> np.ndarray:
+    """Table over 0 <= n <= limit of the multiplicative function local(p, e).
+
+    on_big(primes) gives the values at primes above sqrt(limit).  Entry n is
+    the product of its prime-power values in ascending prime order.
+    """
+    res = np.ones(limit + 1, dtype=dtype)
+    res[0] = 0
+    primes = primes_up_to(limit)
+    n_small = int(np.searchsorted(primes, isqrt(limit), side="right"))
+    buf = np.empty(limit // 2, dtype=dtype)  # buf[j]: the factor of p at n = (j + 1) p
+    for p in primes[:n_small].tolist():
+        s, e = 1, 1  # multiples of p^e sit every s = p^(e-1) slots; higher powers overwrite
+        while s * p <= limit:
+            buf[s - 1 : limit // p : s] = local(p, e)
+            s, e = s * p, e + 1
+        res[p::p] *= buf[: limit // p]
+    # p > sqrt(limit) divides each multiple p*q <= limit once (q <= sqrt(limit)): scatter per q
+    big = primes[n_small:]
+    vals = on_big(big)
+    for q in range(1, isqrt(limit) + 1):
+        hi = int(np.searchsorted(big, limit // q, side="right"))
+        res[big[:hi] * q] *= vals[:hi]
+    return res
+
+
 def multiplicative_table(fn: PrimePowerFn, limit: int) -> np.ndarray:
     """Tabulate the multiplicative function with local values fn(p, e).
 
     Returns a float64 array indexed by n for 0 <= n <= limit, with entry 0
-    set to 0 and entry 1 to 1.  One pass over prime powers; zero values in
-    the table are handled (exact-divisibility updates, no ratio tricks).
+    set to 0 and entry n >= 1 equal to eval_multiplicative at n.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    res = np.ones(limit + 1)
-    res[0] = 0.0
-    primes = primes_up_to(limit)
-    if not len(primes):
-        return res
-    n_small = int(np.searchsorted(primes, isqrt(limit), side="right"))
-    for p in primes[:n_small].tolist():
-        pe, e = p, 1
-        while pe <= limit:
-            idx = np.arange(pe, limit + 1, pe)
-            res[idx[(idx // pe) % p != 0]] *= fn(p, e)
-            pe *= p
-            e += 1
-    big = primes[n_small:]
-    if len(big):
-        # p > sqrt(limit): every multiple p*q <= limit has q < p, so the
-        # exponent of p is exactly 1 and values can be scattered per q.
-        vals = fn.on_primes(big, 1)
-        res[big] *= vals
-        q = 2
-        while q * int(big[0]) <= limit:
-            hi = int(np.searchsorted(big, limit // q, side="right"))
-            res[big[:hi] * q] *= vals[:hi]
-            q += 1
-    return res
+    return _prime_power_sieve(limit, np.float64, fn, lambda big: fn.on_primes(big, 1))
 
 
 def totient_table(limit: int) -> np.ndarray:
@@ -232,11 +233,9 @@ def jordan_table(limit: int, k: int) -> np.ndarray:
         raise ValueError(f"k must be positive, got {k}")
     if _power_exceeds_128_bits(limit, k):
         raise ValueError(f"J_{k} values up to {limit} exceed the 128-bit range")
-    if limit ** k < 2**62:
-        jk = np.arange(limit + 1, dtype=np.int64) ** k
-    else:
-        jk = np.array([n**k for n in range(limit + 1)], dtype=object)
-    for p in primes_up_to(limit).tolist():
-        pk = p**k
-        jk[p::p] -= jk[p::p] // pk
-    return jk
+    dtype = np.int64 if limit**k < 2**62 else object
+
+    def local(p, e):  # J_k(p^e)
+        return p ** (k * (e - 1)) * (p**k - 1)
+
+    return _prime_power_sieve(limit, dtype, local, lambda big: big.astype(dtype) ** k - 1)

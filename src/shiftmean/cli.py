@@ -24,9 +24,11 @@ DEFAULT_GRID_START = 1000
 # eval factors n by trial division: a prime near 1e16 takes about 11 s.
 MAX_EVAL_N = 10**16
 
-# Tables and sums up to x peak at 35-48 bytes per x (311-475 MB of RSS at
-# x = 1e7 for meanvalue kstar, verify t3 and verify gap), so this ceiling
-# keeps a run near 2.4 GB.
+# Float and int64 tables and sums up to x peak at 17-35 bytes per x (166-328
+# MB of RSS at x = 1e7 for meanvalue phi, jordan-2, kstar and verify gap, t3),
+# so this ceiling keeps those runs under 1.8 GB.  Object-dtype Jordan tables
+# (x^k >= 2^62) take 95-100 bytes per x (184-190 MB at x = 2e6 for jordan-3
+# and jordan-4), about 5 GB at the ceiling.
 MAX_X = 5 * 10**7
 
 

@@ -26,7 +26,6 @@ class Preset:
     g_tab: TabSpec
     error_label: str
     error_fn: Callable[[float], float]
-    description: str = ""
 
 
 def _totient_kernel() -> PrimePowerFn:
@@ -52,12 +51,11 @@ def phi_preset(shift: int = 1) -> Preset:
         g_tab=NamedFn("totient"),
         error_label="x^2 log^2 x",
         error_fn=lambda x: float(x) ** 2 * math.log(x) ** 2,
-        description="totient pair, main term x^3/3 times its prime product",
     )
 
 
 def jordan_preset(k: int, shift: int = 1) -> Preset:
-    """Jordan totient pair of order k >= 2; exact integer tabulation."""
+    """Jordan totient pair of order k >= 1; exact integer tabulation."""
     if k < 1:
         raise ValueError(f"jordan order must be >= 1, got {k}")
     kern = _jordan_kernel(k)
@@ -68,7 +66,6 @@ def jordan_preset(k: int, shift: int = 1) -> Preset:
         g_tab=NamedFn("jordan", k),
         error_label=f"x^{2 * k}",
         error_fn=lambda x: float(x) ** (2 * k),
-        description=f"Jordan totient pair of order {k}, main term x^{2*k+1}/{2*k+1}",
     )
 
 
@@ -83,7 +80,6 @@ def kstar_preset(shift: int = 1) -> Preset:
         g_tab=DivisorSumFn(order_kernel),
         error_label="log x",
         error_fn=math.log,
-        description="normalized order-constant pair, main term x",
     )
 
 
@@ -98,7 +94,6 @@ def kstar_odd_preset(shift: int = 1) -> Preset:
         g_tab=DivisorSumFn(order_kernel_odd),
         error_label="log x",
         error_fn=math.log,
-        description="odd-support order-constant pair, main term x/3",
     )
 
 
@@ -113,7 +108,6 @@ def khat_preset(shift: int = 1) -> Preset:
         g_tab=DivisorSumFn(averaged_order_kernel),
         error_label="log x",
         error_fn=math.log,
-        description="unnormalized order-constant pair (symbol averaged), main term 31x/30",
     )
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -327,15 +328,52 @@ def test_induced_function_multiplicative_on_random_coprime_pairs():
 # tabulation
 
 
-def test_multiplicative_table_matches_pointwise_eval():
-    from shiftmean.curveconst import order_kernel, order_part_fn
+# limits on both sides of the sqrt(limit) split between strided and scattered primes
+TABLE_LIMITS = (1, 2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 10**4)
 
-    for fn in (order_part_fn, partial_sum_fn(order_kernel)):
-        table = multiplicative_table(fn, 5000)
-        for n in range(1, 5001):
-            expect = eval_multiplicative(fn, factorize_trial(n))
-            assert table[n] == pytest.approx(expect, rel=1e-12), n
-    assert table[0] == 0.0
+
+def _cli_tabulated_fns():
+    from shiftmean import curveconst as cc
+
+    kernels = (cc.shift_kernel, cc.order_kernel, cc.order_kernel_odd, cc.averaged_order_kernel)
+    parts = (cc.shift_part_fn, cc.order_part_fn, cc.odd_val_part_fn, cc.even_val_mean_fn)
+    return [partial_sum_fn(kern) for kern in kernels] + list(parts)
+
+
+def test_multiplicative_table_matches_pointwise_eval():
+    facs = [None] + [factorize_trial(n) for n in range(1, max(TABLE_LIMITS) + 1)]
+    for fn in _cli_tabulated_fns():
+        for limit in TABLE_LIMITS:
+            table = multiplicative_table(fn, limit)
+            assert table.dtype == np.float64 and len(table) == limit + 1
+            assert table[0] == 0.0
+            bad = [n for n in range(1, limit + 1) if table[n] != eval_multiplicative(fn, facs[n])]
+            assert bad == [], (fn.name, limit, bad[:5])
+
+
+def test_jordan_table_matches_pointwise_jordan_totient():
+    # k = 9 at limit 10^4 takes the object-dtype path (limit^k >= 2^62)
+    for k in (1, 2, 3, 9):
+        expect = [0] + [jordan_totient(n, k) for n in range(1, max(TABLE_LIMITS) + 1)]
+        for limit in TABLE_LIMITS:
+            table = jordan_table(limit, k)
+            assert table.dtype == (np.int64 if limit**k < 2**62 else object)
+            assert table.tolist() == expect[: limit + 1], (k, limit)
+
+
+def test_multiplicative_table_memory():
+    # the float64 table is 7.6 MiB and the one reused strided buffer 3.8 MiB;
+    # 13.8 MiB peak measured
+    from shiftmean.curveconst import odd_val_part_fn
+
+    primes_up_to(10**6)  # warm the prime cache so only the table's arrays count
+    tracemalloc.start()
+    try:
+        multiplicative_table(odd_val_part_fn, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_multiplicative_table_handles_zero_values():
