@@ -221,6 +221,11 @@ def totient_table(limit: int) -> np.ndarray:
     return jordan_table(limit, 1)
 
 
+def jordan_dtype(limit: int, k: int):
+    """int64 when limit^k < 2^62, so every J_k(n <= limit) fits; else object."""
+    return object if limit > 1 and (k >= 62 or limit**k >= 2**62) else np.int64
+
+
 def jordan_table(limit: int, k: int) -> np.ndarray:
     """Exact array of J_k values for 0 <= n <= limit.
 
@@ -233,7 +238,7 @@ def jordan_table(limit: int, k: int) -> np.ndarray:
         raise ValueError(f"k must be positive, got {k}")
     if _power_exceeds_128_bits(limit, k):
         raise ValueError(f"J_{k} values up to {limit} exceed the 128-bit range")
-    dtype = np.int64 if limit**k < 2**62 else object
+    dtype = jordan_dtype(limit, k)
 
     def local(p, e):  # J_k(p^e)
         return p ** (k * (e - 1)) * (p**k - 1)

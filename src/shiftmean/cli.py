@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import curveconst, curvelab, harness, presets
-from .arith import factorize_trial, jordan_totient, totient
+from .arith import factorize_trial, jordan_dtype, jordan_totient, totient
 from .curveconst import SymbolConvention
 from .euler import shifted_mean_constant
 from .reports import dumps_json, fmt_csv
@@ -26,10 +26,13 @@ MAX_EVAL_N = 10**16
 
 # Float and int64 tables and sums up to x peak at 17-35 bytes per x (166-328
 # MB of RSS at x = 1e7 for meanvalue phi, jordan-2, kstar and verify gap, t3),
-# so this ceiling keeps those runs under 1.8 GB.  Object-dtype Jordan tables
-# (x^k >= 2^62) take 95-100 bytes per x (184-190 MB at x = 2e6 for jordan-3
-# and jordan-4), about 5 GB at the ceiling.
+# so this ceiling keeps those runs under 1.8 GB.
 MAX_X = 5 * 10**7
+
+# Jordan tables of Python ints (arith.jordan_dtype) add about 82 bytes per x
+# to some 31 MB (meanvalue jordan-3, -4, -5: 106-109 MB at x = 1e6, 336-346
+# MB at x = 4e6), so this ceiling keeps those runs near 1.3 GB.
+MAX_X_PYINT = 15 * 10**6
 
 
 class UsageError(ValueError):
@@ -78,13 +81,6 @@ def _parse_grid(args, field_grid="--x-grid", field_max="--xmax") -> tuple:
     raise UsageError(f"{field_grid}: one of {field_grid} or {field_max} is required")
 
 
-def _convention(name: str) -> SymbolConvention:
-    for conv in SymbolConvention:
-        if conv.value == name:
-            return conv
-    raise UsageError(f"--convention: unknown value {name!r}")
-
-
 def _emit(text: str, output: str) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -97,11 +93,6 @@ def _check_cutoff(cutoff: int, floor: int = 2) -> int:
     if cutoff < floor or cutoff > 2 * 10**9:
         raise UsageError(f"--prime-cutoff: out of range [{floor}, 2e9] (got {cutoff})")
     return cutoff
-
-
-def _check_depth(depth: int) -> None:
-    if depth < 1:
-        raise UsageError(f"--depth: must be >= 1 (got {depth})")
 
 
 def _check_shift(shift: int, cutoff: int) -> None:
@@ -121,7 +112,6 @@ def _check_shift(shift: int, cutoff: int) -> None:
 
 def _cmd_constant(args) -> int:
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
-    _check_depth(args.depth)
     if args.target != "c2":
         _check_shift(args.shift, cutoff)
     _echo_config(args, prime_cutoff=cutoff)
@@ -132,7 +122,7 @@ def _cmd_constant(args) -> int:
             preset = presets.get_preset(args.target, shift=args.shift)
         except ValueError as exc:
             raise UsageError(f"target: {exc}") from None
-        ev = shifted_mean_constant(preset.pair, cutoff, args.depth)
+        ev = shifted_mean_constant(preset.pair, cutoff)
     payload = {
         "target": args.target,
         "value": ev.value,
@@ -147,7 +137,7 @@ def _cmd_constant(args) -> int:
 
 def _cmd_eval(args) -> int:
     n = _parse_int(args.n, "n")
-    conv = _convention(args.convention)
+    conv = SymbolConvention(args.convention)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
     _echo_config(args, n=n, prime_cutoff=cutoff)
     if n > MAX_EVAL_N:
@@ -177,20 +167,25 @@ def _cmd_meanvalue(args) -> int:
     if args.shift >= grid[0]:
         raise UsageError(f"--shift: must be below the first grid point {grid[0]} (got {args.shift})")
     _check_shift(args.shift, cutoff)
-    _check_depth(args.depth)
     try:
         preset = presets.get_preset(args.preset, shift=args.shift)
     except ValueError as exc:
         raise UsageError(f"preset: {exc}") from None
+    tab = preset.f_tab
+    if (isinstance(tab, harness.NamedFn) and grid[-1] > MAX_X_PYINT
+            and jordan_dtype(grid[-1], tab.k) is object):
+        field = "--x-grid" if args.x_grid else "--xmax"
+        raise UsageError(f"{field}: {preset.name} tabulates Python ints at this x, "
+                         f"so x must be <= {MAX_X_PYINT} (got {grid[-1]})")
     _echo_config(args, prime_cutoff=cutoff, x_grid=grid)
-    report = harness.run_grid(preset, grid, prime_cutoff=cutoff, depth=args.depth)
+    report = harness.run_grid(preset, grid, prime_cutoff=cutoff)
     _emit(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
     grid = _parse_grid(args)
-    conv = _convention(args.convention)
+    conv = SymbolConvention(args.convention)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
     if args.target == "gap":
         for field, value in (("--gap-d", args.gap_d), ("--gap-l", args.gap_l)):
@@ -224,10 +219,7 @@ def _cmd_curvelab(args) -> int:
         raise UsageError(f"--n-max: exceeds cap {args.cap}")
     _echo_config(args, prime_cutoff=cutoff)
     c2 = curveconst.twin_prime_constant(cutoff)
-    records = [
-        curvelab.expected_m(n, cap=args.cap, c2=c2)
-        for n in range(args.n_min, args.n_max + 1)
-    ]
+    records = [curvelab.expected_m(n, c2=c2) for n in range(args.n_min, args.n_max + 1)]
     if args.format == "csv":
         _emit(curvelab.records_to_csv(records), args.output)
     else:
@@ -259,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constant", help="compute an Euler-product constant")
     p.add_argument("target", help="c2 or a preset name (phi, jordan-k, kstar, kstar-odd, khat)")
     p.add_argument("--prime-cutoff", default="1e6")
-    p.add_argument("--depth", type=int, default=60, help="prime-power depth cutoff")
     p.add_argument("--shift", type=int, default=1)
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_constant)
@@ -277,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("meanvalue", help="empirical vs predicted sums for a preset")
     p.add_argument("preset", help="phi, jordan-k, kstar, kstar-odd, or khat")
     p.add_argument("--shift", type=int, default=1)
-    p.add_argument("--depth", type=int, default=60)
     add_common(p)
     p.set_defaults(handler=_cmd_meanvalue)
 

@@ -260,17 +260,8 @@ def eval_point(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
 # ---------------------------------------------------------------------------
 # Mean-value verification runs
 
-MEAN_TARGETS = ("t2a", "t2b", "t3")
-
-
-def _mean_slope(which: str) -> float:
-    if which == "t2a":
-        return 1.0
-    if which == "t2b":
-        return 1.0 / 3.0
-    if which == "t3":
-        return ORIGINAL_MEAN
-    raise ValueError(f"unknown mean-value target {which!r}; options: {MEAN_TARGETS}")
+# Each mean-value target and the slope of its main term.
+MEAN_TARGETS = {"t2a": 1.0, "t2b": 1.0 / 3.0, "t3": ORIGINAL_MEAN}
 
 
 def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConvention.UNIT,
@@ -282,7 +273,9 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     shifted factor is undefined at 0; the omission is absorbed by the
     O(log x) error scale.  Normalized residual divides by log x.
     """
-    slope = _mean_slope(which)
+    slope = MEAN_TARGETS.get(which)
+    if slope is None:
+        raise ValueError(f"unknown mean-value target {which!r}; options: {tuple(MEAN_TARGETS)}")
     xs = [int(v) for v in x_grid]
     if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("x grid must be non-empty and strictly increasing")
@@ -291,13 +284,12 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     xmax = xs[-1]
 
     shift_vals = multiplicative_table(shift_part_fn, xmax - 1)
-    if which == "t2a":
-        order_vals = multiplicative_table(order_part_fn, xmax)
-    elif which == "t2b":
-        order_vals = multiplicative_table(order_part_fn, xmax)
-        order_vals[0::2] = 0.0
-    else:
+    if which == "t3":
         order_vals = multiplicative_table(odd_val_part_fn, xmax) * even_val_symbol_table(xmax, conv)
+    else:
+        order_vals = multiplicative_table(order_part_fn, xmax)
+        if which == "t2b":
+            order_vals[0::2] = 0.0
 
     sums = prefix_dots(shift_vals[1:xmax], order_vals[2 : xmax + 1], [x - 1 for x in xs])
     rows = []

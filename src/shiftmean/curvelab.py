@@ -138,19 +138,15 @@ def density(order: int, p: int) -> Fraction:
     return Fraction(count, p * p)
 
 
-def expected_m(order: int, cap: int = DEFAULT_ORDER_CAP,
-               *, c2: EulerProductValue) -> CurveDensityRecord:
-    """Full density record for one target order.
+def expected_m(order: int, *, c2: EulerProductValue) -> CurveDensityRecord:
+    """Full density record for one target order, 7 <= order <= MAX_ORDER_CAP.
 
-    Each window prime costs one histogram (see order_histogram); cap bounds
-    the largest admissible order and may not exceed MAX_ORDER_CAP.
+    Each window prime costs one histogram (see order_histogram).
     """
-    if cap > MAX_ORDER_CAP:
-        raise ValueError(f"cap {cap} exceeds the ceiling {MAX_ORDER_CAP}")
     if order < 7:
         raise ValueError(f"order must be >= 7, got {order}")
-    if order > cap:
-        raise ValueError(f"order {order} exceeds cap {cap}")
+    if order > MAX_ORDER_CAP:
+        raise ValueError(f"order {order} exceeds the ceiling {MAX_ORDER_CAP}")
     window = hasse_window_primes(order)
     rho = {p: density(order, p) for p in window}
     total = float(sum(rho.values(), start=Fraction(0)))

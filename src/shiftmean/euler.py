@@ -11,6 +11,7 @@ live with the tests, in tests/oracles.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,10 +22,10 @@ from .arith import PrimePowerFn, factorize_trial, primes_up_to
 
 # Power-series truncation: stop once p^k passes the ceiling or the summand
 # magnitude falls below the floor; both are beyond double resolution for the
-# geometrically decaying tables used here.
+# geometrically decaying tables used here.  The ceiling alone ends every
+# series by k = 60, since 2^60 > 10^18.
 POWER_CEILING = 10**18
 TERM_FLOOR = 1e-20
-DEFAULT_DEPTH = 60
 
 # local factors smaller than this are treated as degenerate (division by
 # near-zero in the shift correction)
@@ -93,10 +94,10 @@ class EulerProductValue:
     tail_bound_sharp: Optional[float] = None
 
 
-def _max_depth(p: int, depth: int) -> int:
-    """Largest usable exponent at p: min(depth, floor(log_p POWER_CEILING))."""
+def _max_depth(p: int) -> int:
+    """Largest usable exponent at p: floor(log_p POWER_CEILING)."""
     k, pk = 0, 1
-    while k < depth and pk <= POWER_CEILING // p:
+    while pk <= POWER_CEILING // p:
         pk *= p
         k += 1
     return max(k, 1)
@@ -139,12 +140,14 @@ def shift_local_factor(f: PrimePowerFn, g: PrimePowerFn, p: int, valuation: int,
     return 1.0 + num / s0
 
 
-def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                          depth: int = DEFAULT_DEPTH) -> EulerProductValue:
+def shifted_mean_constant(pair: ShiftedPairSpec,
+                          prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
     """The constant multiplying the main term of the shifted mean value.
 
     Product over primes p <= prime_cutoff of the local factors, times the
-    shift correction at each prime dividing the shift.  Deterministic for
+    shift correction at each prime dividing the shift.  Each local power
+    series runs until p^k passes POWER_CEILING for every prime or all its
+    terms fall below TERM_FLOOR; power_depth is the last k.  Deterministic for
     fixed inputs: primes are folded in ascending order, in log space when
     every factor is positive.
     """
@@ -161,9 +164,9 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int = DEFAULT_PRI
     sums = np.zeros(len(primes))
     envelope = 0.0
     depth_used = 0
-    for k in range(1, depth + 1):
+    for k in itertools.count(1):
         hi = len(primes)
-        if float(primes[-1]) ** k > POWER_CEILING:
+        if int(primes[-1]) ** k > POWER_CEILING:
             hi = int(np.searchsorted(primes, int(POWER_CEILING ** (1.0 / k)) + 1))
         if hi == 0:
             break
@@ -183,7 +186,7 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int = DEFAULT_PRI
         value = float(np.prod(1.0 + sums))
 
     for p, nu in h_fac:
-        value *= shift_local_factor(pair.f, pair.g, p, nu, _max_depth(p, depth))
+        value *= shift_local_factor(pair.f, pair.g, p, nu, _max_depth(p))
 
     cutoff = float(prime_cutoff)
     tail_rel = envelope / (cutoff * math.log(cutoff)) if cutoff > 2 else envelope

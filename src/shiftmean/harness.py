@@ -134,12 +134,12 @@ def shifted_sum(f_vals, g_vals, shift: int, x: int):
 # ---------------------------------------------------------------------------
 # Grid runs
 
-def run_grid(preset, x_grid, *, prime_cutoff: int, depth: int) -> MeanValueReport:
+def run_grid(preset, x_grid, *, prime_cutoff: int) -> MeanValueReport:
     """Empirical sums of a presets.Preset against its predicted main term.
 
     One row per x in the ascending grid; the constant is the preset pair's
-    Euler product at the given prime cutoff and power depth, and the
-    normalized column divides each residual by the preset's error function.
+    Euler product at the given prime cutoff, and the normalized column
+    divides each residual by the preset's error function.
     """
     pair = preset.pair
     xs = [int(v) for v in x_grid]
@@ -149,7 +149,7 @@ def run_grid(preset, x_grid, *, prime_cutoff: int, depth: int) -> MeanValueRepor
         raise ValueError(f"grid starts at {xs[0]}, need x > shift={pair.shift}")
     xmax = xs[-1]
 
-    constant = shifted_mean_constant(pair, prime_cutoff, depth)
+    constant = shifted_mean_constant(pair, prime_cutoff)
     f_vals = tabulate(preset.f_tab, xmax)
     g_vals = f_vals if preset.g_tab == preset.f_tab else tabulate(preset.g_tab, xmax)
 

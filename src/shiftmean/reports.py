@@ -1,7 +1,7 @@
 """Report containers and their CSV/JSON wire formats.
 
-CSV carries 12 significant digits, JSON 17 (full round-trip); identical
-inputs therefore serialize to byte-identical output.
+CSV carries 12 significant digits, JSON the shortest repr that round-trips
+each float; identical inputs therefore serialize to byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,25 +14,8 @@ def fmt_csv(v: float) -> str:
     return f"{float(v):.12g}"
 
 
-def json_ready(obj):
-    """Recursively convert to JSON-serializable data with 17-digit floats."""
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, int):
-        return obj
-    if hasattr(obj, "item"):  # numpy scalar
-        return json_ready(obj.item())
-    return str(obj)
-
-
 def dumps_json(obj) -> str:
-    return json.dumps(json_ready(obj), sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from shiftmean.curveconst import (
 from shiftmean.curvelab import expected_m
 from shiftmean.euler import shifted_mean_constant
 from shiftmean.harness import shifted_sum
-from shiftmean.presets import get_preset, jordan_preset, kstar_preset, phi_preset
+from shiftmean.presets import get_preset
 
 from oracles import (
     count_points,
@@ -121,7 +121,7 @@ def test_acceptance_4_totient_pair_ratio(phi_values):
     x = GRID[-1]
     worst = 0.0
     for h in (1, 2, 6):
-        constant = shifted_mean_constant(phi_preset(shift=h).pair, FULL_CUTOFF)
+        constant = shifted_mean_constant(get_preset("phi", shift=h).pair, FULL_CUTOFF)
         empirical = shifted_sum(phi_values, phi_values, h, x)
         assert isinstance(empirical, int)  # exact accumulation
         ratio = float(empirical) / (constant.value * x**3 / 3)
@@ -133,7 +133,7 @@ def test_acceptance_4_totient_pair_ratio(phi_values):
 
 def test_acceptance_5_jordan_pair_ratio():
     x = 10**5
-    preset = jordan_preset(2)
+    preset = get_preset("jordan-2")
     constant = shifted_mean_constant(preset.pair, FULL_CUTOFF)
     from shiftmean.harness import tabulate
 
@@ -166,7 +166,7 @@ def test_acceptance_7_oracle_equivalences(c2_full):
     # (i) rearranged double sum vs the Euler product
     D = 10**4
     defects = []
-    for preset in (phi_preset(), kstar_preset()):
+    for preset in (get_preset("phi"), get_preset("kstar")):
         c = shifted_mean_constant(preset.pair, 10**6)
         defects.append(abs(double_sum_by_gcd(preset.pair, D) - c.value))
     ok_i = all(d <= 1e-3 for d in defects)
@@ -277,7 +277,7 @@ def test_acceptance_10_curvelab(c2_full):
 
 
 def test_tail_bounds_monotone_at_full_scale():
-    presets = [phi_preset(), jordan_preset(2), kstar_preset(),
+    presets = [get_preset("phi"), get_preset("jordan-2"), get_preset("kstar"),
                get_preset("kstar-odd"), get_preset("khat")]
     for preset in presets:
         tails = [

@@ -177,6 +177,9 @@ def test_runtime_error_exits_1(argv, capsys):
         (["constant", "kstar", "--shift", "100000000000000000039"], None, 2, "--shift"),
         (["meanvalue", "kstar", "--shift", "100000000000000000039", "--x-grid", "1000"],
          None, 2, "--shift"),
+        (["meanvalue", "jordan-3", "--x-grid", "1000,15000001"], None, 2, "--x-grid"),
+        (["meanvalue", "jordan-4", "--xmax", "2e7"], None, 2, "--xmax"),
+        (["meanvalue", "jordan-1000000000", "--xmax", "2e7"], None, 2, "--xmax"),
     ],
 )
 def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):
@@ -263,6 +266,11 @@ GOLDEN_STDOUT = {
         "ecf42c8eae79adb229f1a1f95b8d8bed1d0570d12e3ef1935c0fb6a3f3a94ff3",
     "meanvalue khat --shift 6 --x-grid 1000,150000 --format json":
         "df8074349528ec3e8b18ff6134f506484572780dc047bdce63993a0753189060",
+    # recorded before the --depth option was removed
+    "constant khat --shift 12 --prime-cutoff 1e5":
+        "df29c35e0a0b683e35a65cfc07bfe11ae7d108806d9490a1ff76313fbf9ccd14",
+    "constant jordan-3 --shift 30 --prime-cutoff 1e5":
+        "2da483a12f2bfcda2207c038e2367880ac2423ec473ec7a8b75c41782b7b089d",
 }
 
 

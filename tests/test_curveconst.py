@@ -333,7 +333,7 @@ def test_mean_order_grid_agrees_with_preset_route():
 
     c2 = twin_prime_constant(10**5)
     x = 2000
-    via_harness = run_grid(get_preset("kstar"), [x], prime_cutoff=10**5, depth=60)
+    via_harness = run_grid(get_preset("kstar"), [x], prime_cutoff=10**5)
     via_parents = mean_order_grid("t2a", [x], c2=c2)
     assert c2.value * via_harness.rows[0].empirical == pytest.approx(
         via_parents.rows[0].empirical, rel=1e-12

@@ -236,9 +236,7 @@ def test_expected_m_domain_errors():
     with pytest.raises(ValueError):
         expected_m(6, c2=c2)
     with pytest.raises(ValueError):
-        expected_m(300, cap=200, c2=c2)
-    with pytest.raises(ValueError):
-        expected_m(20, cap=MAX_ORDER_CAP + 1, c2=c2)
+        expected_m(MAX_ORDER_CAP + 1, c2=c2)
 
 
 def test_record_serialization():

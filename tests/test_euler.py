@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftmean.arith import PrimePowerFn, multiplicative_table
+from shiftmean import euler
+from shiftmean.arith import PrimePowerFn, multiplicative_table, primes_up_to
 from shiftmean.curveconst import twin_prime_constant
 from shiftmean.euler import (
     DegenerateLocalFactor,
@@ -16,7 +17,7 @@ from shiftmean.euler import (
     shifted_mean_constant,
 )
 from shiftmean.harness import run_grid
-from shiftmean.presets import get_preset, jordan_preset, kstar_preset, phi_preset
+from shiftmean.presets import get_preset
 
 from oracles import double_sum_by_gcd, double_sum_oracle, local_factor, prime_zeta, riemann_zeta
 
@@ -53,7 +54,7 @@ def _random_table(rng, depth=10):
 
 
 def test_paired_power_sum_phi_examples():
-    pair = phi_preset().pair
+    pair = get_preset("phi").pair
     assert paired_power_sum(pair.f, pair.g, 2, 0, 20) == pytest.approx(0.5, abs=1e-16)
     assert paired_power_sum(pair.f, pair.g, 2, 1, 20) == pytest.approx(1 / 16, abs=1e-16)
 
@@ -76,7 +77,7 @@ def test_paired_power_sum_matches_brute_force():
 
 
 def test_paired_power_sum_depth_precondition():
-    pair = phi_preset().pair
+    pair = get_preset("phi").pair
     with pytest.raises(ValueError):
         paired_power_sum(pair.f, pair.g, 2, 3, 2)
 
@@ -90,7 +91,7 @@ def test_local_factor_equals_min_zero_sum():
 
 
 def test_local_factor_phi_pair_closed_form():
-    pair = phi_preset().pair
+    pair = get_preset("phi").pair
     for p in (2, 3, 5, 101):
         assert local_factor(pair.f, pair.g, p, 40) == pytest.approx(1 - 2 / p**2, rel=1e-15)
 
@@ -109,7 +110,7 @@ def test_completeness_rearrangement():
 
 
 def test_shift_local_factor_phi_values():
-    pair = phi_preset().pair
+    pair = get_preset("phi").pair
     # closed form 1 + 1/(p(p^2-2)) at valuation 1
     assert shift_local_factor(pair.f, pair.g, 2, 1, 40) == pytest.approx(5 / 4, rel=1e-15)
     assert shift_local_factor(pair.f, pair.g, 3, 1, 40) == pytest.approx(22 / 21, rel=1e-15)
@@ -131,7 +132,7 @@ def test_shift_local_factor_degenerate():
 
 
 def test_constant_phi_pair_matches_oracle_value():
-    c = shifted_mean_constant(phi_preset().pair, 10**6)
+    c = shifted_mean_constant(get_preset("phi").pair, 10**6)
     assert c.tail_bound >= 0
     assert abs(c.value - PHI_PAIR_CONSTANT) <= c.tail_bound + 1e-12
     # tail itself is small at this cutoff
@@ -139,7 +140,7 @@ def test_constant_phi_pair_matches_oracle_value():
 
 
 def test_constant_jordan2_matches_oracle_value():
-    c = shifted_mean_constant(jordan_preset(2).pair, 10**6)
+    c = shifted_mean_constant(get_preset("jordan-2").pair, 10**6)
     assert abs(c.value - JORDAN2_PAIR_CONSTANT) <= c.tail_bound + 1e-12
 
 
@@ -150,9 +151,9 @@ def test_constant_zero_pair():
 
 
 def test_constant_with_shift_factors():
-    c1 = shifted_mean_constant(phi_preset().pair, 10**5)
-    c2 = shifted_mean_constant(phi_preset(shift=2).pair, 10**5)
-    c6 = shifted_mean_constant(phi_preset(shift=6).pair, 10**5)
+    c1 = shifted_mean_constant(get_preset("phi").pair, 10**5)
+    c2 = shifted_mean_constant(get_preset("phi", shift=2).pair, 10**5)
+    c6 = shifted_mean_constant(get_preset("phi", shift=6).pair, 10**5)
     assert c2.value == pytest.approx(c1.value * 5 / 4, rel=1e-14)
     assert c6.value == pytest.approx(c1.value * (5 / 4) * (22 / 21), rel=1e-14)
 
@@ -161,24 +162,42 @@ def test_constant_reciprocal_of_twin_prime_product():
     # the curve-order pair telescopes against the twin-prime product at any
     # shared cutoff: local factor at 2 is 1, at odd p the exact reciprocal
     for cutoff in (10**3, 10**5):
-        c = shifted_mean_constant(kstar_preset().pair, cutoff)
+        c = shifted_mean_constant(get_preset("kstar").pair, cutoff)
         t = twin_prime_constant(cutoff)
         assert c.value * t.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_constant_rejects_small_cutoff_for_shift():
     with pytest.raises(ValueError):
-        shifted_mean_constant(phi_preset(shift=22).pair, 7)
+        shifted_mean_constant(get_preset("phi", shift=22).pair, 7)
 
 
 def test_constant_deterministic():
-    a = shifted_mean_constant(phi_preset().pair, 10**5)
-    b = shifted_mean_constant(phi_preset().pair, 10**5)
+    a = shifted_mean_constant(get_preset("phi").pair, 10**5)
+    b = shifted_mean_constant(get_preset("phi").pair, 10**5)
     assert a == b
 
 
+def test_constant_power_series_ends_at_the_ceiling():
+    # terms that never fall below TERM_FLOOR: p^k > 10^18 ends the series at 2^59
+    flat = PrimePowerFn(lambda p, k: 1e-9 * p**k, name="flat")
+    pair = ShiftedPairSpec(f=flat, g=flat, shift=1, baseline=MonomialBaseline(0, 0))
+    assert shifted_mean_constant(pair, 10**3).power_depth == 59
+
+
+def test_constant_with_a_prime_past_float_powers(monkeypatch):
+    # kstar runs to k = 34, and (2e9)^34 overflows a float; one large prime
+    # stands in for a sieve to 2e9, which would need gigabytes
+    base = shifted_mean_constant(get_preset("kstar").pair, 10**5)
+    primes = np.append(primes_up_to(10**5), 1999999973)
+    monkeypatch.setattr(euler, "primes_up_to", lambda limit: primes)
+    c = shifted_mean_constant(get_preset("kstar").pair, 2 * 10**9)
+    assert c.power_depth == base.power_depth == 34
+    assert c.value == pytest.approx(base.value, rel=1e-15)
+
+
 def test_tail_bound_monotone_in_cutoff_small_scale():
-    for preset in (phi_preset(), jordan_preset(2), kstar_preset()):
+    for preset in (get_preset("phi"), get_preset("jordan-2"), get_preset("kstar")):
         tails = [shifted_mean_constant(preset.pair, P).tail_bound for P in (10**4, 10**5, 10**6)]
         assert tails[0] >= tails[1] >= tails[2]
 
@@ -194,7 +213,7 @@ def test_double_sum_oracle_single_term():
 def test_double_sum_oracle_reduces_to_single_sum():
     # g vanishing on all prime powers leaves sum_{d<=D} f(d)/d
     pair = ShiftedPairSpec(
-        f=phi_preset().pair.f,
+        f=get_preset("phi").pair.f,
         g=PrimePowerFn(lambda p, k: 0.0 * p, name="zero"),
         shift=1,
         baseline=MonomialBaseline(1, 1),
@@ -207,7 +226,7 @@ def test_double_sum_oracle_reduces_to_single_sum():
 
 def test_double_sum_oracle_converges_to_constant():
     # errors shrink in trend across three decades of cutoff on every preset
-    for preset in (phi_preset(), jordan_preset(2), kstar_preset()):
+    for preset in (get_preset("phi"), get_preset("jordan-2"), get_preset("kstar")):
         c = shifted_mean_constant(preset.pair, 10**6).value
         errs = [abs(double_sum_by_gcd(preset.pair, D) - c) for D in (100, 1000, 10000)]
         assert errs[2] < errs[0], preset.name
@@ -224,12 +243,12 @@ def test_double_sum_by_gcd_equals_brute_form():
             assert double_sum_by_gcd(pair, D) == pytest.approx(brute, rel=1e-14, abs=1e-15), (
                 name, h, D)
     with pytest.raises(ValueError):
-        double_sum_by_gcd(phi_preset().pair, 0)
+        double_sum_by_gcd(get_preset("phi").pair, 0)
 
 
 def test_double_sum_oracle_with_shift():
     # gcd condition actually bites: shift 4 admits gcd in {1, 2, 4}
-    pair = phi_preset(shift=4).pair
+    pair = get_preset("phi", shift=4).pair
     c = shifted_mean_constant(pair, 10**6).value
     assert abs(double_sum_oracle(pair, 2000) - c) < 2e-3
 
@@ -242,18 +261,18 @@ def test_double_sum_oracle_with_shift():
 
 
 def test_predicted_main_flat_baseline():
-    pair = kstar_preset().pair
+    pair = get_preset("kstar").pair
     c = shifted_mean_constant(pair, 10**4)
     assert c.value * pair.baseline.main_term(50) == pytest.approx(c.value * 50)
-    row = run_grid(kstar_preset(), [50], prime_cutoff=10**4, depth=60).rows[0]
+    row = run_grid(get_preset("kstar"), [50], prime_cutoff=10**4).rows[0]
     assert row.predicted == c.value * pair.baseline.main_term(50)
 
 
 def test_predicted_main_degree_scaling():
-    phi_pair = phi_preset().pair
+    phi_pair = get_preset("phi").pair
     c = shifted_mean_constant(phi_pair, 10**4)
     assert c.value * phi_pair.baseline.main_term(100) == pytest.approx(c.value * 100**3 / 3)
-    j2 = jordan_preset(2).pair
+    j2 = get_preset("jordan-2").pair
     cj = shifted_mean_constant(j2, 10**4)
     assert cj.value * j2.baseline.main_term(100) == pytest.approx(cj.value * 100**5 / 5)
 
@@ -261,7 +280,7 @@ def test_predicted_main_degree_scaling():
 def test_predicted_main_rejects_tiny_x():
     # a grid run predicts only where the shifted argument is positive
     with pytest.raises(ValueError):
-        run_grid(phi_preset(shift=5), [5], prime_cutoff=10**4, depth=60)
+        run_grid(get_preset("phi", shift=5), [5], prime_cutoff=10**4)
 
 
 def test_baseline_progression_sums_within_error_scale():
@@ -296,7 +315,7 @@ def test_pair_partial_sums_bounded():
     # non-decreasing and stays under a fixed bound on every preset table
     D = 10**5
     d = np.arange(1, D + 1, dtype=np.float64)
-    presets = [phi_preset(), jordan_preset(2), kstar_preset(),
+    presets = [get_preset("phi"), get_preset("jordan-2"), get_preset("kstar"),
                get_preset("kstar-odd"), get_preset("khat")]
     for preset in presets:
         for fn in (preset.pair.f, preset.pair.g):

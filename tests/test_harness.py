@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from shiftmean import harness
 
 from shiftmean.arith import jordan_totient, totient
-from shiftmean.curveconst import shift_kernel
+from shiftmean.curveconst import (
+    averaged_order_kernel,
+    order_kernel,
+    order_kernel_odd,
+    shift_kernel,
+)
 from shiftmean.euler import MonomialBaseline, PrimePowerFn, ShiftedPairSpec, shifted_mean_constant
 from shiftmean.harness import (
     SUM_BLOCK,
@@ -21,7 +26,7 @@ from shiftmean.harness import (
     shifted_sum,
     tabulate,
 )
-from shiftmean.presets import get_preset, phi_preset
+from shiftmean.presets import get_preset
 from shiftmean.reports import MeanValueReport, MeanValueRow
 
 from oracles import fit_error_exponent
@@ -51,7 +56,7 @@ def test_tabulate_zero_table_gives_ones():
 
 def test_tabulate_with_degree_factor():
     # the totient is n times the divisor sum of its kernel
-    phi_float = tabulate(DivisorSumFn(phi_preset().pair.f), 500) * np.arange(501.0)
+    phi_float = tabulate(DivisorSumFn(get_preset("phi").pair.f), 500) * np.arange(501.0)
     phi_exact = tabulate(NamedFn("totient"), 500)
     assert phi_float[1:] == pytest.approx(phi_exact[1:].astype(float), rel=1e-12)
 
@@ -238,7 +243,7 @@ def test_run_grid_tabulates_a_shared_table_once(monkeypatch):
         return tabulate(spec, limit)
 
     monkeypatch.setattr(harness, "tabulate", counting)
-    rep = run_grid(get_preset("phi"), [1000, 2000], prime_cutoff=10**4, depth=60)
+    rep = run_grid(get_preset("phi"), [1000, 2000], prime_cutoff=10**4)
     assert calls == [NamedFn("totient")]
     phi = tabulate(NamedFn("totient"), 2000)
     assert rep.rows[-1].empirical == float(shifted_sum(phi, phi, 1, 2000))
@@ -246,7 +251,7 @@ def test_run_grid_tabulates_a_shared_table_once(monkeypatch):
 
 
 def test_run_grid_phi_small():
-    rep = run_grid(get_preset("phi"), [10**3, 10**4], prime_cutoff=10**6, depth=60)
+    rep = run_grid(get_preset("phi"), [10**3, 10**4], prime_cutoff=10**6)
     assert rep.error_label == "x^2 log^2 x"
     for row in rep.rows:
         assert row.residual == row.empirical - row.predicted
@@ -255,21 +260,21 @@ def test_run_grid_phi_small():
 
 
 def test_run_grid_kstar_residual_scale():
-    rep = run_grid(get_preset("kstar"), [10**3, 10**4], prime_cutoff=10**6, depth=60)
+    rep = run_grid(get_preset("kstar"), [10**3, 10**4], prime_cutoff=10**6)
     for row in rep.rows:
         # residual/log x bounded; measured magnitude ~0.9 at small x
         assert abs(row.normalized) < 2.0
 
 
 def test_run_grid_deterministic():
-    a = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4, depth=60)
-    b = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4, depth=60)
+    a = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4)
+    b = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4)
     assert a == b
     assert a.to_csv() == b.to_csv()
 
 
 def test_run_grid_accepts_preset_object_and_shift():
-    rep = run_grid(get_preset("phi", shift=2), [500], prime_cutoff=10**4, depth=60)
+    rep = run_grid(get_preset("phi", shift=2), [500], prime_cutoff=10**4)
     assert rep.rows[0].x == 500
 
 
@@ -284,26 +289,54 @@ def test_run_grid_mu_like_pair_zero_constant():
     assert shifted_sum(vals, vals, 1, 1000) == 0.0
 
 
+@pytest.mark.parametrize("name, f_tab, g_tab, deg, label, error_at_e", [
+    ("phi", NamedFn("totient"), NamedFn("totient"), 1, "x^2 log^2 x", math.e**2),
+    ("jordan-3", NamedFn("jordan", 3), NamedFn("jordan", 3), 3, "x^6", math.e**6),
+    ("kstar", DivisorSumFn(shift_kernel), DivisorSumFn(order_kernel), 0, "log x", 1.0),
+    ("kstar-odd", DivisorSumFn(shift_kernel), DivisorSumFn(order_kernel_odd), 0, "log x", 1.0),
+    ("khat", DivisorSumFn(shift_kernel), DivisorSumFn(averaged_order_kernel), 0, "log x", 1.0),
+])
+def test_preset_table(name, f_tab, g_tab, deg, label, error_at_e):
+    preset = get_preset(name, shift=6)
+    assert (preset.name, preset.f_tab, preset.g_tab) == (name, f_tab, g_tab)
+    assert preset.pair.shift == 6
+    assert preset.pair.baseline == MonomialBaseline(deg, deg)
+    assert preset.error_label == label
+    assert preset.error_fn(math.e) == pytest.approx(error_at_e, rel=1e-15)
+    if deg:  # the Jordan kernel of order k: -p^-k at p, 0 at higher powers
+        primes = np.array([2, 3, 5, 999983])
+        for fn in (preset.pair.f, preset.pair.g):
+            assert np.array_equal(fn.on_primes(primes, 1), -1.0 / primes.astype(float) ** deg)
+            assert not fn.on_primes(primes, 2).any()
+
+
+def test_get_preset_rejects_unknown_names():
+    for name in ("sigma", "jordan-k", "jordan-0", "jordan-", "Phi"):
+        with pytest.raises(ValueError):
+            get_preset(name)
+    assert get_preset("jordan-02").name == "jordan-2"
+
+
 def test_run_grid_validates_grid():
     with pytest.raises(ValueError):
-        run_grid(get_preset("phi"), [1000, 100], prime_cutoff=10**4, depth=60)
+        run_grid(get_preset("phi"), [1000, 100], prime_cutoff=10**4)
     with pytest.raises(ValueError):
-        run_grid(get_preset("phi"), [], prime_cutoff=10**4, depth=60)
+        run_grid(get_preset("phi"), [], prime_cutoff=10**4)
     with pytest.raises(ValueError):
-        run_grid(get_preset("phi", shift=10), [5], prime_cutoff=10**4, depth=60)
+        run_grid(get_preset("phi", shift=10), [5], prime_cutoff=10**4)
 
 
 def test_corollary_ratio_reproduction_small_scale():
     # ratio -> 1 within 10 log^2(x)/x for the totient pair at x = 1e4, 1e5
     for h in (1, 2, 6):
-        rep = run_grid(get_preset("phi", shift=h), [10**4, 10**5], prime_cutoff=10**6, depth=60)
+        rep = run_grid(get_preset("phi", shift=h), [10**4, 10**5], prime_cutoff=10**6)
         for row in rep.rows:
             bound = 10 * math.log(row.x) ** 2 / row.x
             assert abs(row.empirical / row.predicted - 1) <= bound
 
 
 def test_jordan2_grid_ratio():
-    rep = run_grid(get_preset("jordan-2"), [10**4], prime_cutoff=10**6, depth=60)
+    rep = run_grid(get_preset("jordan-2"), [10**4], prime_cutoff=10**6)
     row = rep.rows[0]
     assert row.empirical / row.predicted == pytest.approx(1.0, abs=1e-2)
 
@@ -364,7 +397,7 @@ def test_report_requires_increasing_x():
 
 
 def test_report_csv_and_json_shape():
-    rep = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4, depth=60)
+    rep = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4)
     csv = rep.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "x,empirical,predicted,residual,normalized"
