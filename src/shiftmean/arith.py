@@ -1,15 +1,17 @@
 """Sieve-backed integer arithmetic.
 
-One prime sieve, trial-division factorization, Jacobi symbols,
-multiplicative functions defined by their values on prime powers, and one
-prime-power sieve that tabulates them (float or exact) over an interval.
+One segmented prime sieve (odd numbers only, SIEVE_SPAN integers at a time,
+so a caller that streams its segments holds a bounded amount whatever the
+limit), trial-division factorization, Jacobi symbols, multiplicative
+functions defined by their values on prime powers, and one prime-power
+sieve that tabulates them (float or exact) over an interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -155,28 +157,71 @@ def jordan_totient(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Prime lists and bulk tabulation
 
+# Integers per sieve segment.  A segment keeps one bool per odd number (2
+# MiB), and one segment's primes are all an Euler product holds at a time.
+SIEVE_SPAN = 2**22
+
 # (limit, primes <= limit); replaced in one assignment so a reader never
 # pairs a limit with a prime list sieved for another.
 _prime_cache: tuple = (0, np.empty(0, dtype=np.int64))
 
 
-def primes_up_to(limit: int) -> np.ndarray:
-    """Ascending int64 array of primes <= limit (cached across calls)."""
+def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
+    """Ascending int64 array of the primes p with lo <= p <= limit.
+
+    Calls with lo = 0 are cached: a larger limit sieves only past the cached
+    one and appends.  Other ranges are sliced from the cache when it covers
+    them, else sieved afresh and not kept.
+    """
     global _prime_cache
-    if limit < 2:
+    if limit < max(lo, 2):
         return np.empty(0, dtype=np.int64)
     cached_limit, primes = _prime_cache
-    if cached_limit < limit:
-        composite = np.zeros(limit + 1, dtype=bool)
-        composite[:2] = True
-        for p in range(2, isqrt(limit) + 1):
-            if not composite[p]:
-                composite[p * p :: p] = True
-        cached_limit, primes = limit, np.flatnonzero(~composite).astype(np.int64)
-        _prime_cache = (cached_limit, primes)
-    if cached_limit == limit:
-        return primes
-    return primes[: int(np.searchsorted(primes, limit, side="right"))]
+    if limit <= cached_limit:
+        if lo <= 2 and limit == cached_limit:
+            return primes
+        return primes[int(np.searchsorted(primes, lo)) :
+                      int(np.searchsorted(primes, limit, side="right"))]
+    if lo > 0:
+        return _sieve_range(lo, limit)
+    primes = np.concatenate([primes, _sieve_range(cached_limit + 1, limit)])
+    _prime_cache = (limit, primes)
+    return primes
+
+
+def prime_segments(limit: int) -> Iterator[np.ndarray]:
+    """Yield the primes <= limit in ascending order, one sieve segment at a
+    time; a segment that holds no prime is skipped."""
+    for lo in range(0, limit + 1, SIEVE_SPAN):
+        primes = primes_up_to(min(lo + SIEVE_SPAN - 1, limit), lo)
+        if len(primes):
+            yield primes
+
+
+def _sieve_range(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi], sieved SIEVE_SPAN integers at a time."""
+    odd_base = primes_up_to(isqrt(hi))[1:]
+    parts = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    for start in range(lo, hi + 1, SIEVE_SPAN):
+        end = min(start + SIEVE_SPAN - 1, hi)
+        base = odd_base[: int(np.searchsorted(odd_base, isqrt(end), side="right"))]
+        parts.append(_sieve_odd(start | 1, end, base))
+    return np.concatenate(parts)
+
+
+def _sieve_odd(first: int, end: int, base: np.ndarray) -> np.ndarray:
+    """Odd primes in [first, end] for odd first, given the odd primes <= sqrt(end)."""
+    if end < first:
+        return np.empty(0, dtype=np.int64)
+    is_prime = np.ones((end - first) // 2 + 1, dtype=bool)  # entry i stands for first + 2i
+    # first odd multiple of p that is at least max(p^2, first)
+    multiple = np.maximum(base * base, -(-first // base) * base)
+    multiple += np.where(multiple % 2 == 0, base, 0)
+    for i, p in zip(((multiple - first) // 2).tolist(), base.tolist()):
+        is_prime[i::p] = False
+    if first == 1:
+        is_prime[0] = False
+    return first + 2 * np.flatnonzero(is_prime).astype(np.int64)
 
 
 def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> np.ndarray:

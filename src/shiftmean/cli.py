@@ -14,7 +14,13 @@ import argparse
 import sys
 
 from . import curveconst, curvelab, harness, presets
-from .arith import factorize_trial, jordan_dtype, jordan_totient, totient
+from .arith import (
+    _power_exceeds_128_bits,
+    factorize_trial,
+    jordan_dtype,
+    jordan_totient,
+    totient,
+)
 from .curveconst import SymbolConvention
 from .euler import shifted_mean_constant
 from .reports import dumps_json, fmt_csv
@@ -90,6 +96,8 @@ def _emit(text: str, output: str) -> None:
 
 
 def _check_cutoff(cutoff: int, floor: int = 2) -> int:
+    # Euler products stream the primes one sieve segment at a time, so memory
+    # does not grow with the cutoff.
     if cutoff < floor or cutoff > 2 * 10**9:
         raise UsageError(f"--prime-cutoff: out of range [{floor}, 2e9] (got {cutoff})")
     return cutoff
@@ -171,12 +179,14 @@ def _cmd_meanvalue(args) -> int:
         preset = presets.get_preset(args.preset, shift=args.shift)
     except ValueError as exc:
         raise UsageError(f"preset: {exc}") from None
-    tab = preset.f_tab
-    if (isinstance(tab, harness.NamedFn) and grid[-1] > MAX_X_PYINT
-            and jordan_dtype(grid[-1], tab.k) is object):
-        field = "--x-grid" if args.x_grid else "--xmax"
-        raise UsageError(f"{field}: {preset.name} tabulates Python ints at this x, "
-                         f"so x must be <= {MAX_X_PYINT} (got {grid[-1]})")
+    tab, field = preset.f_tab, "--x-grid" if args.x_grid else "--xmax"
+    if isinstance(tab, harness.NamedFn):
+        if _power_exceeds_128_bits(grid[-1], tab.k):
+            raise UsageError(f"{field}: {preset.name} values at x = {grid[-1]} "
+                             "exceed the 128-bit range (x^k >= 2^127)")
+        if grid[-1] > MAX_X_PYINT and jordan_dtype(grid[-1], tab.k) is object:
+            raise UsageError(f"{field}: {preset.name} tabulates Python ints at this x, "
+                             f"so x must be <= {MAX_X_PYINT} (got {grid[-1]})")
     _echo_config(args, prime_cutoff=cutoff, x_grid=grid)
     report = harness.run_grid(preset, grid, prime_cutoff=cutoff)
     _emit(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.output)

@@ -29,6 +29,7 @@ from .arith import (
     eval_multiplicative,
     factorize_trial,
     multiplicative_table,
+    prime_segments,
     primes_up_to,
     quad_symbol,
 )
@@ -214,9 +215,11 @@ def twin_prime_constant(prime_cutoff: int) -> EulerProductValue:
     and a sharper prime-density estimate alongside."""
     if prime_cutoff < 3:
         raise ValueError(f"prime cutoff must be >= 3, got {prime_cutoff}")
-    odd = primes_up_to(prime_cutoff)[1:].astype(np.float64)
-    s = -1.0 / (odd - 1.0) ** 2
-    value = float(np.exp(np.sum(np.log1p(s))))
+    log_sum = 0.0
+    for primes in prime_segments(prime_cutoff):
+        odd = primes[primes > 2].astype(np.float64)
+        log_sum += np.sum(np.log1p(-1.0 / (odd - 1.0) ** 2))
+    value = float(np.exp(log_sum))
     crude = 2.0 / (prime_cutoff - 1)
     sharp = abs(value) / (prime_cutoff * (math.log(prime_cutoff) - 1.0))
     return EulerProductValue(

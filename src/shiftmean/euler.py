@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import PrimePowerFn, factorize_trial, primes_up_to
+from .arith import PrimePowerFn, factorize_trial, prime_segments
 
 # Power-series truncation: stop once p^k passes the ceiling or the summand
 # magnitude falls below the floor; both are beyond double resolution for the
@@ -140,27 +140,14 @@ def shift_local_factor(f: PrimePowerFn, g: PrimePowerFn, p: int, valuation: int,
     return 1.0 + num / s0
 
 
-def shifted_mean_constant(pair: ShiftedPairSpec,
-                          prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
-    """The constant multiplying the main term of the shifted mean value.
+def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray) -> tuple:
+    """Per-prime sums over k >= 1 of (f(p^k) + g(p^k)) / p^k on ascending primes.
 
-    Product over primes p <= prime_cutoff of the local factors, times the
-    shift correction at each prime dividing the shift.  Each local power
+    Also returns the k = 1 envelope max p^2 |term| and the last k used: each
     series runs until p^k passes POWER_CEILING for every prime or all its
-    terms fall below TERM_FLOOR; power_depth is the last k.  Deterministic for
-    fixed inputs: primes are folded in ascending order, in log space when
-    every factor is positive.
+    terms fall below TERM_FLOOR.
     """
-    h_fac = factorize_trial(pair.shift) if pair.shift > 1 else []
-    if h_fac and h_fac[-1][0] > prime_cutoff:
-        raise ValueError(
-            f"prime cutoff {prime_cutoff} below largest prime {h_fac[-1][0]} of shift"
-        )
-    primes = primes_up_to(prime_cutoff)
-    if not len(primes):
-        raise ValueError(f"prime cutoff {prime_cutoff} admits no primes")
     pf = primes.astype(np.float64)
-
     sums = np.zeros(len(primes))
     envelope = 0.0
     depth_used = 0
@@ -174,16 +161,45 @@ def shifted_mean_constant(pair: ShiftedPairSpec,
         with np.errstate(over="ignore"):
             terms = (pair.f.on_primes(primes[:hi], k) + pair.g.on_primes(primes[:hi], k)) / sub**k
         if k == 1:
-            envelope = float(np.max(np.abs(terms) * sub * sub)) if hi else 0.0
+            envelope = float(np.max(np.abs(terms) * sub * sub))
         sums[:hi] += terms
         depth_used = k
         if not np.any(np.abs(terms) >= TERM_FLOOR):
             break
+    return sums, envelope, depth_used
 
-    if np.all(sums > -1.0):
-        value = float(np.exp(np.sum(np.log1p(sums))))
-    else:
-        value = float(np.prod(1.0 + sums))
+
+def shifted_mean_constant(pair: ShiftedPairSpec,
+                          prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
+    """The constant multiplying the main term of the shifted mean value.
+
+    Product over primes p <= prime_cutoff of the local factors, times the
+    shift correction at each prime dividing the shift.  Primes arrive one
+    sieve segment at a time, and each segment's local power series end as in
+    _local_sums; power_depth is the largest last k.  Deterministic for fixed
+    inputs: primes are folded in ascending order, as a sum of log|factor|
+    and a count of negative factors.
+    """
+    h_fac = factorize_trial(pair.shift) if pair.shift > 1 else []
+    if h_fac and h_fac[-1][0] > prime_cutoff:
+        raise ValueError(
+            f"prime cutoff {prime_cutoff} below largest prime {h_fac[-1][0]} of shift"
+        )
+    if prime_cutoff < 2:
+        raise ValueError(f"prime cutoff {prime_cutoff} admits no primes")
+    log_sum, negative = 0.0, False
+    envelope = 0.0
+    depth_used = 0
+    for primes in prime_segments(prime_cutoff):
+        sums, segment_envelope, segment_depth = _local_sums(pair, primes)
+        envelope = max(envelope, segment_envelope)
+        depth_used = max(depth_used, segment_depth)
+        below = sums < -1.0
+        negative ^= bool(np.count_nonzero(below) % 2)
+        # log|1 + s|, with |1 + s| = 1 + (-2 - s) below -1; a zero factor gives -inf
+        with np.errstate(divide="ignore"):
+            log_sum += np.sum(np.log1p(np.where(below, -2.0 - sums, sums)))
+    value = float(-np.exp(log_sum) if negative else np.exp(log_sum))
 
     for p, nu in h_fac:
         value *= shift_local_factor(pair.f, pair.g, p, nu, _max_depth(p))

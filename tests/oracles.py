@@ -1,7 +1,8 @@
 """Independent reference implementations the tests compare the package against.
 
 None of these runs on a command-line path.  Each recomputes a quantity the
-package produces by a different route: the constant as a rearranged double
+package produces by a different route: the primes by one whole-array sieve
+(the oracles below read theirs from it), the constant as a rearranged double
 sum (brute and regrouped by gcd), prime-zeta values and the twin-prime
 product built from them, the order constant from its defining product,
 the symbol-substitution gap over a mask of its congruence class, local
@@ -21,7 +22,6 @@ from shiftmean.arith import (
     PrimePowerFn,
     factorize_trial,
     multiplicative_table,
-    primes_up_to,
 )
 from shiftmean.curveconst import (
     SymbolConvention,
@@ -32,6 +32,22 @@ from shiftmean.curveconst import (
 from shiftmean.curvelab import _check_prime
 from shiftmean.euler import EulerProductValue, ShiftedPairSpec
 from shiftmean.reports import MeanValueReport
+
+# ---------------------------------------------------------------------------
+# Primes
+
+
+def plain_sieve(limit: int) -> np.ndarray:
+    """Ascending int64 primes <= limit from one whole-array Eratosthenes sieve."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    composite = np.zeros(limit + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, math.isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite).astype(np.int64)
+
 
 # ---------------------------------------------------------------------------
 # Rearranged double sum
@@ -146,7 +162,7 @@ def prime_zeta(s: float) -> float:
     downstream weights would amplify that.
     """
     if s >= 14:
-        return float(np.sum(primes_up_to(10000).astype(np.float64) ** (-float(s))))
+        return float(np.sum(plain_sieve(10000).astype(np.float64) ** (-float(s))))
     total = 0.0
     for k in range(1, len(_MU_SMALL)):
         mu = _MU_SMALL[k]
@@ -163,7 +179,7 @@ def prime_zeta(s: float) -> float:
 def prime_zeta_odd(s: float) -> float:
     """Sum over odd primes of p^-s; avoids the 2^-s cancellation for large s."""
     if s >= 14:
-        odd = primes_up_to(10000)[1:].astype(np.float64)
+        odd = plain_sieve(10000)[1:].astype(np.float64)
         return float(np.sum(odd ** (-float(s))))
     return prime_zeta(s) - 2.0 ** (-s)
 
@@ -199,7 +215,7 @@ def order_constant_direct(n: int, prime_cutoff: int) -> EulerProductValue:
         raise ValueError(f"n must be >= 1, got {n}")
     if prime_cutoff < 3:
         raise ValueError(f"prime cutoff must be >= 3, got {prime_cutoff}")
-    primes = primes_up_to(prime_cutoff)
+    primes = plain_sieve(prime_cutoff)
     pf = primes.astype(np.float64)
     indicator = ((n - 1) % primes != 0).astype(np.float64)
     if n == 1:

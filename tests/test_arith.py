@@ -15,13 +15,14 @@ from shiftmean.arith import (
     jordan_totient,
     multiplicative_table,
     partial_sum_fn,
+    prime_segments,
     primes_up_to,
     quad_symbol,
     totient,
     totient_table,
 )
 
-from oracles import eval_divisor_sum
+from oracles import eval_divisor_sum, plain_sieve
 
 PHI_RATIO = PrimePowerFn(lambda p, k: -1.0 / p if k == 1 else 0.0 * p, name="phi_ratio")
 ZERO_FN = PrimePowerFn(lambda p, k: 0.0 * p, name="zero")
@@ -416,3 +417,67 @@ def test_primes_up_to_cache_consistency():
     limit, primes = arith._prime_cache
     assert limit >= 10**4 and primes[-1] <= limit
     assert primes_up_to(limit) is primes
+
+
+SPAN = arith.SIEVE_SPAN
+
+
+@pytest.fixture
+def cold_primes(monkeypatch):
+    """An empty prime cache, restored after the test."""
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+
+
+@pytest.fixture(scope="module")
+def plain_primes():
+    return plain_sieve(10**7)
+
+
+@pytest.mark.parametrize("limit", [SPAN - 1, SPAN, SPAN + 1, 10**7])
+def test_primes_up_to_equals_plain_sieve(limit, plain_primes, cold_primes):
+    got = primes_up_to(limit)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, plain_primes[plain_primes <= limit])
+
+
+def test_primes_up_to_ranges_equal_plain_sieve(plain_primes, cold_primes):
+    def expect(lo, hi):
+        return plain_primes[(plain_primes >= lo) & (plain_primes <= hi)]
+
+    ranges = [(lo, hi) for lo in range(5) for hi in (lo, 1, 2, 3, 4, 5, 9, 10**4)]
+    ranges += [(SPAN - 9, SPAN + 9), (SPAN - 1, SPAN), (SPAN, SPAN), (SPAN + 1, 2 * SPAN + 1),
+               (1000, 2 * SPAN + 7), (SPAN // 2, SPAN + 10**5)]
+    for warm in (0, 100, SPAN + 5):  # empty, short and longer cache than the range
+        arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+        primes_up_to(warm)
+        for lo, hi in ranges:
+            assert np.array_equal(primes_up_to(hi, lo), expect(lo, hi)), (warm, lo, hi)
+    # a range past the cache does not grow it
+    assert arith._prime_cache[0] == SPAN + 5
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "mixed"])
+def test_primes_up_to_after_call_sequences(order, plain_primes, cold_primes):
+    limits = [2, 3, 100, 9973, SPAN - 1, SPAN, SPAN + 1, 5 * 10**6, 10**7]
+    if order == "descending":
+        limits.reverse()
+    elif order == "mixed":
+        random.Random(3).shuffle(limits)
+    for limit in limits:
+        assert np.array_equal(primes_up_to(limit), plain_primes[plain_primes <= limit]), limit
+    cached_limit, cached = arith._prime_cache
+    assert cached_limit == 10**7 and np.array_equal(cached, plain_primes)
+
+
+def test_prime_segments_cover_the_primes_once(plain_primes, cold_primes):
+    segments = list(prime_segments(10**7))
+    assert len(segments) == -(-(10**7 + 1) // SPAN)
+    for i, seg in enumerate(segments):
+        assert seg[0] >= i * SPAN and seg[-1] < (i + 1) * SPAN
+    assert np.array_equal(np.concatenate(segments), plain_primes)
+    # only the first segment, which starts at 0, is cached
+    assert arith._prime_cache[0] == SPAN - 1
+    assert [s.tolist() for s in prime_segments(10)] == [[2, 3, 5, 7]]
+    # a segment without primes is skipped: [SPAN, SPAN + 14] holds none
+    assert list(prime_segments(1)) == []
+    assert [s[-1] for s in prime_segments(SPAN + 14)] == [plain_primes[plain_primes < SPAN][-1]]

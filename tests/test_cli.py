@@ -5,10 +5,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shiftmean
-from shiftmean import curveconst, curvelab
+from shiftmean import arith, curveconst, curvelab, harness
 from shiftmean.cli import build_parser, main
 
 
@@ -196,6 +197,21 @@ def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypa
         assert field in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["meanvalue", "jordan-6", "--x-grid", "1000,3000000"],
+    ["meanvalue", "jordan-200", "--x-grid", "1000,2000"],
+], ids=["jordan6", "jordan200"])
+def test_jordan_grid_past_128_bits_exits_2_before_any_work(argv, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the grid must be rejected before the run starts")
+
+    monkeypatch.setattr(harness, "run_grid", no_work)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "--x-grid" in err and "128-bit" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--gap-d", "--gap-l"])
 def test_verify_gap_huge_modulus(flag, capsys):
     # N = 1 alone (d) or no N at all (l) lies in the class below x
@@ -358,6 +374,7 @@ def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
     # Test-only code belongs in tests/; the package holds what the CLI runs.
     # Empty caches, so each function that fills one is entered.
     monkeypatch.setattr(curvelab, "_hist_cache", {})
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
     curveconst._qr_table.cache_clear()
     entered = set()
 

@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from shiftmean import euler
+from shiftmean import arith, curveconst, euler
 from shiftmean.arith import PrimePowerFn, multiplicative_table, primes_up_to
 from shiftmean.curveconst import twin_prime_constant
 from shiftmean.euler import (
@@ -19,7 +20,14 @@ from shiftmean.euler import (
 from shiftmean.harness import run_grid
 from shiftmean.presets import get_preset
 
-from oracles import double_sum_by_gcd, double_sum_oracle, local_factor, prime_zeta, riemann_zeta
+from oracles import (
+    double_sum_by_gcd,
+    double_sum_oracle,
+    local_factor,
+    plain_sieve,
+    prime_zeta,
+    riemann_zeta,
+)
 
 # Independent high-precision values of the full products, frozen from the
 # prime-zeta oracle (ln prod(1 - 2/p^(k+1)) = -sum_m (2^m/m) P((k+1) m)).
@@ -186,14 +194,72 @@ def test_constant_power_series_ends_at_the_ceiling():
 
 
 def test_constant_with_a_prime_past_float_powers(monkeypatch):
-    # kstar runs to k = 34, and (2e9)^34 overflows a float; one large prime
-    # stands in for a sieve to 2e9, which would need gigabytes
+    # kstar runs to k = 34, and (2e9)^34 overflows a float; one segment that
+    # ends in a large prime stands in for a sieve to 2e9
     base = shifted_mean_constant(get_preset("kstar").pair, 10**5)
     primes = np.append(primes_up_to(10**5), 1999999973)
-    monkeypatch.setattr(euler, "primes_up_to", lambda limit: primes)
+    monkeypatch.setattr(euler, "prime_segments", lambda limit: iter([primes]))
     c = shifted_mean_constant(get_preset("kstar").pair, 2 * 10**9)
     assert c.power_depth == base.power_depth == 34
     assert c.value == pytest.approx(base.value, rel=1e-15)
+
+
+# a negative local factor at p = 2 sends the fold through the product path
+SIGNED_PAIR = ShiftedPairSpec(
+    f=PrimePowerFn(lambda p, k: 1.0 / p if k == 1 else 0.0 * p,
+                   two_rule=lambda k: -3.0 if k == 1 else 0.0, name="signed"),
+    g=ZERO_PAIR.g,
+    shift=1,
+    baseline=MonomialBaseline(0, 0),
+)
+
+
+def _constants(cutoff):
+    out = {"c2": twin_prime_constant(cutoff), "signed": shifted_mean_constant(SIGNED_PAIR, cutoff)}
+    for name in ("phi", "kstar", "khat"):
+        out[name] = shifted_mean_constant(get_preset(name).pair, cutoff)
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [arith.SIEVE_SPAN, arith.SIEVE_SPAN + 14, 10**7])
+def test_segmented_constants_match_one_fold_of_every_prime(cutoff, monkeypatch):
+    # 10^7 spans three sieve segments; [SIEVE_SPAN, SIEVE_SPAN + 14] holds no
+    # prime.  Folding segment by segment moves the log-space fold by at most
+    # 2 ulp from one fold over the whole prime array
+    split = _constants(cutoff)
+    for module in (euler, curveconst):
+        monkeypatch.setattr(module, "prime_segments", lambda limit: iter([plain_sieve(limit)]))
+    whole = _constants(cutoff)
+    for name, c in split.items():
+        assert abs(c.value - whole[name].value) <= 2 * np.spacing(abs(whole[name].value)), name
+        assert c.power_depth == whole[name].power_depth, name
+        assert c.tail_bound == pytest.approx(whole[name].tail_bound, rel=1e-12), name
+
+
+def test_signed_constant_matches_an_exact_log_sum():
+    # factor -1/2 at p = 2 and 1 + 1/p^2 at odd p; a running product of the
+    # 78,498 factors to 10^6 would round by up to that many ulp
+    odd = plain_sieve(10**6)[1:].astype(np.float64)
+    expected = -math.exp(math.fsum([math.log(0.5)] + np.log1p(1.0 / odd**2).tolist()))
+    c = shifted_mean_constant(SIGNED_PAIR, 10**6)
+    assert c.value == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("name", ["c2", "kstar"])
+def test_constant_memory_is_bounded_by_a_segment(name, monkeypatch):
+    # one whole-array sieve to 2e7 alone peaks past 40 MiB; streamed segments
+    # need a few MiB each, whatever the cutoff
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+    tracemalloc.start()
+    try:
+        if name == "c2":
+            twin_prime_constant(2 * 10**7)
+        else:
+            shifted_mean_constant(get_preset("kstar").pair, 2 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_tail_bound_monotone_in_cutoff_small_scale():
