@@ -16,7 +16,7 @@ from .curveconst import (
     substitution_gap,
     twin_prime_constant,
 )
-from .curvelab import CurveDensityRecord, density, expected_m
+from .curvelab import CurveDensityRecord, expected_m
 from .euler import (
     DegenerateLocalFactor,
     EulerProductValue,

@@ -163,6 +163,8 @@ def _cmd_eval(args) -> int:
         payload = {"n": n, "totient": totient(n)}
     elif args.k < 1:
         raise UsageError(f"--k: must be >= 1 (got {args.k})")
+    elif _power_exceeds_128_bits(n, args.k):
+        raise UsageError(f"--k: J_{args.k}({n}) exceeds the 128-bit range (n^k >= 2^127)")
     else:
         payload = {"n": n, "k": args.k, "jordan": jordan_totient(n, args.k)}
     _emit(dumps_json(payload) + "\n", args.output)

@@ -5,8 +5,10 @@ y^2 = x^3 + ax + b over F_p with exactly N points; the per-prime density of
 such (a, b) pairs, summed over the window, should track Kstar(N) / log N,
 with Kstar the order constant.  The per-prime histogram of orders is exact
 and enumerates no curve: it reads Hurwitz class numbers H(4p - t^2) off one
-table (Deuring; Birch 1968).  Point counts of single curves, by character
-sum and by enumeration, are the tests' oracles (tests/oracles.py).
+table (Deuring; Birch 1968), and holds only the orders the Hasse bound
+allows.  Densities and their totals are correctly rounded exact fractions.
+Point counts of single curves, by character sum and by enumeration, are the
+tests' oracles (tests/oracles.py).
 
 Primes 2 and 3 are excluded throughout (the short Weierstrass form
 degenerates there); records carry a note to that effect.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -27,11 +29,13 @@ from .reports import dumps_json, fmt_csv
 
 # Largest admissible target order, and the ceiling on it.  A histogram costs
 # O(sqrt p) lookups once the class-number table reaches 4p, and the table up
-# to D costs O(D^1.5): N <= MAX_ORDER_CAP runs in about 0.5 s on 2 cores.
-# N <= 20000 would take about 8 s and 390 MB, most of it in the cached
-# full-length histograms, so a larger ceiling needs its own design.
+# to D costs O(D^1.5).  Measured on a 2-core VM, `curvelab --n-min 20
+# --n-max 20000` runs in 2.9 s at 138 MB RSS as CSV (most of it the records'
+# rho dicts; every cached histogram together is 6.4 MiB) and in 7.7 s at
+# 483 MB RSS as JSON, which writes 45 MB.  Past this, the exact per-order
+# bigint sums and the per-record rho dicts dominate.
 DEFAULT_ORDER_CAP = 200
-MAX_ORDER_CAP = 2000
+MAX_ORDER_CAP = 20000
 
 EXCLUDED_PRIMES_NOTE = "primes 2 and 3 excluded (short Weierstrass form degenerates)"
 
@@ -40,9 +44,10 @@ EXCLUDED_PRIMES_NOTE = "primes 2 and 3 excluded (short Weierstrass form degenera
 class CurveDensityRecord:
     """Per-prime curve densities for one target order and their total.
 
-    rho maps each Hasse-window prime to the exact fraction of (a, b) pairs
-    (over all p^2, singular ones counting zero) whose curve has the target
-    order; expected_m sums those densities and predicted is
+    rho maps each Hasse-window prime to the fraction of (a, b) pairs (over
+    all p^2, singular ones counting zero) whose curve has the target order,
+    as the correctly rounded float of the exact count / p^2; expected_m is
+    the exact sum of those fractions, rounded once, and predicted is
     Kstar / log(order), Kstar the order constant of eval_point.
     """
 
@@ -61,8 +66,6 @@ def _check_prime(p: int) -> None:
         if p % q == 0:
             raise ValueError(f"p must be prime, got {p}")
 
-
-_hist_cache: dict[int, np.ndarray] = {}
 
 # h6[D] = 6 H(D) for every D < len(h6); replaced, never edited, when it grows.
 _h6_cache: np.ndarray = np.zeros(1, dtype=np.int64)
@@ -95,24 +98,21 @@ def class_number_table(limit: int) -> np.ndarray:
     return h6
 
 
+@cache
 def order_histogram(p: int) -> np.ndarray:
-    """hist[m] = number of nonsingular (a, b) in F_p^2 with curve order m.
+    """hist[j] = number of nonsingular (a, b) in F_p^2 with p + 1 - s + j points.
 
+    s = isqrt(4p), and j runs over 0..2s, the orders the Hasse bound allows.
     By Deuring's theorem, in the form Birch (1968) gives it, exactly
     (p - 1)/2 * H(4p - t^2) nonsingular pairs have p + 1 - t points when
     t^2 < 4p, and none otherwise; H is the Hurwitz class number, read off
     class_number_table.  Cached per prime since many target orders share a
-    window prime.
+    window prime; a non-prime raises, so only primes enter the cache.
     """
-    if p in _hist_cache:  # only primes enter the cache
-        return _hist_cache[p]
     _check_prime(p)
     s = math.isqrt(4 * p)  # 4p is not a square, so t^2 < 4p means |t| <= s
-    t = np.arange(-s, s + 1, dtype=np.int64)
-    hist = np.zeros(2 * p + 3, dtype=np.int64)
-    hist[p + 1 - t] = (p - 1) * class_number_table(4 * p)[4 * p - t * t] // 12
-    _hist_cache[p] = hist
-    return hist
+    t = np.arange(-s, s + 1, dtype=np.int64)  # t = s - j; the count is even in t
+    return (p - 1) * class_number_table(4 * p)[4 * p - t * t] // 12
 
 
 def hasse_window_primes(order: int) -> list[int]:
@@ -127,29 +127,23 @@ def hasse_window_primes(order: int) -> list[int]:
     return [p for p in primes[lo:].tolist() if (p + 1 - order) ** 2 <= 4 * p]
 
 
-def density(order: int, p: int) -> Fraction:
-    """Exact fraction of (a, b) pairs over F_p^2 whose curve has the target order.
-
-    Singular pairs contribute zero to the numerator; the denominator stays
-    p^2 (the uniform-box heuristic).  Orders outside the Hasse window give 0.
-    """
-    hist = order_histogram(p)
-    count = int(hist[order]) if 0 <= order < len(hist) else 0
-    return Fraction(count, p * p)
-
-
 def expected_m(order: int, *, c2: EulerProductValue) -> CurveDensityRecord:
     """Full density record for one target order, 7 <= order <= MAX_ORDER_CAP.
 
-    Each window prime costs one histogram (see order_histogram).
+    Each window prime costs one histogram (see order_histogram), whose count
+    c_p gives rho[p] = c_p / p^2; with D = prod p^2, expected_m is
+    sum(c_p * (D // p^2)) / D.  Python's int true division rounds correctly,
+    so both are the floats nearest the exact fractions.
     """
     if order < 7:
         raise ValueError(f"order must be >= 7, got {order}")
     if order > MAX_ORDER_CAP:
         raise ValueError(f"order {order} exceeds the ceiling {MAX_ORDER_CAP}")
     window = hasse_window_primes(order)
-    rho = {p: density(order, p) for p in window}
-    total = float(sum(rho.values(), start=Fraction(0)))
+    counts = [int(order_histogram(p)[order - p - 1 + math.isqrt(4 * p)]) for p in window]
+    rho = {p: c / (p * p) for p, c in zip(window, counts)}
+    denom = math.prod(p * p for p in window)
+    total = sum(c * (denom // (p * p)) for p, c in zip(window, counts)) / denom
     predicted = eval_point(order, c2=c2)["Kstar"] / math.log(order)
     return CurveDensityRecord(
         order=order,
@@ -175,7 +169,7 @@ def records_to_json(records) -> str:
         {
             "N": r.order,
             "hasse_primes": list(r.hasse_primes),
-            "rho": {str(p): float(v) for p, v in r.rho.items()},
+            "rho": {str(p): v for p, v in r.rho.items()},
             "expected_m": r.expected_m,
             "predicted": r.predicted,
             "note": r.note,

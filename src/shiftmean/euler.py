@@ -31,8 +31,6 @@ TERM_FLOOR = 1e-20
 # near-zero in the shift correction)
 DEGENERATE_FLOOR = 1e-12
 
-DEFAULT_PRIME_CUTOFF = 10**6
-
 
 class DegenerateLocalFactor(ArithmeticError):
     """The exponent-zero local sum vanished; the shift correction divides by it."""
@@ -169,8 +167,7 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray) -> tuple:
     return sums, envelope, depth_used
 
 
-def shifted_mean_constant(pair: ShiftedPairSpec,
-                          prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
+def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProductValue:
     """The constant multiplying the main term of the shifted mean value.
 
     Product over primes p <= prime_cutoff of the local factors, times the

@@ -7,13 +7,15 @@ sum (brute and regrouped by gcd), prime-zeta values and the twin-prime
 product built from them, the order constant from its defining product,
 the symbol-substitution gap over a mask of its congruence class, local
 factors and divisor sums term by term, point counts by character sum and by
-enumeration, and the least-squares error exponent of a report.
+enumeration, curve densities as exact fractions, and the least-squares error
+exponent of a report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from shiftmean.curveconst import (
     even_val_mean_fn,
     even_val_symbol_table,
 )
-from shiftmean.curvelab import _check_prime
+from shiftmean.curvelab import _check_prime, class_number_table
 from shiftmean.euler import EulerProductValue, ShiftedPairSpec
 from shiftmean.reports import MeanValueReport
 
@@ -339,6 +341,30 @@ def count_points_naive(a: int, b: int, p: int) -> int:
             if y * y % p == rhs:
                 total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# Curve densities
+
+
+def expected_m_by_fractions(order: int) -> tuple[dict, float]:
+    """Per-prime densities of one target order as Fractions, and their sum as a float.
+
+    Window primes come from plain_sieve and the definition (p + 1 - N)^2 <= 4p;
+    each prime's full-length histogram, indexed by the order itself, holds
+    (p - 1)/2 * H(4p - t^2) at p + 1 - t (Deuring; Birch 1968); the densities
+    add as Fractions, and only the total is rounded.
+    """
+    rho = {}
+    for p in plain_sieve(order + 2 * math.isqrt(order) + 4).tolist():
+        if p < 5 or (p + 1 - order) ** 2 > 4 * p:
+            continue
+        s = math.isqrt(4 * p)
+        t = np.arange(-s, s + 1, dtype=np.int64)
+        hist = np.zeros(2 * p + 3, dtype=np.int64)
+        hist[p + 1 - t] = (p - 1) * class_number_table(4 * p)[4 * p - t * t] // 12
+        rho[p] = Fraction(int(hist[order]), p * p)
+    return rho, float(sum(rho.values(), start=Fraction(0)))
 
 
 # ---------------------------------------------------------------------------

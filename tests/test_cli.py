@@ -140,14 +140,12 @@ def test_cutoff_out_of_range_exits_2(capsys):
     assert "prime-cutoff" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "jordan", "1000000", "--k", "40"],
-    ["eval", "jordan", "6", "--k", "1000000000"],
-], ids=["k40", "k1e9"])
-def test_runtime_error_exits_1(argv, capsys):
-    code, _, err = run_cli(argv, capsys)
+def test_runtime_error_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    code, _, err = run_cli(["eval", "totient", "10", "--output", str(out)], capsys)
     assert code == 1
     assert "runtime error" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -161,7 +159,8 @@ def test_runtime_error_exits_1(argv, capsys):
         (["eval", "totient", "0"], None, 2, "n:"),
         (["meanvalue", "phi", "--x-grid", "1e3", "--threads", "2"], None, 2, "--threads"),
         (["constant", "c2", "--prime-cutoff", "1e4"], {"SHIFTMEAN_THREADS": "abc"}, 0, None),
-        (["curvelab", "--n-min", "20", "--n-max", "20", "--cap", "5000"], None, 2, "--cap"),
+        (["curvelab", "--n-min", "20", "--n-max", "20", "--cap", str(curvelab.MAX_ORDER_CAP + 1)],
+         None, 2, "--cap"),
         (["meanvalue", "phi", "--shift", "5000", "--x-grid", "1000,2000"], None, 2, "--shift"),
         (["eval", "jordan", "6", "--k", "0"], None, 2, "--k"),
         (["eval", "kstar", "100000000000000000000"], None, 2, "n:"),
@@ -181,6 +180,10 @@ def test_runtime_error_exits_1(argv, capsys):
         (["meanvalue", "jordan-3", "--x-grid", "1000,15000001"], None, 2, "--x-grid"),
         (["meanvalue", "jordan-4", "--xmax", "2e7"], None, 2, "--xmax"),
         (["meanvalue", "jordan-1000000000", "--xmax", "2e7"], None, 2, "--xmax"),
+        (["eval", "jordan", "6", "--k", "200"], None, 2, "--k"),
+        (["eval", "jordan", "100000000000", "--k", "4"], None, 2, "--k"),
+        (["eval", "jordan", "1000000", "--k", "40"], None, 2, "--k"),
+        (["eval", "jordan", "6", "--k", "1000000000"], None, 2, "--k"),
     ],
 )
 def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):
@@ -373,7 +376,7 @@ def _src_defs() -> set:
 def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
     # Test-only code belongs in tests/; the package holds what the CLI runs.
     # Empty caches, so each function that fills one is entered.
-    monkeypatch.setattr(curvelab, "_hist_cache", {})
+    curvelab.order_histogram.cache_clear()
     monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
     curveconst._qr_table.cache_clear()
     entered = set()

@@ -1,18 +1,16 @@
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from shiftmean.curveconst import _qr_table, twin_prime_constant
-from shiftmean import curvelab
+from shiftmean import arith, curvelab
 from shiftmean.curvelab import (
     MAX_ORDER_CAP,
     CurveDensityRecord,
     class_number_table,
-    density,
     expected_m,
     hasse_window_primes,
     order_histogram,
@@ -20,13 +18,25 @@ from shiftmean.curvelab import (
     records_to_json,
 )
 
-from oracles import count_points, count_points_naive
+from oracles import count_points, count_points_naive, expected_m_by_fractions
 
 SMALL_PRIMES = (5, 7, 11, 13)
 
 
 def _nonsingular_pairs(p):
     return [(a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p != 0]
+
+
+def _lowest_order(p):
+    """p + 1 - isqrt(4p): the order that order_histogram(p)[0] counts."""
+    return p + 1 - math.isqrt(4 * p)
+
+
+def _hasse_slice(full, p):
+    """The Hasse range of a histogram indexed by order; asserts zeros elsewhere."""
+    lo, hi = _lowest_order(p), p + 1 + math.isqrt(4 * p)
+    assert not full[:lo].any() and not full[hi + 1:].any()
+    return full[lo:hi + 1]
 
 
 def test_count_points_example_curve():
@@ -86,7 +96,7 @@ def test_histogram_against_direct_counts():
             n = count_points_naive(a, b, p)
             direct[n] = direct.get(n, 0) + 1
         for n, cnt in direct.items():
-            assert hist[n] == cnt
+            assert hist[n - _lowest_order(p)] == cnt
         assert int(hist.sum()) == sum(direct.values())
 
 
@@ -137,7 +147,7 @@ def _coset_histogram(p):
 
 
 def _reset_tables(monkeypatch):
-    monkeypatch.setattr(curvelab, "_hist_cache", {})
+    curvelab.order_histogram.cache_clear()
     monkeypatch.setattr(curvelab, "_h6_cache", np.zeros(1, dtype=np.int64))
 
 
@@ -148,8 +158,8 @@ def test_coset_histogram_equals_enumeration_over_every_a(p, monkeypatch):
     every_a = _histogram_by_every_a(p)
     assert np.array_equal(_coset_histogram(p), every_a)
     hist = order_histogram(p)
-    assert hist.dtype == np.int64
-    assert np.array_equal(hist, every_a)
+    assert hist.dtype == np.int64 and len(hist) == 2 * math.isqrt(4 * p) + 1
+    assert np.array_equal(hist, _hasse_slice(every_a, p))
 
 
 def test_class_number_histogram_equals_coset_oracle_to_599(monkeypatch):
@@ -159,8 +169,8 @@ def test_class_number_histogram_equals_coset_oracle_to_599(monkeypatch):
     assert len(primes) == 107
     for p in primes:
         hist = order_histogram(p)
-        assert hist.dtype == np.int64 and len(hist) == 2 * p + 3
-        assert np.array_equal(hist, _coset_histogram(p)), p
+        assert hist.dtype == np.int64 and len(hist) == 2 * math.isqrt(4 * p) + 1
+        assert np.array_equal(hist, _hasse_slice(_coset_histogram(p), p)), p
 
 
 def test_class_number_table_known_values(monkeypatch):
@@ -187,22 +197,57 @@ def test_histogram_memory_bounded_at_large_p(monkeypatch):
     assert peak < 16 * 2**20
 
 
+def test_expected_m_memory_bounded_at_the_ceiling(monkeypatch):
+    c2 = twin_prime_constant(10**5)
+    _reset_tables(monkeypatch)
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+    tracemalloc.start()
+    try:
+        rec = expected_m(MAX_ORDER_CAP, c2=c2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # 6.4 MiB measured
+    for p in rec.hasse_primes:
+        assert order_histogram(p).nbytes == 8 * (2 * math.isqrt(4 * p) + 1)
+
+
 def test_density_exact_fraction():
-    # full enumeration oracle at p = 5, target order 6
-    direct = sum(1 for a, b in _nonsingular_pairs(5) if count_points_naive(a, b, 5) == 6)
-    assert density(6, 5) == Fraction(direct, 25)
-    assert 0 <= density(6, 5) <= 1
+    # full enumeration oracle at p = 5, target orders 6 and 7
+    direct = {n: sum(1 for a, b in _nonsingular_pairs(5) if count_points_naive(a, b, 5) == n)
+              for n in (6, 7)}
+    hist = order_histogram(5)
+    assert [hist[n - _lowest_order(5)] for n in (6, 7)] == [direct[6], direct[7]]
+    rho = expected_m(7, c2=twin_prime_constant(10**5)).rho[5]
+    assert rho == direct[7] / 25
+    assert 0 <= rho <= 1
 
 
 def test_density_outside_window_is_zero():
-    assert density(200, 5) == 0
-    assert density(1, 13) == 0
+    # the histogram spans the Hasse range only, and expected_m skips primes outside it
+    for order, p in ((200, 5), (1, 13)):
+        assert not 0 <= order - _lowest_order(p) < len(order_histogram(p))
+    assert 5 not in expected_m(200, c2=twin_prime_constant(10**5)).rho
 
 
 def test_density_partition_at_fixed_prime():
-    p = 11
-    total = sum(density(n, p) for n in range(2 * p + 3))
-    assert total == Fraction(p * p - p, p * p)
+    # every order p + 1 - s .. p + 1 + s at p = 13 is >= 7, so expected_m covers them all
+    p = 13
+    c2 = twin_prime_constant(10**5)
+    orders = range(_lowest_order(p), p + 2 + math.isqrt(4 * p))
+    counts = [round(expected_m(n, c2=c2).rho[p] * p * p) for n in orders]
+    assert counts == order_histogram(p).tolist()
+    assert sum(counts) == p * p - p
+
+
+def test_expected_m_equals_fraction_oracle_to_2000():
+    # rho and expected_m are the correctly rounded exact values, not float sums
+    c2 = twin_prime_constant(10**5)
+    for n in range(7, 2001):
+        rec = expected_m(n, c2=c2)
+        rho, total = expected_m_by_fractions(n)
+        assert rec.rho == {p: float(f) for p, f in rho.items()}, n
+        assert rec.expected_m == total, n
 
 
 def test_hasse_window_primes_explicit():
