@@ -5,7 +5,11 @@ Every empirical sum goes through prefix_dots, one blockwise pass that is
 exact: integer arrays (totient family) give Python ints, and float products
 are accumulated into one integer and rounded once per requested prefix, so
 each result is the exactly rounded sum (what math.fsum returns) no matter
-how many terms enter.
+how many terms enter.  Both kinds are cut into limbs small enough that a
+block of SUM_BLOCK = 2^16 terms sums exactly in one numpy reduction: float
+mantissas into 18-bit limbs (per-exponent sums below 2^16 * 2^18 = 2^34,
+exact in float64), int64 values into 21-bit limbs (limb products below
+2^42, so block sums stay below 2^16 * 2^42 = 2^58 in int64).
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def tabulate(spec: TabSpec, limit: int) -> np.ndarray:
 
 
 # Terms per block of prefix_dots: bounds its working memory, and keeps every
-# per-exponent limb sum below 2^16 * 2^18 = 2^34, exact in float64.
+# limb sum exact: float limbs below 2^16 * 2^18 = 2^34 (exact in float64),
+# integer limb products below 2^16 * 2^42 = 2^58 (no int64 overflow).
 SUM_BLOCK = 2**16
 
 # A finite float64 is m * 2^(e - 53) with |m| < 2^53 an integer and
@@ -65,8 +70,32 @@ _EXP_BIAS = 1073
 _SCALE = 1 << 1126
 
 
+_LIMB = 21
+_LIMB_MASK = (1 << _LIMB) - 1
+
+
+def _int_limbs(v: np.ndarray) -> tuple:
+    """v = lo + mid * 2^21 + top * 2^42, lo and mid in [0, 2^21), top signed."""
+    v = v.astype(np.int64, copy=False)
+    return v & _LIMB_MASK, (v >> _LIMB) & _LIMB_MASK, v >> 2 * _LIMB
+
+
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.dot(a.astype(object), b.astype(object)))
+    """The exact integer sum of a*b.
+
+    Arrays that fit int64 are split into three 21-bit limbs, so each of the
+    nine limb dots is exact in int64 (every limb lies in [-2^21, 2^21)).
+    Object arrays (Python ints past int64) and uint64, which an int64 cast
+    could wrap, take Python-int dots.
+    """
+    if not (np.can_cast(a.dtype, np.int64) and np.can_cast(b.dtype, np.int64)):
+        return int(np.dot(a.astype(object), b.astype(object)))
+    b_limbs = _int_limbs(b)
+    total = 0
+    for i, u in enumerate(_int_limbs(a)):
+        for j, v in enumerate(b_limbs):
+            total += int(np.dot(u, v)) << _LIMB * (i + j)
+    return total
 
 
 def _scaled_float_dot(a: np.ndarray, b: np.ndarray) -> int:

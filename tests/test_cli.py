@@ -290,6 +290,12 @@ GOLDEN_STDOUT = {
         "df29c35e0a0b683e35a65cfc07bfe11ae7d108806d9490a1ff76313fbf9ccd14",
     "constant jordan-3 --shift 30 --prime-cutoff 1e5":
         "2da483a12f2bfcda2207c038e2367880ac2423ec473ec7a8b75c41782b7b089d",
+    # recorded before integer sums went through 21-bit limbs; each spans
+    # several SUM_BLOCKs
+    "meanvalue phi --shift 6 --x-grid 150000,400000":
+        "dc381d54973c5786ab3d6dd30dd0b85195931a394ae61b45f968e66055375d24",
+    "meanvalue jordan-2 --x-grid 100000,300000":
+        "7aa39e92f3c03e7c6c89a4a8019282b763202cd94d879bde760b117142be6025",
 }
 
 

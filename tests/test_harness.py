@@ -188,6 +188,70 @@ def test_prefix_dots_integers_are_exact(case):
     assert all(isinstance(v, int) for v in got)
 
 
+_INT64_EDGES = [-(2**63), 2**63 - 1, 2**62, -(2**62)]
+_LIMB_DTYPES = [
+    (np.int8, np.int64),
+    (np.int32, np.int64),
+    (np.uint32, np.int64),
+    (np.int64, np.int64),
+    (np.int64, object),
+]
+
+
+def _values_of(dtype):
+    if dtype is object:  # Python ints on both sides of the int64 range
+        return st.one_of(st.sampled_from(_INT64_EDGES), st.integers(-(2**100), 2**100))
+    info = np.iinfo(dtype)
+    edges = [v for v in [info.min, info.max, *_INT64_EDGES] if info.min <= v <= info.max]
+    return st.one_of(st.sampled_from(edges), st.integers(int(info.min), int(info.max)))
+
+
+@st.composite
+def _limb_case(draw):
+    a_dtype, b_dtype = draw(st.sampled_from(_LIMB_DTYPES))
+    if draw(st.booleans()):
+        a_dtype, b_dtype = b_dtype, a_dtype
+    long = [SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]
+    n = draw(st.one_of(st.integers(0, 40), st.sampled_from(long)))
+    # long arrays repeat a short drawn pattern, so every block is full of edge values
+    k = max(1, min(n, 40))
+
+    def pattern(dtype):
+        values = draw(st.lists(_values_of(dtype), min_size=k, max_size=k))
+        return np.resize(np.array(values, dtype=dtype), n)
+
+    a, b = pattern(a_dtype), pattern(b_dtype)
+    if n <= 40:
+        return a, b, draw(_ends(n))
+    ends = draw(st.lists(st.sampled_from([0, *long]), max_size=4).map(sorted))
+    return a, b, [e for e in ends if e <= n]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_limb_case())
+def test_prefix_dots_limb_dot_equals_python_ints(case):
+    a, b, ends = case
+    prods = [u * v for u, v in zip(a.tolist(), b.tolist())]
+    got = prefix_dots(a, b, ends)
+    assert got == [sum(prods[:e]) for e in ends]
+    assert all(isinstance(v, int) for v in got)
+
+
+@pytest.mark.parametrize("v", [-(2**63), 2**63 - 1])
+def test_prefix_dots_int64_extremes_fill_a_block(v):
+    # the largest limb sums a block can hold: 2^16 products of 2^42 each
+    a = np.full(SUM_BLOCK + 1, v, dtype=np.int64)
+    ends = [SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]
+    assert prefix_dots(a, a, ends) == [e * v * v for e in ends]
+    b = np.full(SUM_BLOCK + 1, -v - 1, dtype=np.int64)
+    assert prefix_dots(a, b, ends) == [e * v * (-v - 1) for e in ends]
+
+
+def test_prefix_dots_uint64_above_int64_is_exact():
+    a = np.array([2**64 - 1, 3, 2**63], dtype=np.uint64)
+    assert prefix_dots(a, a, [1, 3]) == [(2**64 - 1) ** 2, (2**64 - 1) ** 2 + 9 + 2**126]
+
+
 def test_prefix_dots_across_block_edges():
     n = 2 * SUM_BLOCK + 10
     ends = [0, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK, n]
@@ -222,6 +286,21 @@ def test_prefix_dots_memory_bounded():
     # tolist of the products would hold 4e6 Python floats (> 150 MB)
     a = np.random.default_rng(3).standard_normal(4 * 10**6)
     b = np.full_like(a, 1.5)
+    tracemalloc.start()
+    try:
+        prefix_dots(a, b, [10**6, len(a)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_prefix_dots_integer_memory_bounded():
+    # the limb dot holds six int64 limb arrays of one block whatever the
+    # length; a tolist of the products would hold 4e6 Python ints (> 100 MB)
+    rng = np.random.default_rng(4)
+    a = rng.integers(-(2**62) + 1, 2**62, 4 * 10**6, dtype=np.int64)
+    b = rng.integers(-(2**62) + 1, 2**62, 4 * 10**6, dtype=np.int64)
     tracemalloc.start()
     try:
         prefix_dots(a, b, [10**6, len(a)])
