@@ -87,12 +87,15 @@ def _parse_grid(args, field_grid="--x-grid", field_max="--xmax") -> tuple:
     raise UsageError(f"{field_grid}: one of {field_grid} or {field_max} is required")
 
 
-def _emit(text: str, output: str) -> None:
+def _emit(text: str, output: str, end: str = "") -> None:
+    """Write text, then end, separately: text + end would copy a large payload."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write(end)
     else:
         sys.stdout.write(text)
+        sys.stdout.write(end)
 
 
 def _check_cutoff(cutoff: int, floor: int = 2) -> int:
@@ -235,7 +238,7 @@ def _cmd_curvelab(args) -> int:
     if args.format == "csv":
         _emit(curvelab.records_to_csv(records), args.output)
     else:
-        _emit(curvelab.records_to_json(records) + "\n", args.output)
+        _emit(curvelab.records_to_json(records), args.output, end="\n")
     return 0
 
 

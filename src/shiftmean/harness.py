@@ -10,6 +10,10 @@ block of SUM_BLOCK = 2^16 terms sums exactly in one numpy reduction: float
 mantissas into 18-bit limbs (per-exponent sums below 2^16 * 2^18 = 2^34,
 exact in float64), int64 values into 21-bit limbs (limb products below
 2^42, so block sums stay below 2^16 * 2^42 = 2^58 in int64).
+
+A grid of x is summed in one such pass too: shifted_sum takes the grid and
+returns the sum at every point from one prefix_dots call, so run_grid (and
+`meanvalue`) costs O(largest x) however many points the grid has.
 """
 
 from __future__ import annotations
@@ -146,18 +150,27 @@ def prefix_dots(a, b, ends) -> list:
     return out
 
 
-def shifted_sum(f_vals, g_vals, shift: int, x: int):
-    """sum_{n=shift+1..x} F(n-shift) G(n), exactly (see prefix_dots).
+def shifted_sum(f_vals, g_vals, shift: int, x: int, *, grid=None):
+    """sum_{n=shift+1..y} F(n-shift) G(n), exactly (see prefix_dots).
 
-    Arrays are indexed by n and must cover [0, x].  Integer arrays give an
-    exact int; otherwise the result is the exactly rounded float.
+    Without a grid, y = x and the one sum is returned.  With a grid (points
+    ascending in (shift, x], the last equal to x), the list of sums at every
+    point comes from one prefix_dots pass over n <= x.  Arrays are indexed by
+    n and must cover [0, x].  Integer arrays give exact ints; otherwise each
+    sum is the exactly rounded float.
     """
     if shift < 1:
         raise ValueError(f"shift must be >= 1, got {shift}")
     if x > len(f_vals) - 1 or x > len(g_vals) - 1:
         raise ValueError(f"arrays do not cover [0, {x}]")
+    ys = [x] if grid is None else [int(y) for y in grid]
+    if grid is not None and (not ys or ys[0] <= shift or ys[-1] != x
+                             or any(b < a for a, b in zip(ys, ys[1:]))):
+        raise ValueError(f"grid must ascend within ({shift}, {x}] and end at x = {x}")
     terms = max(0, x - shift)
-    return prefix_dots(f_vals[1 : terms + 1], g_vals[shift + 1 : shift + 1 + terms], [terms])[0]
+    sums = prefix_dots(f_vals[1 : terms + 1], g_vals[shift + 1 : shift + 1 + terms],
+                       [max(0, y - shift) for y in ys])
+    return sums[0] if grid is None else sums
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +196,7 @@ def run_grid(preset, x_grid, *, prime_cutoff: int) -> MeanValueReport:
     g_vals = f_vals if preset.g_tab == preset.f_tab else tabulate(preset.g_tab, xmax)
 
     rows = []
-    for x in xs:
-        emp = shifted_sum(f_vals, g_vals, pair.shift, x)
+    for x, emp in zip(xs, shifted_sum(f_vals, g_vals, pair.shift, xmax, grid=xs)):
         pred = constant.value * pair.baseline.main_term(x)
         emp_f = float(emp)
         residual = emp_f - pred

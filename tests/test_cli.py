@@ -296,6 +296,14 @@ GOLDEN_STDOUT = {
         "dc381d54973c5786ab3d6dd30dd0b85195931a394ae61b45f968e66055375d24",
     "meanvalue jordan-2 --x-grid 100000,300000":
         "7aa39e92f3c03e7c6c89a4a8019282b763202cd94d879bde760b117142be6025",
+    # recorded before meanvalue summed its whole grid in one pass; the points
+    # sit on both sides of SUM_BLOCK edges after the shift
+    "meanvalue kstar --shift 3 --x-grid 1000,65538,65539,65540,131075,200000":
+        "16e60d6b2f4325c3b5493dd1e9773f9fb5dcc061caa75c7f89ed781ff604ef33",
+    "meanvalue phi --shift 3 --x-grid 1000,65538,65539,65540,131075,200000":
+        "20185cfb6f63abdc43fdc2d060487fc388ccb959f678881a60558adb3ae21d65",
+    "meanvalue khat --shift 6 --x-grid 1000,65542,65543,131078,131079,150000 --format json":
+        "f7c22ba7550b277625096aed711ee530596c7099e291124c2fad470845cf5188",
 }
 
 

@@ -131,6 +131,36 @@ def test_compensated_sum_alternating_millions():
     assert abs(got - exact) <= 1e-10
 
 
+# Prefix lengths y - shift on both sides of the SUM_BLOCK edges.
+_GRID_ENDS = [1, 1000, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK]
+
+
+@pytest.mark.parametrize("f_spec, g_spec, shift, dtype", [
+    (NamedFn("totient"), NamedFn("totient"), 3, np.int64),
+    (DivisorSumFn(shift_kernel), DivisorSumFn(order_kernel), 6, np.float64),
+    # a shift this large puts G = J_3 past 2^62, so the table is object dtype
+    (NamedFn("jordan", 3), NamedFn("jordan", 3), 1_600_000, object),
+])
+def test_shifted_sum_grid_equals_scalar_sums(f_spec, g_spec, shift, dtype):
+    grid = [shift + e for e in _GRID_ENDS]
+    f_vals = tabulate(f_spec, grid[-1])
+    g_vals = f_vals if g_spec == f_spec else tabulate(g_spec, grid[-1])
+    assert g_vals.dtype == dtype
+    assert dtype is not object or max(g_vals) >= 2**62
+    got = shifted_sum(f_vals, g_vals, shift, grid[-1], grid=grid)
+    expect = [shifted_sum(f_vals, g_vals, shift, y) for y in grid]
+    assert got == expect
+    assert [type(v) for v in got] == [type(v) for v in expect]
+
+
+def test_shifted_sum_grid_validates():
+    ones = np.ones(101, dtype=np.int64)
+    for grid in ([50, 40, 100], [2, 50, 100], [3, 50, 99], []):
+        with pytest.raises(ValueError):
+            shifted_sum(ones, ones, 2, 100, grid=grid)
+    assert shifted_sum(ones, ones, 2, 100, grid=[3, 50, 100]) == [1, 48, 98]
+
+
 # ---------------------------------------------------------------------------
 # prefix_dots: the one summation path
 
@@ -327,6 +357,22 @@ def test_run_grid_tabulates_a_shared_table_once(monkeypatch):
     phi = tabulate(NamedFn("totient"), 2000)
     assert rep.rows[-1].empirical == float(shifted_sum(phi, phi, 1, 2000))
 
+
+def test_run_grid_sums_the_whole_grid_in_one_call(monkeypatch):
+    calls = []
+
+    def counting(f_vals, g_vals, shift, x, **kwargs):
+        calls.append(x)
+        return shifted_sum(f_vals, g_vals, shift, x, **kwargs)
+
+    monkeypatch.setattr(harness, "shifted_sum", counting)
+    grid = [1000 * i for i in range(1, 21)]
+    rep = run_grid(get_preset("kstar", shift=3), grid, prime_cutoff=10**4)
+    assert calls == [grid[-1]]
+    f_vals = tabulate(DivisorSumFn(shift_kernel), grid[-1])
+    g_vals = tabulate(DivisorSumFn(order_kernel), grid[-1])
+    assert [row.empirical for row in rep.rows] == [
+        shifted_sum(f_vals, g_vals, 3, x) for x in grid]
 
 
 def test_run_grid_phi_small():
