@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage/configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 
 from . import curveconst, curvelab, harness, presets
@@ -23,7 +24,7 @@ from .arith import (
 )
 from .curveconst import SymbolConvention
 from .euler import shifted_mean_constant
-from .reports import dumps_json, fmt_csv
+from .reports import csv_text, dumps_json
 
 DEFAULT_GRID_START = 1000
 
@@ -40,6 +41,9 @@ MAX_X = 5 * 10**7
 # MB at x = 4e6), so this ceiling keeps those runs near 1.3 GB.
 MAX_X_PYINT = 15 * 10**6
 
+# Integer options are parsed exactly up to this many digits.
+MAX_PARSE_DIGITS = 100
+
 
 class UsageError(ValueError):
     """Configuration problem; maps to exit code 2."""
@@ -52,15 +56,20 @@ def _echo_config(args, **parsed) -> None:
 
 
 def _parse_int(text: str, field: str) -> int:
+    """text as an exact integer: "1e3" and "9007199254740993e0" are read exactly.
+
+    The exponent is bounded before int() runs, so "1e1000000000" cannot build
+    a billion-digit integer; every caller's own ceiling lies far below it.
+    """
     try:
-        if text.isdecimal():
-            return int(text)  # exact past 2**53
-        value = float(text)
-        if value != int(value):
-            raise ValueError
-        return int(value)
-    except (ValueError, OverflowError):  # OverflowError: int(inf)
-        raise UsageError(f"{field}: expected an integer (got {text!r})") from None
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        value = None
+    if (value is None or not value.is_finite() or value.adjusted() >= MAX_PARSE_DIGITS
+            or value != value.to_integral_value()):
+        raise UsageError(f"{field}: expected an integer of at most {MAX_PARSE_DIGITS} digits "
+                         f"(got {text!r})")
+    return int(value)
 
 
 def _parse_grid(args, field_grid="--x-grid", field_max="--xmax") -> tuple:
@@ -214,8 +223,7 @@ def _cmd_verify(args) -> int:
     elif args.target == "gap":
         gaps = curveconst.substitution_gap(grid, args.gap_d, args.gap_l, conv)
         if args.format == "csv":
-            lines = ["x,gap"] + [f"{x},{fmt_csv(gap)}" for x, gap in zip(grid, gaps)]
-            _emit("\n".join(lines) + "\n", args.output)
+            _emit(csv_text("x,gap", zip(grid, gaps)), args.output)
         else:
             rows = [{"x": x, "gap": gap} for x, gap in zip(grid, gaps)]
             _emit(dumps_json({"label": "gap", "rows": rows}) + "\n", args.output)

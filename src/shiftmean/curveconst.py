@@ -34,8 +34,8 @@ from .arith import (
     quad_symbol,
 )
 from .euler import EulerProductValue
-from .harness import prefix_dots
-from .reports import MeanValueReport, MeanValueRow
+from .harness import prefix_dots, shifted_sum
+from .reports import MeanValueReport
 
 ORIGINAL_MEAN = 31.0 / 30.0  # mean value of the unnormalized constant
 
@@ -272,21 +272,19 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     """Empirical sum of the order constant over N <= x against its main term.
 
     t2a: all N, main term x.  t2b: odd N only, main term x/3.  t3: the
-    unnormalized constant, main term 31x/30.  Sums start at N = 2 since the
-    shifted factor is undefined at 0; the omission is absorbed by the
-    O(log x) error scale.  Normalized residual divides by log x.
+    unnormalized constant, main term 31x/30.  Each is c2 times the shifted
+    sum of F(N-1) G(N) with shift 1, so it starts at N = 2 (the shifted
+    factor is undefined at 0; the omission is absorbed by the O(log x) error
+    scale) and the whole grid comes from one harness.shifted_sum pass, which
+    also checks the grid.  Normalized residual divides by log x.
     """
     slope = MEAN_TARGETS.get(which)
     if slope is None:
         raise ValueError(f"unknown mean-value target {which!r}; options: {tuple(MEAN_TARGETS)}")
     xs = [int(v) for v in x_grid]
-    if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("x grid must be non-empty and strictly increasing")
-    if xs[0] < 2:
-        raise ValueError("grid must start at x >= 2")
-    xmax = xs[-1]
+    xmax = max(xs, default=1)
 
-    shift_vals = multiplicative_table(shift_part_fn, xmax - 1)
+    shift_vals = multiplicative_table(shift_part_fn, xmax)
     if which == "t3":
         order_vals = multiplicative_table(odd_val_part_fn, xmax) * even_val_symbol_table(xmax, conv)
     else:
@@ -294,19 +292,10 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
         if which == "t2b":
             order_vals[0::2] = 0.0
 
-    sums = prefix_dots(shift_vals[1:xmax], order_vals[2 : xmax + 1], [x - 1 for x in xs])
-    rows = []
-    for x, total in zip(xs, sums):
-        emp = c2.value * total
-        pred = slope * x
-        residual = emp - pred
-        rows.append(
-            MeanValueRow(
-                x=x, empirical=emp, predicted=pred,
-                residual=residual, normalized=residual / math.log(x),
-            )
-        )
-    return MeanValueReport(rows=tuple(rows), error_label="log x", label=which)
+    sums = shifted_sum(shift_vals, order_vals, 1, xmax, grid=xs)
+    return MeanValueReport.from_sums(
+        xs, [c2.value * s for s in sums], [slope * x for x in xs], math.log,
+        label=which, error_label="log x")
 
 
 def substitution_gap(x_grid, d: int = 1, modulus: int = 1,

@@ -11,7 +11,7 @@ Point counts of single curves, by character sum and by enumeration, are the
 tests' oracles (tests/oracles.py).
 
 Primes 2 and 3 are excluded throughout (the short Weierstrass form
-degenerates there); records carry a note to that effect.
+degenerates there); JSON records carry a note to that effect.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .arith import primes_up_to
 from .curveconst import eval_point
 from .euler import EulerProductValue
-from .reports import dumps_json, fmt_csv
+from .reports import csv_text, dumps_json
 
 # Largest admissible target order, and the ceiling on it.  A histogram costs
 # O(sqrt p) lookups once the class-number table reaches 4p, and the table up
@@ -44,19 +44,17 @@ EXCLUDED_PRIMES_NOTE = "primes 2 and 3 excluded (short Weierstrass form degenera
 class CurveDensityRecord:
     """Per-prime curve densities for one target order and their total.
 
-    rho maps each Hasse-window prime to the fraction of (a, b) pairs (over
-    all p^2, singular ones counting zero) whose curve has the target order,
-    as the correctly rounded float of the exact count / p^2; expected_m is
-    the exact sum of those fractions, rounded once, and predicted is
-    Kstar / log(order), Kstar the order constant of eval_point.
+    rho maps each Hasse-window prime, in ascending order, to the fraction of
+    (a, b) pairs (over all p^2, singular ones counting zero) whose curve has
+    the target order, as the correctly rounded float of the exact count /
+    p^2; expected_m is the exact sum of those fractions, rounded once, and
+    predicted is Kstar / log(order), Kstar the order constant of eval_point.
     """
 
     order: int
-    hasse_primes: tuple
     rho: dict
     expected_m: float
     predicted: float
-    note: str = EXCLUDED_PRIMES_NOTE
 
 
 def _check_prime(p: int) -> None:
@@ -145,34 +143,24 @@ def expected_m(order: int, *, c2: EulerProductValue) -> CurveDensityRecord:
     denom = math.prod(p * p for p in window)
     total = sum(c * (denom // (p * p)) for p, c in zip(window, counts)) / denom
     predicted = eval_point(order, c2=c2)["Kstar"] / math.log(order)
-    return CurveDensityRecord(
-        order=order,
-        hasse_primes=tuple(window),
-        rho=rho,
-        expected_m=total,
-        predicted=predicted,
-    )
+    return CurveDensityRecord(order=order, rho=rho, expected_m=total, predicted=predicted)
 
 
 def records_to_csv(records) -> str:
-    lines = ["N,expected_m,predicted,ratio"]
-    for r in records:
-        ratio = r.expected_m / r.predicted if r.predicted else math.inf
-        lines.append(
-            f"{r.order},{fmt_csv(r.expected_m)},{fmt_csv(r.predicted)},{fmt_csv(ratio)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((r.order, r.expected_m, r.predicted,
+             r.expected_m / r.predicted if r.predicted else math.inf) for r in records)
+    return csv_text("N,expected_m,predicted,ratio", rows)
 
 
 def records_to_json(records) -> str:
     payload = [
         {
             "N": r.order,
-            "hasse_primes": list(r.hasse_primes),
+            "hasse_primes": list(r.rho),
             "rho": {str(p): v for p, v in r.rho.items()},
             "expected_m": r.expected_m,
             "predicted": r.predicted,
-            "note": r.note,
+            "note": EXCLUDED_PRIMES_NOTE,
         }
         for r in records
     ]

@@ -12,8 +12,10 @@ exact in float64), int64 values into 21-bit limbs (limb products below
 2^42, so block sums stay below 2^16 * 2^42 = 2^58 in int64).
 
 A grid of x is summed in one such pass too: shifted_sum takes the grid and
-returns the sum at every point from one prefix_dots call, so run_grid (and
-`meanvalue`) costs O(largest x) however many points the grid has.
+returns the sum at every point from one prefix_dots call, so run_grid
+(`meanvalue`) and curveconst.mean_order_grid (`verify t2a|t2b|t3`) cost
+O(largest x) however many points the grid has.  shifted_sum is also where
+the library checks a grid.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .arith import (
     totient_table,
 )
 from .euler import shifted_mean_constant
-from .reports import MeanValueReport, MeanValueRow
+from .reports import MeanValueReport
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,10 @@ def shifted_sum(f_vals, g_vals, shift: int, x: int, *, grid=None):
     """sum_{n=shift+1..y} F(n-shift) G(n), exactly (see prefix_dots).
 
     Without a grid, y = x and the one sum is returned.  With a grid (points
-    ascending in (shift, x], the last equal to x), the list of sums at every
-    point comes from one prefix_dots pass over n <= x.  Arrays are indexed by
-    n and must cover [0, x].  Integer arrays give exact ints; otherwise each
-    sum is the exactly rounded float.
+    strictly ascending in (shift, x], the last equal to x), the list of sums
+    at every point comes from one prefix_dots pass over n <= x.  Arrays are
+    indexed by n and must cover [0, x].  Integer arrays give exact ints;
+    otherwise each sum is the exactly rounded float.
     """
     if shift < 1:
         raise ValueError(f"shift must be >= 1, got {shift}")
@@ -165,8 +167,9 @@ def shifted_sum(f_vals, g_vals, shift: int, x: int, *, grid=None):
         raise ValueError(f"arrays do not cover [0, {x}]")
     ys = [x] if grid is None else [int(y) for y in grid]
     if grid is not None and (not ys or ys[0] <= shift or ys[-1] != x
-                             or any(b < a for a, b in zip(ys, ys[1:]))):
-        raise ValueError(f"grid must ascend within ({shift}, {x}] and end at x = {x}")
+                             or any(b <= a for a, b in zip(ys, ys[1:]))):
+        raise ValueError(f"grid must strictly ascend within ({shift}, {x}] "
+                         f"and end at x = {x}")
     terms = max(0, x - shift)
     sums = prefix_dots(f_vals[1 : terms + 1], g_vals[shift + 1 : shift + 1 + terms],
                        [max(0, y - shift) for y in ys])
@@ -185,28 +188,12 @@ def run_grid(preset, x_grid, *, prime_cutoff: int) -> MeanValueReport:
     """
     pair = preset.pair
     xs = [int(v) for v in x_grid]
-    if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("x grid must be non-empty and strictly increasing")
-    if xs[0] <= pair.shift:
-        raise ValueError(f"grid starts at {xs[0]}, need x > shift={pair.shift}")
-    xmax = xs[-1]
+    xmax = max(xs, default=1)  # shifted_sum checks the grid
 
     constant = shifted_mean_constant(pair, prime_cutoff)
     f_vals = tabulate(preset.f_tab, xmax)
     g_vals = f_vals if preset.g_tab == preset.f_tab else tabulate(preset.g_tab, xmax)
-
-    rows = []
-    for x, emp in zip(xs, shifted_sum(f_vals, g_vals, pair.shift, xmax, grid=xs)):
-        pred = constant.value * pair.baseline.main_term(x)
-        emp_f = float(emp)
-        residual = emp_f - pred
-        rows.append(
-            MeanValueRow(
-                x=x,
-                empirical=emp_f,
-                predicted=pred,
-                residual=residual,
-                normalized=residual / preset.error_fn(x),
-            )
-        )
-    return MeanValueReport(rows=tuple(rows), error_label=preset.error_label, label=preset.name)
+    sums = shifted_sum(f_vals, g_vals, pair.shift, xmax, grid=xs)
+    return MeanValueReport.from_sums(
+        xs, [float(s) for s in sums], [constant.value * pair.baseline.main_term(x) for x in xs],
+        preset.error_fn, label=preset.name, error_label=preset.error_label)

@@ -18,6 +18,13 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line per row: its integer, then its floats."""
+    lines = [header]
+    lines.extend(",".join([str(first), *map(fmt_csv, rest)]) for first, *rest in rows)
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class MeanValueRow:
     x: int
@@ -44,14 +51,19 @@ class MeanValueReport:
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("report rows must be strictly increasing in x")
 
+    @classmethod
+    def from_sums(cls, xs, empirical, predicted, error_fn, *, label, error_label):
+        """One row per x; the residual is divided by error_fn(x)."""
+        rows = []
+        for x, emp, pred in zip(xs, empirical, predicted):
+            residual = emp - pred
+            rows.append(MeanValueRow(x, emp, pred, residual, residual / error_fn(x)))
+        return cls(rows=tuple(rows), error_label=error_label, label=label)
+
     def to_csv(self) -> str:
-        lines = ["x,empirical,predicted,residual,normalized"]
-        for r in self.rows:
-            lines.append(
-                f"{r.x},{fmt_csv(r.empirical)},{fmt_csv(r.predicted)},"
-                f"{fmt_csv(r.residual)},{fmt_csv(r.normalized)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text("x,empirical,predicted,residual,normalized",
+                        ((r.x, r.empirical, r.predicted, r.residual, r.normalized)
+                         for r in self.rows))
 
     def to_json(self) -> str:
         return dumps_json(

@@ -53,6 +53,19 @@ def test_eval_named_functions(capsys):
     assert code == 0 and json.loads(out)["jordan"] == 24
 
 
+@pytest.mark.parametrize("argv, exact", [
+    (["eval", "totient", "9007199254740993e0"], ["eval", "totient", "9007199254740993"]),
+    (["eval", "jordan", "9999999999999999.0", "--k", "1"],
+     ["eval", "jordan", "9999999999999999", "--k", "1"]),
+])
+def test_eval_reads_n_exactly_past_2_53(argv, exact, capsys):
+    # an exponent or a decimal point must not round n through a float
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["n"] == int(exact[2])
+    assert run_cli(exact, capsys)[1] == out
+
+
 def test_meanvalue_csv_columns(capsys):
     code, out, _ = run_cli(
         ["meanvalue", "phi", "--x-grid", "1e3,1e4", "--prime-cutoff", "1e5"], capsys
@@ -184,6 +197,9 @@ def test_runtime_error_exits_1(tmp_path, capsys):
         (["eval", "jordan", "100000000000", "--k", "4"], None, 2, "--k"),
         (["eval", "jordan", "1000000", "--k", "40"], None, 2, "--k"),
         (["eval", "jordan", "6", "--k", "1000000000"], None, 2, "--k"),
+        (["eval", "totient", "nan"], None, 2, "n:"),
+        (["eval", "totient", "1e1000000000"], None, 2, "n:"),
+        (["eval", "totient", "1e-1000000000"], None, 2, "n:"),
     ],
 )
 def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):
@@ -304,6 +320,12 @@ GOLDEN_STDOUT = {
         "20185cfb6f63abdc43fdc2d060487fc388ccb959f678881a60558adb3ae21d65",
     "meanvalue khat --shift 6 --x-grid 1000,65542,65543,131078,131079,150000 --format json":
         "f7c22ba7550b277625096aed711ee530596c7099e291124c2fad470845cf5188",
+    # recorded before `verify t2a|t2b|t3` summed through harness.shifted_sum;
+    # with shift 1, x = 65537 ends exactly on a SUM_BLOCK edge
+    "verify t2b --x-grid 2,3,65537,65538,1000000":
+        "fc5b8bc1fd1bee91c776bf4bbd65aeed5653d464cd09ca7b18825a1f84bfdee6",
+    "verify t3 --x-grid 1000,131073,2000000 --convention kronecker --format json":
+        "c213f3e6205f256a80499a5bb1bc353bcb760ca9c28e35650d75ca8e8913642b",
 }
 
 

@@ -11,7 +11,9 @@ from shiftmean.arith import (
     quad_symbol,
     totient,
 )
+from shiftmean import curveconst
 from shiftmean.curveconst import (
+    MEAN_TARGETS,
     SymbolConvention,
     averaged_order_kernel,
     even_val_mean_fn,
@@ -28,6 +30,7 @@ from shiftmean.curveconst import (
     substitution_gap,
     twin_prime_constant,
 )
+from shiftmean.harness import shifted_sum
 
 from oracles import (
     eval_divisor_sum,
@@ -347,6 +350,32 @@ def test_mean_order_grid_t3_convention_sensitivity():
     a = mean_order_grid("t3", [2000], SymbolConvention.UNIT, c2=c2).rows[0].empirical
     b = mean_order_grid("t3", [2000], SymbolConvention.KRONECKER, c2=c2).rows[0].empirical
     assert a != b
+
+
+def test_mean_order_grid_sums_the_whole_grid_in_one_call(monkeypatch):
+    calls = []
+
+    def counting(f_vals, g_vals, shift, x, **kwargs):
+        calls.append((shift, x))
+        return shifted_sum(f_vals, g_vals, shift, x, **kwargs)
+
+    monkeypatch.setattr(curveconst, "shifted_sum", counting)
+    c2 = twin_prime_constant(10**4)
+    grid = [1000 * i for i in range(1, 21)]
+    rep = mean_order_grid("t2a", grid, c2=c2)
+    assert calls == [(1, grid[-1])]
+    f_vals = multiplicative_table(shift_part_fn, grid[-1])
+    g_vals = multiplicative_table(order_part_fn, grid[-1])
+    assert [row.empirical for row in rep.rows] == [
+        c2.value * shifted_sum(f_vals, g_vals, 1, x) for x in grid]
+
+
+@pytest.mark.parametrize("grid", [[], [1], [1000, 100]])
+def test_mean_order_grid_rejects_bad_grids(grid):
+    c2 = twin_prime_constant(10**4)
+    for which in MEAN_TARGETS:
+        with pytest.raises(ValueError, match="grid"):
+            mean_order_grid(which, grid, c2=c2)
 
 
 def test_substitution_gap_trivial_cases():

@@ -208,7 +208,7 @@ def test_expected_m_memory_bounded_at_the_ceiling(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # 6.4 MiB measured
-    for p in rec.hasse_primes:
+    for p in rec.rho:
         assert order_histogram(p).nbytes == 8 * (2 * math.isqrt(4 * p) + 1)
 
 
@@ -267,13 +267,13 @@ def test_expected_m_record_invariants():
     c2 = twin_prime_constant(10**5)
     rec = expected_m(20, c2=c2)
     assert rec.order == 20
-    assert rec.hasse_primes == (13, 17, 19, 23, 29)
+    assert tuple(rec.rho) == (13, 17, 19, 23, 29)
     for p, r in rec.rho.items():
         assert 0 <= r <= 1
         assert (p + 1 - 20) ** 2 <= 4 * p
     assert rec.expected_m == pytest.approx(float(sum(rec.rho.values())))
     assert rec.predicted > 0
-    assert "excluded" in rec.note
+    assert "excluded" in json.loads(records_to_json([rec]))[0]["note"]
 
 
 def test_expected_m_domain_errors():

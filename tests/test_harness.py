@@ -155,7 +155,7 @@ def test_shifted_sum_grid_equals_scalar_sums(f_spec, g_spec, shift, dtype):
 
 def test_shifted_sum_grid_validates():
     ones = np.ones(101, dtype=np.int64)
-    for grid in ([50, 40, 100], [2, 50, 100], [3, 50, 99], []):
+    for grid in ([50, 40, 100], [2, 50, 100], [3, 50, 99], [], [3, 50, 50, 100]):
         with pytest.raises(ValueError):
             shifted_sum(ones, ones, 2, 100, grid=grid)
     assert shifted_sum(ones, ones, 2, 100, grid=[3, 50, 100]) == [1, 48, 98]
