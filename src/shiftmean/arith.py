@@ -246,7 +246,8 @@ def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> 
     vals = on_big(big)
     for q in range(1, isqrt(limit) + 1):
         hi = int(np.searchsorted(big, limit // q, side="right"))
-        res[big[:hi] * q] *= vals[:hi]
+        # q has only small primes, which gave res[q] and res[p*q] the same factors in order
+        res[big[:hi] * q] = res[q] * vals[:hi]
     return res
 
 

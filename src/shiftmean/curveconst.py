@@ -169,30 +169,31 @@ def even_val_symbol_table(limit: int,
                           conv: SymbolConvention = SymbolConvention.UNIT) -> np.ndarray:
     """Tabulate even_val_symbol_part over [0, limit].
 
-    Not multiplicative, so it gets its own pass: for each prime power p^(2a)
-    the cofactors m with p not dividing m are batched and the symbol is read
-    off a quadratic-residue table mod p.
+    Not multiplicative, so it gets its own pass.  For each prime power
+    base = p^(2a), the factor at base*m depends only on m mod p (mod 8 at
+    p = 2, where the symbol is read off -m mod 8), so it is built for one
+    period, set to exactly 1.0 where p divides m, and tiled over the strided
+    slice res[base::base].  Multiplying by 1.0 leaves an entry's bits as they
+    are.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     res = np.ones(limit + 1)
     res[0] = 0.0
-    primes = primes_up_to(math.isqrt(limit))
-    for p in primes.tolist():
-        qr = _qr_table(p) if p > 2 else None
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        t = np.arange(8 if p == 2 else p)  # m mod the period
+        if p > 2:
+            chi = _qr_table(p)[-t % p].astype(np.float64)
+        elif conv is SymbolConvention.KRONECKER:
+            chi = np.where((-t % 8 == 1) | (-t % 8 == 7), 1.0, -1.0)
+        else:
+            chi = np.ones(8)
         base = p * p
         while base <= limit:
-            m = np.arange(1, limit // base + 1, dtype=np.int64)
-            m = m[m % p != 0]
-            if p == 2:
-                if conv is SymbolConvention.UNIT:
-                    chi = np.ones(len(m))
-                else:
-                    r = (-m) % 8
-                    chi = np.where((r == 1) | (r == 7), 1.0, -1.0)
-            else:
-                chi = qr[(-m) % p].astype(np.float64)
-            res[base * m] *= 1.0 - (p - chi) / (float(base) * p * (p - 1.0))
+            n = limit // base
+            fac = 1.0 - (p - chi) / (float(base) * p * (p - 1.0))
+            fac[t % p == 0] = 1.0
+            res[base::base] *= np.tile(fac, n // len(t) + 1)[1 : n + 1]
             base *= p * p
     return res
 
@@ -200,9 +201,8 @@ def even_val_symbol_table(limit: int,
 @lru_cache(maxsize=128)
 def _qr_table(p: int) -> np.ndarray:
     """chi[t] for t mod p: 0 at 0, +1 at nonzero squares, -1 otherwise."""
-    squares = np.unique((np.arange(1, p, dtype=np.int64) ** 2) % p)
     table = np.full(p, -1, dtype=np.int8)
-    table[squares] = 1
+    table[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
     table[0] = 0
     return table
 
@@ -286,7 +286,8 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
 
     shift_vals = multiplicative_table(shift_part_fn, xmax)
     if which == "t3":
-        order_vals = multiplicative_table(odd_val_part_fn, xmax) * even_val_symbol_table(xmax, conv)
+        order_vals = multiplicative_table(odd_val_part_fn, xmax)
+        order_vals *= even_val_symbol_table(xmax, conv)
     else:
         order_vals = multiplicative_table(order_part_fn, xmax)
         if which == "t2b":

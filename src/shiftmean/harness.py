@@ -7,7 +7,7 @@ are accumulated into one integer and rounded once per requested prefix, so
 each result is the exactly rounded sum (what math.fsum returns) no matter
 how many terms enter.  Both kinds are cut into limbs small enough that a
 block of SUM_BLOCK = 2^16 terms sums exactly in one numpy reduction: float
-mantissas into 18-bit limbs (per-exponent sums below 2^16 * 2^18 = 2^34,
+mantissas into 27-bit limbs (per-exponent sums below 2^16 * 2^27 = 2^43,
 exact in float64), int64 values into 21-bit limbs (limb products below
 2^42, so block sums stay below 2^16 * 2^42 = 2^58 in int64).
 
@@ -66,7 +66,7 @@ def tabulate(spec: TabSpec, limit: int) -> np.ndarray:
 
 
 # Terms per block of prefix_dots: bounds its working memory, and keeps every
-# limb sum exact: float limbs below 2^16 * 2^18 = 2^34 (exact in float64),
+# limb sum exact: float limbs below 2^16 * 2^27 = 2^43 (exact in float64),
 # integer limb products below 2^16 * 2^42 = 2^58 (no int64 overflow).
 SUM_BLOCK = 2**16
 
@@ -111,20 +111,18 @@ def _scaled_float_dot(a: np.ndarray, b: np.ndarray) -> int:
         raise ValueError("non-finite term in sum")
     frac, exp = np.frexp(terms)
     exp += _EXP_BIAS
-    # Cut the 53-bit integer mantissa into three 18-bit limbs, the top one
-    # signed.  Every step is exact in float64: scaling by powers of two,
-    # floor, and differences of integers below 2^53.
-    mant = frac * 2.0**53
-    top = np.floor(mant * 2.0**-36)
-    rest = mant - top * 2.0**36
-    mid = np.floor(rest * 2.0**-18)
-    limbs = (rest - mid * 2.0**18, mid, top)
+    # Cut the 53-bit integer mantissa frac * 2^53 into two 27-bit limbs, the
+    # top one signed.  Every step is exact in float64: scaling by powers of
+    # two, floor, and the difference of frac and its own leading bits.
+    top = np.floor(frac * 2.0**26)
+    frac -= top * 2.0**-26
+    frac *= 2.0**53
     total = 0
-    for k, limb in enumerate(limbs):
+    for k, limb in enumerate((frac, top)):
         sums = np.bincount(exp, weights=limb)
         nonzero = np.flatnonzero(sums)
         for e, s in zip(nonzero.tolist(), sums[nonzero].tolist()):
-            total += int(s) << (e + 18 * k)
+            total += int(s) << (e + 27 * k)
     return total
 
 

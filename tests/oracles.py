@@ -5,7 +5,8 @@ package produces by a different route: the primes by one whole-array sieve
 (the oracles below read theirs from it), the constant as a rearranged double
 sum (brute and regrouped by gcd), prime-zeta values and the twin-prime
 product built from them, the order constant from its defining product,
-the symbol-substitution gap over a mask of its congruence class, local
+the symbol-substitution gap over a mask of its congruence class, the
+symbol table with the cofactors of each prime power batched, local
 factors and divisor sums term by term, point counts by character sum and by
 enumeration, curve densities as exact fractions, and the least-squares error
 exponent of a report.
@@ -259,6 +260,38 @@ def substitution_gap_by_mask(x: int, d: int = 1, modulus: int = 1,
     mask = (n % d == 1 % d) & (n % modulus == 0)
     mask[0] = False
     return math.fsum(symbol_vals[mask] - mean_vals[mask])
+
+
+def even_val_symbol_table_batched(limit: int,
+                                  conv: SymbolConvention = SymbolConvention.UNIT) -> np.ndarray:
+    """even_val_symbol_table, with the cofactors m of each p^(2a) batched.
+
+    For every prime power base = p^(2a) the cofactors m <= limit / base with
+    p not dividing m are listed, their symbols gathered from a residue table,
+    and the factors scattered to base * m.
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    res = np.ones(limit + 1)
+    res[0] = 0.0
+    primes = plain_sieve(math.isqrt(limit))
+    for p in primes.tolist():
+        qr = _qr_table(p) if p > 2 else None
+        base = p * p
+        while base <= limit:
+            m = np.arange(1, limit // base + 1, dtype=np.int64)
+            m = m[m % p != 0]
+            if p == 2:
+                if conv is SymbolConvention.UNIT:
+                    chi = np.ones(len(m))
+                else:
+                    r = (-m) % 8
+                    chi = np.where((r == 1) | (r == 7), 1.0, -1.0)
+            else:
+                chi = qr[(-m) % p].astype(np.float64)
+            res[base * m] *= 1.0 - (p - chi) / (float(base) * p * (p - 1.0))
+            base *= p * p
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,8 @@ def test_jordan_table_matches_pointwise_jordan_totient():
 
 def test_multiplicative_table_memory():
     # the float64 table is 7.6 MiB and the one reused strided buffer 3.8 MiB;
-    # 13.8 MiB peak measured
+    # the peak comes while both are held and the values at the 78,330 primes
+    # above 1000 are computed: 13.8 MiB measured
     from shiftmean.curveconst import odd_val_part_fn
 
     primes_up_to(10**6)  # warm the prime cache so only the table's arrays count

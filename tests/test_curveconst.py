@@ -34,6 +34,7 @@ from shiftmean.harness import shifted_sum
 
 from oracles import (
     eval_divisor_sum,
+    even_val_symbol_table_batched,
     local_factor,
     odd_val_kernel,
     order_constant_direct,
@@ -223,6 +224,29 @@ def test_symbol_table_matches_scalar_both_conventions():
             assert table[n] == pytest.approx(
                 even_val_symbol_part(n, conv, factorize_trial(n)), rel=1e-13
             ), (n, conv)
+
+
+@pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)
+def test_symbol_table_bytes_equal_batched_oracle(conv):
+    # the tiled period multiplies by exactly 1.0 where p | m, so no bit moves
+    limit = 10**5
+    assert even_val_symbol_table(limit, conv).tobytes() == \
+        even_val_symbol_table_batched(limit, conv).tobytes()
+
+
+@pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)
+def test_symbol_table_memory(conv):
+    # the float64 table is 7.6 MiB and the largest tiled period 1.9 MiB;
+    # 9.5 MiB peak measured; the batched oracle peaked at 13.4 (unit) and
+    # 14.3 MiB (kronecker)
+    primes_up_to(10**6)  # warm the prime cache so only the table's arrays count
+    tracemalloc.start()
+    try:
+        even_val_symbol_table(10**6, conv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,22 @@ def test_prefix_dots_int64_extremes_fill_a_block(v):
     assert prefix_dots(a, b, ends) == [e * v * (-v - 1) for e in ends]
 
 
+@pytest.mark.parametrize("pattern", [
+    [1 - 2**-53],                  # mantissa 2^53 - 1: both limbs at their largest
+    [-(1 - 2**-53)],               # top limb at its most negative, -2^26
+    [-(0.5 + 2**-53)],             # negative, low limb at its largest, 2^27 - 1
+    [1 - 2**-53, -(0.5 + 2**-53)],  # mixed signs, every other top limb negative
+], ids=["positive", "negative", "negative-low", "mixed"])
+def test_prefix_dots_float_extremes_fill_a_block(pattern):
+    # the largest limb sums a block can hold: 2^16 mantissas at one exponent,
+    # each limb below 2^27, so every per-exponent sum stays below 2^43
+    a = np.resize(np.array(pattern), SUM_BLOCK + 1)
+    ends = [SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]
+    exact = [sum(Fraction(v) * len(range(j, e, len(pattern))) for j, v in enumerate(pattern))
+             for e in ends]
+    assert prefix_dots(a, np.ones_like(a), ends) == [float(s) for s in exact]
+
+
 def test_prefix_dots_uint64_above_int64_is_exact():
     a = np.array([2**64 - 1, 3, 2**63], dtype=np.uint64)
     assert prefix_dots(a, a, [1, 3]) == [(2**64 - 1) ** 2, (2**64 - 1) ** 2 + 9 + 2**126]
