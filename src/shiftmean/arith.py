@@ -1,10 +1,11 @@
 """Sieve-backed integer arithmetic.
 
-One segmented prime sieve (odd numbers only, SIEVE_SPAN integers at a time,
-so a caller that streams its segments holds a bounded amount whatever the
-limit), trial-division factorization, Jacobi symbols, multiplicative
-functions defined by their values on prime powers, and one prime-power
-sieve that tabulates them (float or exact) over an interval.
+One segmented prime sieve (on the 6k+-1 wheel, SIEVE_SPAN integers at a
+time in 1.4 MiB of flags, so a caller that streams its segments holds a
+bounded amount whatever the limit), trial-division factorization, Jacobi
+symbols, multiplicative functions defined by their values on prime powers,
+and one prime-power sieve that tabulates them (float or exact) over an
+interval.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ class PrimePowerFn:
     """A multiplicative function determined by its values on prime powers.
 
     rule(p, k) gives the value at p^k for k >= 1 and must accept either a
-    scalar prime or an ndarray of primes (k is always a scalar).  The value
+    scalar prime or an ndarray of primes, which may be float64 (k is always
+    a scalar).  It must neither write into its array argument nor return
+    it, since callers hold and reuse that array.  The value
     at k = 0 is implicitly 1.  two_rule, when given, overrides the values at
     p = 2 (several of the built-in tables are irregular there).
     """
@@ -90,7 +93,7 @@ class PrimePowerFn:
             return np.ones(len(primes))
         # rules may divide by zero at p = 2 before the override lands
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.asarray(self.rule(primes.astype(np.float64), k), dtype=np.float64)
+            vals = np.asarray(self.rule(np.asarray(primes, dtype=np.float64), k), dtype=np.float64)
         if vals.shape == ():  # rule returned a scalar constant
             vals = np.full(len(primes), float(vals))
         if self.two_rule is not None and len(primes) and primes[0] == 2:
@@ -157,8 +160,9 @@ def jordan_totient(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Prime lists and bulk tabulation
 
-# Integers per sieve segment.  A segment keeps one bool per odd number (2
-# MiB), and one segment's primes are all an Euler product holds at a time.
+# Integers per sieve segment.  A segment keeps one bool per number prime to
+# 6 (1.4 MiB), and one segment's primes are all an Euler product holds at a
+# time.  The folds sum per segment, so the boundaries fix their last bits.
 SIEVE_SPAN = 2**22
 
 # (limit, primes <= limit); replaced in one assignment so a reader never
@@ -200,28 +204,40 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
 
 def _sieve_range(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi], sieved SIEVE_SPAN integers at a time."""
-    odd_base = primes_up_to(isqrt(hi))[1:]
-    parts = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    wheel_base = primes_up_to(isqrt(hi))[2:]
+    small = [p for p in (2, 3) if lo <= p <= hi]
+    parts = [np.array(small, dtype=np.int64)] if small else []
     for start in range(lo, hi + 1, SIEVE_SPAN):
         end = min(start + SIEVE_SPAN - 1, hi)
-        base = odd_base[: int(np.searchsorted(odd_base, isqrt(end), side="right"))]
-        parts.append(_sieve_odd(start | 1, end, base))
-    return np.concatenate(parts)
+        base = wheel_base[: int(np.searchsorted(wheel_base, isqrt(end), side="right"))]
+        parts.append(_sieve_wheel(start, end, base))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _sieve_odd(first: int, end: int, base: np.ndarray) -> np.ndarray:
-    """Odd primes in [first, end] for odd first, given the odd primes <= sqrt(end)."""
-    if end < first:
-        return np.empty(0, dtype=np.int64)
-    is_prime = np.ones((end - first) // 2 + 1, dtype=bool)  # entry i stands for first + 2i
-    # first odd multiple of p that is at least max(p^2, first)
-    multiple = np.maximum(base * base, -(-first // base) * base)
-    multiple += np.where(multiple % 2 == 0, base, 0)
-    for i, p in zip(((multiple - first) // 2).tolist(), base.tolist()):
-        is_prime[i::p] = False
-    if first == 1:
-        is_prime[0] = False
-    return first + 2 * np.flatnonzero(is_prime).astype(np.int64)
+def _sieve_wheel(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi] prime to 6, given the primes 5 <= p <= sqrt(hi)."""
+    k0 = lo // 6
+    # entry i stands for n = 6 k0 + 3i + 1 + (i & 1): the even entries n = 1 and
+    # the odd ones n = 5 (mod 6), so each class of a prime p recurs every 2p entries
+    is_prime = np.ones(2 * (hi // 6 - k0 + 1), dtype=bool)
+    firsts = []
+    for r in (1, 5):
+        # first multiple p c >= max(p^2, 6 k0 + r) with p c = r (mod 6): since
+        # p^2 = 1 (mod 6), the cofactor c = r p (mod 6)
+        c = np.maximum(base, -(-(6 * k0 + r) // base))
+        c += (r * base - c) % 6
+        firsts.append(2 * ((base * c - r) // 6 - k0) + (r == 5))
+    for i1, i5, step in zip(firsts[0].tolist(), firsts[1].tolist(), (2 * base).tolist()):
+        is_prime[i1::step] = False
+        is_prime[i5::step] = False
+    if k0 == 0:
+        is_prime[0] = False  # n = 1
+    n = np.flatnonzero(is_prime)
+    odd = n & 1
+    n *= 3
+    n += odd
+    n += 6 * k0 + 1
+    return n[int(np.searchsorted(n, lo)) : int(np.searchsorted(n, hi, side="right"))]
 
 
 def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> np.ndarray:
@@ -241,6 +257,7 @@ def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> 
             buf[s - 1 : limit // p : s] = local(p, e)
             s, e = s * p, e + 1
         res[p::p] *= buf[: limit // p]
+    del buf
     # p > sqrt(limit) divides each multiple p*q <= limit once (q <= sqrt(limit)): scatter per q
     big = primes[n_small:]
     vals = on_big(big)

@@ -217,8 +217,10 @@ def twin_prime_constant(prime_cutoff: int) -> EulerProductValue:
         raise ValueError(f"prime cutoff must be >= 3, got {prime_cutoff}")
     log_sum = 0.0
     for primes in prime_segments(prime_cutoff):
-        odd = primes[primes > 2].astype(np.float64)
-        log_sum += np.sum(np.log1p(-1.0 / (odd - 1.0) ** 2))
+        x = np.subtract(primes[1:] if primes[0] == 2 else primes, 1.0)  # p - 1 as float64
+        x *= x
+        np.divide(-1.0, x, out=x)
+        log_sum += np.sum(np.log1p(x, out=x))
     value = float(np.exp(log_sum))
     crude = 2.0 / (prime_cutoff - 1)
     sharp = abs(value) / (prime_cutoff * (math.log(prime_cutoff) - 1.0))

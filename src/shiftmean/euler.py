@@ -31,6 +31,10 @@ TERM_FLOOR = 1e-20
 # near-zero in the shift correction)
 DEGENERATE_FLOOR = 1e-12
 
+# Primes per chunk of the power-series fold: its few float64 temporaries stay
+# in cache.  Each term is computed elementwise, so the chunk size moves no bit.
+FOLD_CHUNK = 2**15
+
 
 class DegenerateLocalFactor(ArithmeticError):
     """The exponent-zero local sum vanished; the shift correction divides by it."""
@@ -143,7 +147,9 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray) -> tuple:
 
     Also returns the k = 1 envelope max p^2 |term| and the last k used: each
     series runs until p^k passes POWER_CEILING for every prime or all its
-    terms fall below TERM_FLOOR.
+    terms fall below TERM_FLOOR.  Each k walks the primes FOLD_CHUNK at a
+    time; the envelope (NaN if any term is) and the stop test reduce over
+    the chunks as over one array.
     """
     pf = primes.astype(np.float64)
     sums = np.zeros(len(primes))
@@ -155,14 +161,19 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray) -> tuple:
             hi = int(np.searchsorted(primes, int(POWER_CEILING ** (1.0 / k)) + 1))
         if hi == 0:
             break
-        sub = pf[:hi]
-        with np.errstate(over="ignore"):
-            terms = (pair.f.on_primes(primes[:hi], k) + pair.g.on_primes(primes[:hi], k)) / sub**k
-        if k == 1:
-            envelope = float(np.max(np.abs(terms) * sub * sub))
-        sums[:hi] += terms
+        live = False
+        for a in range(0, hi, FOLD_CHUNK):
+            sub = pf[a : min(a + FOLD_CHUNK, hi)]
+            with np.errstate(over="ignore"):
+                terms = pair.f.on_primes(sub, k)
+                terms += pair.g.on_primes(sub, k)
+                terms /= sub**k
+            if k == 1:
+                envelope = float(np.maximum(envelope, np.max(np.abs(terms) * sub * sub)))
+            sums[a : a + len(sub)] += terms
+            live = live or bool(np.any(np.abs(terms) >= TERM_FLOOR))
         depth_used = k
-        if not np.any(np.abs(terms) >= TERM_FLOOR):
+        if not live:
             break
     return sums, envelope, depth_used
 
@@ -192,10 +203,13 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProd
         envelope = max(envelope, segment_envelope)
         depth_used = max(depth_used, segment_depth)
         below = sums < -1.0
-        negative ^= bool(np.count_nonzero(below) % 2)
+        n_below = np.count_nonzero(below)
+        negative ^= bool(n_below % 2)
         # log|1 + s|, with |1 + s| = 1 + (-2 - s) below -1; a zero factor gives -inf
+        if n_below:
+            sums = np.where(below, -2.0 - sums, sums)
         with np.errstate(divide="ignore"):
-            log_sum += np.sum(np.log1p(np.where(below, -2.0 - sums, sums)))
+            log_sum += np.sum(np.log1p(sums, out=sums))
     value = float(-np.exp(log_sum) if negative else np.exp(log_sum))
 
     for p, nu in h_fac:

@@ -363,9 +363,9 @@ def test_jordan_table_matches_pointwise_jordan_totient():
 
 
 def test_multiplicative_table_memory():
-    # the float64 table is 7.6 MiB and the one reused strided buffer 3.8 MiB;
-    # the peak comes while both are held and the values at the 78,330 primes
-    # above 1000 are computed: 13.8 MiB measured
+    # the float64 table is 7.6 MiB and the strided buffer of the primes up to
+    # 1000 3.8 MiB; the buffer is released before the values at the 78,330
+    # primes above 1000 are computed: 11.45 MiB measured
     from shiftmean.curveconst import odd_val_part_fn
 
     primes_up_to(10**6)  # warm the prime cache so only the table's arrays count
@@ -375,7 +375,7 @@ def test_multiplicative_table_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 12.5 * 2**20
 
 
 def test_multiplicative_table_handles_zero_values():
@@ -482,3 +482,48 @@ def test_prime_segments_cover_the_primes_once(plain_primes, cold_primes):
     # a segment without primes is skipped: [SPAN, SPAN + 14] holds none
     assert list(prime_segments(1)) == []
     assert [s[-1] for s in prime_segments(SPAN + 14)] == [plain_primes[plain_primes < SPAN][-1]]
+
+
+def test_primes_up_to_every_small_range(cold_primes):
+    expected = plain_sieve(200)
+    for lo in range(201):
+        for hi in range(lo, 201):
+            arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+            got = primes_up_to(hi, lo)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected[(expected >= lo) & (expected <= hi)]), (lo, hi)
+
+
+def test_primes_up_to_ranges_ending_around_the_wheel(plain_primes, cold_primes):
+    # ends at 6k - 1, 6k, 6k + 1 and 6k + 5 next to the first two segment ends
+    ends = [6 * k + d for b in (SPAN, 2 * SPAN) for k in (b // 6, b // 6 + 1) for d in (-1, 0, 1, 5)]
+    for lo in [0] + ends:
+        for hi in ends:
+            if lo <= hi:
+                arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+                expect = plain_primes[(plain_primes >= lo) & (plain_primes <= hi)]
+                assert np.array_equal(primes_up_to(hi, lo), expect), (lo, hi)
+
+
+def test_primes_up_to_range_starting_at_a_base_prime_square(plain_primes, cold_primes):
+    # the first multiple a base prime p marks is p^2 itself
+    for p in (5, 7, 11, 13, 1009, 3001):
+        for hi in (p * p, p * p + 1, p * p + 5000):
+            arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+            expect = plain_primes[(plain_primes >= p * p) & (plain_primes <= hi)]
+            assert np.array_equal(primes_up_to(hi, p * p), expect), (p, hi)
+
+
+def test_sieve_segment_memory(cold_primes):
+    # the wheel keeps 1.4 MiB of flags for the 4,194,304 integers, and the
+    # 228,778 primes need an int64 array and one int64 temporary: 4.85 MiB
+    # measured
+    lo, hi = 9 * 10**7, 9 * 10**7 + SPAN - 1
+    primes_up_to(isqrt(hi))  # warm the base primes so only the segment counts
+    tracemalloc.start()
+    try:
+        primes_up_to(hi, lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.25 * 2**20

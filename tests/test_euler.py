@@ -214,6 +214,30 @@ SIGNED_PAIR = ShiftedPairSpec(
 )
 
 
+# NaN at one prime, which sits in a later chunk whenever chunks are short
+NAN_AT_ONE_PRIME = ShiftedPairSpec(
+    f=PrimePowerFn(lambda p, k: np.where(p == 7919, np.nan, 1.0 / p**k), name="nan_at_7919"),
+    g=ZERO_PAIR.g,
+    shift=1,
+    baseline=MonomialBaseline(0, 0),
+)
+
+
+@pytest.mark.parametrize("name", ["kstar", "khat", "phi", "jordan-3", "signed", "nan"])
+def test_local_sums_do_not_depend_on_the_chunk(name, monkeypatch):
+    pair = {"signed": SIGNED_PAIR, "nan": NAN_AT_ONE_PRIME}.get(name) or get_preset(name).pair
+    primes = primes_up_to(10**5)
+    monkeypatch.setattr(euler, "FOLD_CHUNK", 2**30)
+    whole_sums, whole_envelope, whole_depth = euler._local_sums(pair, primes)
+    assert (name == "nan") == math.isnan(whole_envelope)
+    for chunk in (1, 7):
+        monkeypatch.setattr(euler, "FOLD_CHUNK", chunk)
+        sums, envelope, depth = euler._local_sums(pair, primes)
+        assert np.array_equal(sums, whole_sums, equal_nan=True), chunk
+        assert envelope == whole_envelope or math.isnan(envelope) and math.isnan(whole_envelope)
+        assert depth == whole_depth, chunk
+
+
 def _constants(cutoff):
     out = {"c2": twin_prime_constant(cutoff), "signed": shifted_mean_constant(SIGNED_PAIR, cutoff)}
     for name in ("phi", "kstar", "khat"):
@@ -248,7 +272,8 @@ def test_signed_constant_matches_an_exact_log_sum():
 @pytest.mark.parametrize("name", ["c2", "kstar"])
 def test_constant_memory_is_bounded_by_a_segment(name, monkeypatch):
     # one whole-array sieve to 2e7 alone peaks past 40 MiB; streamed segments
-    # need a few MiB each, whatever the cutoff
+    # need a few MiB each, whatever the cutoff: 11.7 MiB (c2) and 11.9 MiB
+    # (kstar) measured
     monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
     tracemalloc.start()
     try:
@@ -259,7 +284,7 @@ def test_constant_memory_is_bounded_by_a_segment(name, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_tail_bound_monotone_in_cutoff_small_scale():
