@@ -109,23 +109,6 @@ def eval_multiplicative(fn: PrimePowerFn, fac: Factorization) -> float:
     return out
 
 
-def partial_sum_fn(fn: PrimePowerFn, name: str = "") -> PrimePowerFn:
-    """Prime-power table of the divisor sums 1 + fn(p) + ... + fn(p^k)."""
-
-    def rule(p, k):
-        acc = fn.rule(p, 1)
-        for j in range(2, k + 1):
-            acc = acc + fn.rule(p, j)
-        return 1.0 + acc
-
-    two = None
-    if fn.two_rule is not None:
-        def two(k, _f=fn):
-            return 1.0 + sum(_f(2, j) for j in range(1, k + 1))
-
-    return PrimePowerFn(rule, two_rule=two, name=name or f"1*{fn.name}")
-
-
 # ---------------------------------------------------------------------------
 # Exact-integer named functions
 

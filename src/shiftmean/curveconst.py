@@ -119,6 +119,9 @@ order_part_fn = PrimePowerFn(
     _order_part_rule, two_rule=lambda k: 2.0 - 2.0 ** (1 - k), name="order_part"
 )
 
+# G restricted to odd N: zero at every even N.
+order_part_odd_fn = PrimePowerFn(_order_part_rule, two_rule=lambda k: 0.0, name="order_part_odd")
+
 
 # G2: like G, but with the (1 - 1/(p^e (p-1))) factor only at odd valuations.
 def _odd_val_part_rule(p, k):
@@ -146,6 +149,17 @@ even_val_mean_fn = PrimePowerFn(
     _even_val_mean_rule,
     two_rule=lambda k: 1.0 - 2.0 ** (-(k + 1)) if k % 2 == 0 else 1.0,
     name="even_val_mean",
+)
+
+
+# G2 G4: the order-side factor of the mean-substituted constant.  At odd p the
+# G4 factor fills in the (1 - 1/(p^e (p-1))) that G2 drops at even e, giving G.
+def _averaged_order_part_two(k):
+    return odd_val_part_fn(2, k) * even_val_mean_fn(2, k)
+
+
+averaged_order_part_fn = PrimePowerFn(
+    _order_part_rule, two_rule=_averaged_order_part_two, name="averaged_order_part"
 )
 
 
@@ -221,6 +235,7 @@ def twin_prime_constant(prime_cutoff: int) -> EulerProductValue:
         x *= x
         np.divide(-1.0, x, out=x)
         log_sum += np.sum(np.log1p(x, out=x))
+        del x, primes  # so the next segment is sieved without this one held
     value = float(np.exp(log_sum))
     crude = 2.0 / (prime_cutoff - 1)
     sharp = abs(value) / (prime_cutoff * (math.log(prime_cutoff) - 1.0))
@@ -291,9 +306,8 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
         order_vals = multiplicative_table(odd_val_part_fn, xmax)
         order_vals *= even_val_symbol_table(xmax, conv)
     else:
-        order_vals = multiplicative_table(order_part_fn, xmax)
-        if which == "t2b":
-            order_vals[0::2] = 0.0
+        order_fn = order_part_fn if which == "t2a" else order_part_odd_fn
+        order_vals = multiplicative_table(order_fn, xmax)
 
     sums = shifted_sum(shift_vals, order_vals, 1, xmax, grid=xs)
     return MeanValueReport.from_sums(

@@ -210,6 +210,7 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProd
             sums = np.where(below, -2.0 - sums, sums)
         with np.errstate(divide="ignore"):
             log_sum += np.sum(np.log1p(sums, out=sums))
+        del sums, below, primes  # so the next segment is sieved without this one held
     value = float(-np.exp(log_sum) if negative else np.exp(log_sum))
 
     for p, nu in h_fac:

@@ -1,5 +1,8 @@
 """Empirical side: tabulate, sum exactly, compare against prediction.
 
+A table is an exact named function (totient, Jordan) or a PrimePowerFn,
+tabulated by arith.multiplicative_table.
+
 Shifted sums start at n = shift + 1 so the shifted argument stays >= 1.
 Every empirical sum goes through prefix_dots, one blockwise pass that is
 exact: integer arrays (totient family) give Python ints, and float products
@@ -21,17 +24,10 @@ the library checks a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .arith import (
-    PrimePowerFn,
-    jordan_table,
-    multiplicative_table,
-    partial_sum_fn,
-    totient_table,
-)
+from .arith import PrimePowerFn, jordan_table, multiplicative_table, totient_table
 from .euler import shifted_mean_constant
 from .reports import MeanValueReport
 
@@ -44,25 +40,15 @@ class NamedFn:
     k: int = 1
 
 
-@dataclass(frozen=True)
-class DivisorSumFn:
-    """Tabulation target sum_{d|n} fn(d)."""
-
-    fn: PrimePowerFn
-
-
-TabSpec = Union[NamedFn, DivisorSumFn]
-
-
-def tabulate(spec: TabSpec, limit: int) -> np.ndarray:
+def tabulate(spec: NamedFn | PrimePowerFn, limit: int) -> np.ndarray:
     """Values over [0, limit] in one sieve pass; index n holds the value at n."""
-    if isinstance(spec, NamedFn):
-        if spec.name == "totient":
-            return totient_table(limit)
-        if spec.name == "jordan":
-            return jordan_table(limit, spec.k)
-        raise ValueError(f"unknown named function {spec.name!r}")
-    return multiplicative_table(partial_sum_fn(spec.fn), limit)
+    if isinstance(spec, PrimePowerFn):
+        return multiplicative_table(spec, limit)
+    if spec.name == "totient":
+        return totient_table(limit)
+    if spec.name == "jordan":
+        return jordan_table(limit, spec.k)
+    raise ValueError(f"unknown named function {spec.name!r}")
 
 
 # Terms per block of prefix_dots: bounds its working memory, and keeps every

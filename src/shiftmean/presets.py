@@ -1,7 +1,9 @@
 """Named problem bundles: (f, g, shift, baseline, candidate error) in one place.
 
 Presets wire the totient family and the curve-order factor pairs into the
-grid harness so verification runs need no manual table entry.
+grid harness so verification runs need no manual table entry.  A curve-order
+preset tabulates curveconst's factor functions themselves, so `meanvalue` and
+`verify` sum one table per factor; its kernels serve only the Euler product.
 """
 
 from __future__ import annotations
@@ -11,17 +13,26 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .arith import PrimePowerFn
-from .curveconst import averaged_order_kernel, order_kernel, order_kernel_odd, shift_kernel
+from .curveconst import (
+    averaged_order_kernel,
+    averaged_order_part_fn,
+    order_kernel,
+    order_kernel_odd,
+    order_part_fn,
+    order_part_odd_fn,
+    shift_kernel,
+    shift_part_fn,
+)
 from .euler import MonomialBaseline, ShiftedPairSpec
-from .harness import DivisorSumFn, NamedFn, TabSpec
+from .harness import NamedFn
 
 
 @dataclass(frozen=True)
 class Preset:
     name: str
     pair: ShiftedPairSpec
-    f_tab: TabSpec
-    g_tab: TabSpec
+    f_tab: NamedFn | PrimePowerFn
+    g_tab: NamedFn | PrimePowerFn
     error_label: str
     error_fn: Callable[[float], float]
 
@@ -39,7 +50,8 @@ def _table(k: int) -> dict:
     phi and jordan-k pair the Jordan kernel of order k (phi: k = 1) with
     itself and tabulate exactly.  kstar, kstar-odd and khat pair
     shift_kernel with an order-side kernel: all N (main term x), odd N only
-    (x/3), and the mean-substituted unnormalized constant (31x/30).
+    (x/3), and the mean-substituted unnormalized constant (31x/30), and
+    tabulate the kernels' divisor sums: F with G, G on odd N, and G2 G4.
     """
     jordan = _jordan_kernel(k)
     table = {
@@ -48,10 +60,10 @@ def _table(k: int) -> dict:
         "jordan-k": (jordan, jordan, NamedFn("jordan", k), NamedFn("jordan", k), k,
                      f"x^{2 * k}", lambda x: float(x) ** (2 * k)),
     }
-    for name, g in (("kstar", order_kernel), ("kstar-odd", order_kernel_odd),
-                    ("khat", averaged_order_kernel)):
-        table[name] = (shift_kernel, g, DivisorSumFn(shift_kernel), DivisorSumFn(g), 0,
-                       "log x", math.log)
+    for name, g, g_tab in (("kstar", order_kernel, order_part_fn),
+                           ("kstar-odd", order_kernel_odd, order_part_odd_fn),
+                           ("khat", averaged_order_kernel, averaged_order_part_fn)):
+        table[name] = (shift_kernel, g, shift_part_fn, g_tab, 0, "log x", math.log)
     return table
 
 

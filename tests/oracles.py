@@ -7,7 +7,8 @@ sum (brute and regrouped by gcd), prime-zeta values and the twin-prime
 product built from them, the order constant from its defining product,
 the symbol-substitution gap over a mask of its congruence class, the
 symbol table with the cofactors of each prime power batched, local
-factors and divisor sums term by term, point counts by character sum and by
+factors and divisor sums term by term, the curve-order presets' shifted
+sums at 40 digits from closed forms, point counts by character sum and by
 enumeration, curve densities as exact fractions, and the least-squares error
 exponent of a report.
 """
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from shiftmean.arith import (
@@ -337,6 +339,59 @@ def _odd_val_kernel_two(k):
 odd_val_kernel = PrimePowerFn(
     _odd_val_kernel_rule, two_rule=_odd_val_kernel_two, name="odd_val_kernel"
 )
+
+
+# ---------------------------------------------------------------------------
+# Shifted sums of the curve-order factors, at 40 digits
+
+
+def _factor_at(which: str, p: int, k: int):
+    """The factor at p^k of F ("shift") or of an order side, as an mpmath value.
+
+    Order sides: "all" is G; "odd" is G on odd N only; "averaged" is G2 G4,
+    which equals G at odd p.
+    """
+    p_ = mpmath.mpf(p)
+    if which == "shift":
+        if p == 2:
+            return mpmath.mpf(2) / 3
+        return (1 - 1 / ((p_ - 1) ** 2 * (p_ + 1))) * (p_ - 1) ** 2 / (p_ * (p_ - 2))
+    if p > 2:
+        return (p_ - 1) / (p_ - 2) * (1 - 1 / (p_**k * (p_ - 1)))
+    if which == "all":
+        return 2 - mpmath.mpf(2) ** (1 - k)
+    if which == "odd":
+        return mpmath.mpf(0)
+    e = k if k % 2 else k + 1  # G2 G4 at 2^k
+    return 2 * (1 - mpmath.mpf(2) ** -e)
+
+
+def order_factor_sum_mp(order_side: str, shift: int, x: int):
+    """sum_{n = shift+1..x} F(n - shift) G(n) at 40 digits, with G the order
+    side named as in _factor_at.
+
+    Each value is the product of its closed-form factors over a factorization
+    read off a smallest-prime-factor list; nothing comes from the package.
+    """
+    spf = list(range(x + 1))
+    for p in range(2, math.isqrt(x) + 1):
+        if spf[p] == p:
+            for m in range(p * p, x + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+
+    def value(which, n):
+        out = mpmath.mpf(1)
+        while n > 1:
+            p, k = spf[n], 0
+            while n % p == 0:
+                n, k = n // p, k + 1
+            out *= _factor_at(which, p, k)
+        return out
+
+    with mpmath.workdps(40):
+        return mpmath.fsum(value("shift", n - shift) * value(order_side, n)
+                           for n in range(shift + 1, x + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from shiftmean.arith import (
     jordan_table,
     jordan_totient,
     multiplicative_table,
-    partial_sum_fn,
     prime_segments,
     primes_up_to,
     quad_symbol,
@@ -216,10 +215,10 @@ def test_mobius_invert_requires_unit_start():
     # the inversion reads r(p^0) = 1: every table of divisor sums starts there
     bumpy = PrimePowerFn(lambda p, k: (-1.0) ** k / (p + k), name="bumpy")
     for fn in (PHI_RATIO, ZERO_FN, bumpy):
-        r = partial_sum_fn(fn)
         for p in (2, 3, 7):
-            assert r(p, 0) == 1.0
-            assert _local_differences([r(p, k) for k in range(6)]) == pytest.approx(
+            r = [eval_divisor_sum(fn, [(p, k)]) for k in range(6)]
+            assert r[0] == 1.0
+            assert _local_differences(r) == pytest.approx(
                 [fn(p, k) for k in range(1, 6)], abs=1e-15
             )
 
@@ -336,9 +335,8 @@ TABLE_LIMITS = (1, 2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 10**4)
 def _cli_tabulated_fns():
     from shiftmean import curveconst as cc
 
-    kernels = (cc.shift_kernel, cc.order_kernel, cc.order_kernel_odd, cc.averaged_order_kernel)
-    parts = (cc.shift_part_fn, cc.order_part_fn, cc.odd_val_part_fn, cc.even_val_mean_fn)
-    return [partial_sum_fn(kern) for kern in kernels] + list(parts)
+    return [cc.shift_part_fn, cc.order_part_fn, cc.order_part_odd_fn, cc.averaged_order_part_fn,
+            cc.odd_val_part_fn, cc.even_val_mean_fn]
 
 
 def test_multiplicative_table_matches_pointwise_eval():
@@ -380,10 +378,9 @@ def test_multiplicative_table_memory():
 
 def test_multiplicative_table_handles_zero_values():
     # odd-support table: zero at p = 2 wipes all even entries
-    from shiftmean.curveconst import order_kernel_odd
+    from shiftmean.curveconst import order_kernel_odd, order_part_odd_fn
 
-    dsum = partial_sum_fn(order_kernel_odd)
-    table = multiplicative_table(dsum, 2000)
+    table = multiplicative_table(order_part_odd_fn, 2000)
     assert np.all(table[2::2] == 0.0)
     for n in range(1, 2000, 2):
         expect = eval_divisor_sum(order_kernel_odd, factorize_trial(n))

@@ -16,6 +16,7 @@ from shiftmean.curveconst import (
     MEAN_TARGETS,
     SymbolConvention,
     averaged_order_kernel,
+    averaged_order_part_fn,
     even_val_mean_fn,
     even_val_symbol_part,
     even_val_symbol_table,
@@ -25,6 +26,7 @@ from shiftmean.curveconst import (
     order_kernel,
     order_kernel_odd,
     order_part_fn,
+    order_part_odd_fn,
     shift_kernel,
     shift_part_fn,
     substitution_gap,
@@ -53,6 +55,14 @@ def shift_part(n):
 
 def order_part(n):
     return eval_multiplicative(order_part_fn, factorize_trial(n))
+
+
+def order_part_odd(n):
+    return eval_multiplicative(order_part_odd_fn, factorize_trial(n))
+
+
+def averaged_order_part(n):
+    return eval_multiplicative(averaged_order_part_fn, factorize_trial(n))
 
 
 def odd_val_part(n):
@@ -177,6 +187,7 @@ def test_shift_kernel_rebuilds_shift_part():
 
 def test_order_kernel_rebuilds_order_part():
     _check_reconstruction(order_kernel, order_part, 2000)
+    _check_reconstruction(order_kernel_odd, order_part_odd, 2000)
 
 
 def test_odd_val_kernel_rebuilds_odd_val_part():
@@ -189,12 +200,14 @@ def test_averaged_kernel_rebuilds_product():
         lambda n: odd_val_part(n) * even_val_mean_part(n),
         2000,
     )
+    _check_reconstruction(averaged_order_kernel, averaged_order_part, 2000)
 
 
 def test_parent_fn_tables_match_scalar_functions():
     # scalar values and tables come from one definition, so they agree exactly
     limit = 2000
-    for fn in (shift_part_fn, order_part_fn, odd_val_part_fn, even_val_mean_fn):
+    for fn in (shift_part_fn, order_part_fn, order_part_odd_fn, averaged_order_part_fn,
+               odd_val_part_fn, even_val_mean_fn):
         table = multiplicative_table(fn, limit)
         for n in range(1, limit + 1):
             assert table[n] == eval_multiplicative(fn, factorize_trial(n)), (fn.name, n)
@@ -353,19 +366,19 @@ def test_mean_order_grid_small():
 
 
 def test_mean_order_grid_agrees_with_preset_route():
-    # two independent tabulation routes: kernel divisor sums through the
-    # grid harness vs parent-product rules here, tied by the twin-prime factor
+    # the preset and the verify target tabulate the same factor functions, so
+    # with shift 1 the harness sum times c2 is the verify row bit for bit
     from shiftmean.harness import run_grid
     from shiftmean.presets import get_preset
 
     c2 = twin_prime_constant(10**5)
-    x = 2000
-    via_harness = run_grid(get_preset("kstar"), [x], prime_cutoff=10**5)
-    via_parents = mean_order_grid("t2a", [x], c2=c2)
-    assert c2.value * via_harness.rows[0].empirical == pytest.approx(
-        via_parents.rows[0].empirical, rel=1e-12
-    )
-    assert c2.value * via_harness.rows[0].predicted == pytest.approx(x, rel=1e-12)
+    grid = [1000, 65537, 300000]
+    for preset, which in (("kstar", "t2a"), ("kstar-odd", "t2b")):
+        via_harness = run_grid(get_preset(preset), grid, prime_cutoff=10**5)
+        via_parents = mean_order_grid(which, grid, c2=c2)
+        for row, parent_row in zip(via_harness.rows, via_parents.rows, strict=True):
+            assert c2.value * row.empirical == parent_row.empirical, (preset, row.x)
+            assert c2.value * row.predicted == pytest.approx(parent_row.predicted, rel=1e-12)
 
 
 def test_mean_order_grid_t3_convention_sensitivity():

@@ -2,24 +2,24 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftmean import harness
+from shiftmean import curveconst, harness, presets
 
-from shiftmean.arith import jordan_totient, totient
+from shiftmean.arith import factorize_trial, jordan_totient, totient
 from shiftmean.curveconst import (
-    averaged_order_kernel,
-    order_kernel,
-    order_kernel_odd,
-    shift_kernel,
+    averaged_order_part_fn,
+    order_part_fn,
+    order_part_odd_fn,
+    shift_part_fn,
 )
 from shiftmean.euler import MonomialBaseline, PrimePowerFn, ShiftedPairSpec, shifted_mean_constant
 from shiftmean.harness import (
     SUM_BLOCK,
-    DivisorSumFn,
     NamedFn,
     prefix_dots,
     run_grid,
@@ -29,7 +29,7 @@ from shiftmean.harness import (
 from shiftmean.presets import get_preset
 from shiftmean.reports import MeanValueReport, MeanValueRow
 
-from oracles import fit_error_exponent
+from oracles import eval_divisor_sum, fit_error_exponent, order_factor_sum_mp
 
 
 # ---------------------------------------------------------------------------
@@ -42,21 +42,24 @@ def test_tabulate_totient_prefix():
 
 
 def test_tabulate_divisor_sum_of_shift_kernel():
-    vals = tabulate(DivisorSumFn(shift_kernel), 10)
+    # F = shift_part_fn is the divisor sum of shift_kernel
+    vals = tabulate(shift_part_fn, 10)
     assert vals[3] == pytest.approx(5 / 4, rel=1e-15)  # 1 + 1/((3+1)(3-2))
     assert vals[1] == 1.0
     assert vals[2] == pytest.approx(2 / 3, rel=1e-15)
 
 
 def test_tabulate_zero_table_gives_ones():
-    zero = PrimePowerFn(lambda p, k: 0.0 * p, name="zero")
-    vals = tabulate(DivisorSumFn(zero), 50)
+    # the divisor sums of the zero kernel: 1 at every prime power
+    one = PrimePowerFn(lambda p, k: 1.0 + 0.0 * p, name="one")
+    vals = tabulate(one, 50)
     assert np.all(vals[1:] == 1.0)
 
 
 def test_tabulate_with_degree_factor():
-    # the totient is n times the divisor sum of its kernel
-    phi_float = tabulate(DivisorSumFn(get_preset("phi").pair.f), 500) * np.arange(501.0)
+    # the totient is n times prod_{p | n} (1 - 1/p)
+    phi_ratio = PrimePowerFn(lambda p, k: 1.0 - 1.0 / p, name="phi_ratio")
+    phi_float = tabulate(phi_ratio, 500) * np.arange(501.0)
     phi_exact = tabulate(NamedFn("totient"), 500)
     assert phi_float[1:] == pytest.approx(phi_exact[1:].astype(float), rel=1e-12)
 
@@ -137,7 +140,7 @@ _GRID_ENDS = [1, 1000, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK]
 
 @pytest.mark.parametrize("f_spec, g_spec, shift, dtype", [
     (NamedFn("totient"), NamedFn("totient"), 3, np.int64),
-    (DivisorSumFn(shift_kernel), DivisorSumFn(order_kernel), 6, np.float64),
+    (shift_part_fn, order_part_fn, 6, np.float64),
     # a shift this large puts G = J_3 past 2^62, so the table is object dtype
     (NamedFn("jordan", 3), NamedFn("jordan", 3), 1_600_000, object),
 ])
@@ -385,10 +388,18 @@ def test_run_grid_sums_the_whole_grid_in_one_call(monkeypatch):
     grid = [1000 * i for i in range(1, 21)]
     rep = run_grid(get_preset("kstar", shift=3), grid, prime_cutoff=10**4)
     assert calls == [grid[-1]]
-    f_vals = tabulate(DivisorSumFn(shift_kernel), grid[-1])
-    g_vals = tabulate(DivisorSumFn(order_kernel), grid[-1])
+    f_vals = tabulate(shift_part_fn, grid[-1])
+    g_vals = tabulate(order_part_fn, grid[-1])
     assert [row.empirical for row in rep.rows] == [
         shifted_sum(f_vals, g_vals, 3, x) for x in grid]
+
+
+@pytest.mark.parametrize("name, order_side", [
+    ("kstar", "all"), ("kstar-odd", "odd"), ("khat", "averaged")])
+def test_float_preset_sum_within_2_ulp_of_mpmath(name, order_side):
+    # measured: -0.63, -0.33 and -0.59 ulp
+    got = run_grid(get_preset(name, shift=6), [5000], prime_cutoff=10**3).rows[0].empirical
+    assert abs(mpmath.mpf(got) - order_factor_sum_mp(order_side, 6, 5000)) <= 2 * math.ulp(got)
 
 
 def test_run_grid_phi_small():
@@ -425,7 +436,9 @@ def test_run_grid_mu_like_pair_zero_constant():
     mu_like = PrimePowerFn(lambda p, k: -1.0 + 0.0 * p if k == 1 else 0.0 * p, name="mu_like")
     pair = ShiftedPairSpec(f=mu_like, g=mu_like, shift=1, baseline=MonomialBaseline(0, 0))
     assert shifted_mean_constant(pair, 10**4).value == 0.0
-    vals = tabulate(DivisorSumFn(mu_like), 1000)
+    vals = tabulate(PrimePowerFn(lambda p, k: 0.0 * p, name="mu_like_sums"), 1000)
+    assert [eval_divisor_sum(mu_like, factorize_trial(n)) for n in range(1, 1001)] == \
+        vals[1:].tolist()
     assert np.all(vals[2:] == 0.0)
     assert shifted_sum(vals, vals, 1, 1000) == 0.0
 
@@ -433,9 +446,9 @@ def test_run_grid_mu_like_pair_zero_constant():
 @pytest.mark.parametrize("name, f_tab, g_tab, deg, label, error_at_e", [
     ("phi", NamedFn("totient"), NamedFn("totient"), 1, "x^2 log^2 x", math.e**2),
     ("jordan-3", NamedFn("jordan", 3), NamedFn("jordan", 3), 3, "x^6", math.e**6),
-    ("kstar", DivisorSumFn(shift_kernel), DivisorSumFn(order_kernel), 0, "log x", 1.0),
-    ("kstar-odd", DivisorSumFn(shift_kernel), DivisorSumFn(order_kernel_odd), 0, "log x", 1.0),
-    ("khat", DivisorSumFn(shift_kernel), DivisorSumFn(averaged_order_kernel), 0, "log x", 1.0),
+    ("kstar", shift_part_fn, order_part_fn, 0, "log x", 1.0),
+    ("kstar-odd", shift_part_fn, order_part_odd_fn, 0, "log x", 1.0),
+    ("khat", shift_part_fn, averaged_order_part_fn, 0, "log x", 1.0),
 ])
 def test_preset_table(name, f_tab, g_tab, deg, label, error_at_e):
     preset = get_preset(name, shift=6)
@@ -449,6 +462,15 @@ def test_preset_table(name, f_tab, g_tab, deg, label, error_at_e):
         for fn in (preset.pair.f, preset.pair.g):
             assert np.array_equal(fn.on_primes(primes, 1), -1.0 / primes.astype(float) ** deg)
             assert not fn.on_primes(primes, 2).any()
+
+
+def test_preset_float_tables_are_curveconst_factor_functions():
+    # one definition per factor: no preset tabulates a second formula for F or G
+    factor_fns = [v for k, v in vars(curveconst).items()
+                  if k.endswith("_fn") and isinstance(v, PrimePowerFn)]
+    for name, (_, _, f_tab, g_tab, *_) in presets._table(2).items():
+        for tab in (f_tab, g_tab):
+            assert isinstance(tab, NamedFn) or any(tab is fn for fn in factor_fns), (name, tab)
 
 
 def test_get_preset_rejects_unknown_names():
