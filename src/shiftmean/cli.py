@@ -242,7 +242,7 @@ def _cmd_curvelab(args) -> int:
         raise UsageError(f"--n-max: exceeds cap {args.cap}")
     _echo_config(args, prime_cutoff=cutoff)
     c2 = curveconst.twin_prime_constant(cutoff)
-    records = [curvelab.expected_m(n, c2=c2) for n in range(args.n_min, args.n_max + 1)]
+    records = (curvelab.expected_m(n, c2=c2) for n in range(args.n_min, args.n_max + 1))
     if args.format == "csv":
         _emit(curvelab.records_to_csv(records), args.output)
     else:

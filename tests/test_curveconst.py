@@ -234,9 +234,7 @@ def test_symbol_table_matches_scalar_both_conventions():
     for conv in (UNIT, KRONECKER):
         table = even_val_symbol_table(2000, conv)
         for n in range(1, 2001):
-            assert table[n] == pytest.approx(
-                even_val_symbol_part(n, conv, factorize_trial(n)), rel=1e-13
-            ), (n, conv)
+            assert table[n] == even_val_symbol_part(n, conv, factorize_trial(n)), (n, conv)
 
 
 @pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)

@@ -7,6 +7,7 @@ import pytest
 
 from shiftmean.curveconst import _qr_table, twin_prime_constant
 from shiftmean import arith, curvelab
+from shiftmean.cli import main
 from shiftmean.curvelab import (
     MAX_ORDER_CAP,
     CurveDensityRecord,
@@ -18,7 +19,12 @@ from shiftmean.curvelab import (
     records_to_json,
 )
 
-from oracles import count_points, count_points_naive, expected_m_by_fractions
+from oracles import (
+    class_number_table_by_bincount,
+    count_points,
+    count_points_naive,
+    expected_m_by_fractions,
+)
 
 SMALL_PRIMES = (5, 7, 11, 13)
 
@@ -185,6 +191,17 @@ def test_class_number_table_known_values(monkeypatch):
     assert (h6[1:][(d[1:] % 4 == 0) | (d[1:] % 4 == 3)] > 0).all()
 
 
+def test_class_number_table_equals_bincount_oracle(monkeypatch):
+    # from an empty cache, and rebuilt after growing from 23 (24 -> 47 -> 80001)
+    for warm in ((), (23, 24)):
+        monkeypatch.setattr(curvelab, "_h6_cache", np.zeros(1, dtype=np.int64))
+        for limit in warm:
+            class_number_table(limit)
+        h6 = class_number_table(80000)
+        assert h6.dtype == np.int64 and len(h6) == 80001
+        assert np.array_equal(h6, class_number_table_by_bincount(80000)), warm
+
+
 def test_histogram_memory_bounded_at_large_p(monkeypatch):
     _reset_tables(monkeypatch)
     tracemalloc.start()
@@ -210,6 +227,21 @@ def test_expected_m_memory_bounded_at_the_ceiling(monkeypatch):
     assert peak < 16 * 2**20  # 6.4 MiB measured
     for p in rec.rho:
         assert order_histogram(p).nbytes == 8 * (2 * math.isqrt(4 * p) + 1)
+
+
+def test_curvelab_csv_streams_records(monkeypatch, capsys):
+    # records reach the CSV writer one at a time, so no rho dict outlives its row
+    twin_prime_constant(10**6)  # the primes the run's c2 folds are cached
+    _reset_tables(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = main(["curvelab", "--n-min", "20", "--n-max", "5000", "--cap", "5000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4981
+    assert peak < 5 * 2**20  # 2.43 MiB measured; 14.25 MiB with a list of records
 
 
 def test_density_exact_fraction():
@@ -282,6 +314,10 @@ def test_expected_m_domain_errors():
         expected_m(6, c2=c2)
     with pytest.raises(ValueError):
         expected_m(MAX_ORDER_CAP + 1, c2=c2)
+    for n in (1, 3, 4, 9, 25, 1001):  # below 5, prime squares, 7 * 11 * 13
+        with pytest.raises(ValueError):
+            order_histogram(n)
+    assert int(order_histogram(7919).sum()) == 7919 * 7919 - 7919
 
 
 def test_record_serialization():
