@@ -152,6 +152,11 @@ SIEVE_SPAN = 2**22
 # pairs a limit with a prime list sieved for another.
 _prime_cache: tuple = (0, np.empty(0, dtype=np.int64))
 
+# Entries of the prime-power sieve's one scratch chunk (1 MiB of float64 or
+# int64): each small prime's factors are laid out and multiplied in through
+# it POWER_CHUNK multiples at a time, so no buffer grows with the limit.
+POWER_CHUNK = 2**17
+
 
 def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
     """Ascending int64 array of the primes p with lo <= p <= limit.
@@ -178,31 +183,53 @@ def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
 
 def prime_segments(limit: int) -> Iterator[np.ndarray]:
     """Yield the primes <= limit in ascending order, one sieve segment at a
-    time; a segment that holds no prime is skipped."""
+    time; a segment that holds no prime is skipped.
+
+    The first segment and any the cache covers come from primes_up_to; the
+    others are sieved, past the cache, into one flag array that they share.
+    """
+    flags = None
     for lo in range(0, limit + 1, SIEVE_SPAN):
-        primes = primes_up_to(min(lo + SIEVE_SPAN - 1, limit), lo)
+        hi = min(lo + SIEVE_SPAN - 1, limit)
+        if lo == 0 or hi <= _prime_cache[0]:
+            primes = primes_up_to(hi, lo)
+        else:
+            if flags is None:
+                flags = _sieve_flags(SIEVE_SPAN)
+            primes = _sieve_range(lo, hi, flags)
         if len(primes):
             yield primes
+        del primes  # the consumer may drop it before the next segment is sieved
 
 
-def _sieve_range(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi], sieved SIEVE_SPAN integers at a time."""
+def _sieve_flags(span: int) -> np.ndarray:
+    """Flags enough for _sieve_wheel over any span consecutive integers."""
+    return np.empty(2 * ((span - 1) // 6 + 2), dtype=bool)
+
+
+def _sieve_range(lo: int, hi: int, flags: Optional[np.ndarray] = None) -> np.ndarray:
+    """Primes in [lo, hi], sieved SIEVE_SPAN integers at a time into flags
+    (allocated here when not given)."""
+    if flags is None:
+        flags = _sieve_flags(min(SIEVE_SPAN, hi - lo + 1))
     wheel_base = primes_up_to(isqrt(hi))[2:]
     small = [p for p in (2, 3) if lo <= p <= hi]
     parts = [np.array(small, dtype=np.int64)] if small else []
     for start in range(lo, hi + 1, SIEVE_SPAN):
         end = min(start + SIEVE_SPAN - 1, hi)
         base = wheel_base[: int(np.searchsorted(wheel_base, isqrt(end), side="right"))]
-        parts.append(_sieve_wheel(start, end, base))
+        parts.append(_sieve_wheel(start, end, base, flags))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _sieve_wheel(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi] prime to 6, given the primes 5 <= p <= sqrt(hi)."""
+def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi] prime to 6, given the primes 5 <= p <= sqrt(hi),
+    sieved in the leading entries of flags."""
     k0 = lo // 6
     # entry i stands for n = 6 k0 + 3i + 1 + (i & 1): the even entries n = 1 and
     # the odd ones n = 5 (mod 6), so each class of a prime p recurs every 2p entries
-    is_prime = np.ones(2 * (hi // 6 - k0 + 1), dtype=bool)
+    is_prime = flags[: 2 * (hi // 6 - k0 + 1)]
+    is_prime[:] = True
     firsts = []
     for r in (1, 5):
         # first multiple p c >= max(p^2, 6 k0 + r) with p c = r (mod 6): since
@@ -233,21 +260,31 @@ def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> 
     res[0] = 0
     primes = primes_up_to(limit)
     n_small = int(np.searchsorted(primes, isqrt(limit), side="right"))
-    buf = np.empty(limit // 2, dtype=dtype)  # buf[j]: the factor of p at n = (j + 1) p
+    buf = np.empty(min(limit // 2, POWER_CHUNK), dtype=dtype)
     for p in primes[:n_small].tolist():
-        s, e = 1, 1  # multiples of p^e sit every s = p^(e-1) slots; higher powers overwrite
+        m = limit // p
+        powers = []  # (s, local(p, e)): the multiples of p^e sit every s = p^(e-1) slots
+        s, e = 1, 1
         while s * p <= limit:
-            buf[s - 1 : limit // p : s] = local(p, e)
+            powers.append((s, local(p, e)))
             s, e = s * p, e + 1
-        res[p::p] *= buf[: limit // p]
+        for c in range(0, m, POWER_CHUNK):
+            n = min(POWER_CHUNK, m - c)  # buf[i]: the factor of p at (c + i + 1) p, i < n
+            for s, v in powers:  # higher powers overwrite
+                buf[(s - 1 - c) % s : n : s] = v
+            res[(c + 1) * p : (c + n) * p + 1 : p] *= buf[:n]
     del buf
     # p > sqrt(limit) divides each multiple p*q <= limit once (q <= sqrt(limit)): scatter per q
     big = primes[n_small:]
     vals = on_big(big)
+    idx = np.empty(len(big), dtype=np.int64)
+    prod = np.empty(len(big), dtype=dtype)
     for q in range(1, isqrt(limit) + 1):
         hi = int(np.searchsorted(big, limit // q, side="right"))
         # q has only small primes, which gave res[q] and res[p*q] the same factors in order
-        res[big[:hi] * q] = res[q] * vals[:hi]
+        np.multiply(big[:hi], q, out=idx[:hi])
+        np.multiply(vals[:hi], res[q], out=prod[:hi])
+        res[idx[:hi]] = prod[:hi]
     return res
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import sys
+from contextlib import nullcontext
 
 from . import curveconst, curvelab, harness, presets
 from .arith import (
@@ -31,9 +32,10 @@ DEFAULT_GRID_START = 1000
 # eval factors n by trial division: a prime near 1e16 takes about 11 s.
 MAX_EVAL_N = 10**16
 
-# Float and int64 tables and sums up to x peak at 17-35 bytes per x (166-328
-# MB of RSS at x = 1e7 for meanvalue phi, jordan-2, kstar and verify gap, t3),
-# so this ceiling keeps those runs under 1.8 GB.
+# Float and int64 tables and sums up to x peak at 13-21 bytes per x (127-210
+# MB of RSS at x = 1e7 for meanvalue phi, jordan-2, kstar and verify gap, t3;
+# no run holds more than two full tables), and the peak grows by 9.5-17.6
+# bytes per x from 1e7 to 2e7, so this ceiling keeps those runs near 0.9 GB.
 MAX_X = 5 * 10**7
 
 # Jordan tables of Python ints (arith.jordan_dtype) add about 82 bytes per x
@@ -96,15 +98,17 @@ def _parse_grid(args, field_grid="--x-grid", field_max="--xmax") -> tuple:
     raise UsageError(f"{field_grid}: one of {field_grid} or {field_max} is required")
 
 
+# Characters per write of _emit: a text stream encodes each write whole, so
+# a large payload goes out in slices rather than as one encoded copy.
+EMIT_SLICE = 2**20
+
+
 def _emit(text: str, output: str, end: str = "") -> None:
     """Write text, then end, separately: text + end would copy a large payload."""
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write(end)
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write(end)
+    with (open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout)) as fh:
+        for i in range(0, len(text), EMIT_SLICE):
+            fh.write(text[i : i + EMIT_SLICE])
+        fh.write(end)
 
 
 def _check_cutoff(cutoff: int, floor: int = 2) -> int:

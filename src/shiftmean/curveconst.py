@@ -191,9 +191,9 @@ def even_val_symbol_table(limit: int,
     Not multiplicative, so it gets its own pass.  For each prime power
     base = p^(2a), the factor at base*m depends only on m mod p (mod 8 at
     p = 2, where the symbol is read off -m mod 8), so it is built for one
-    period, set to exactly 1.0 where p divides m, and tiled over the strided
-    slice res[base::base].  Multiplying by 1.0 leaves an entry's bits as they
-    are.
+    period, set to exactly 1.0 where p divides m, and multiplied into the
+    strided view res[::base] through rows of whole periods.  Multiplying by
+    1.0 leaves an entry's bits as they are, and keeps entry 0 at 0.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -207,12 +207,27 @@ def even_val_symbol_table(limit: int,
             chi = np.array([_symbol_at_two(m, conv) for m in range(8)], dtype=np.float64)
         e = 2
         while (base := p**e) <= limit:
-            n = limit // base
             fac = _even_val_factor(p, e, chi)
             fac[t % p == 0] = 1.0
-            res[base::base] *= np.tile(fac, n // len(t) + 1)[1 : n + 1]
+            _multiply_periodic(res[::base], fac)
             e += 2
     return res
+
+
+# Entries per row when a periodic factor is multiplied into a strided view:
+# long enough that the rows, not the periods, set the loop count.
+PERIODIC_ROW = 2**12
+
+
+def _multiply_periodic(view: np.ndarray, period: np.ndarray) -> None:
+    """view[m] *= period[m % len(period)] for every m, in place and without a
+    full-length copy of the factor: the view is cut into rows of whole periods."""
+    row = np.tile(period, max(1, min(PERIODIC_ROW, len(view)) // len(period)))
+    full = len(view) - len(view) % len(row)
+    if full:
+        rows = view[:full].reshape(-1, len(row), copy=False)
+        np.multiply(rows, row, out=rows)
+    view[full:] *= row[: len(view) - full]
 
 
 @lru_cache(maxsize=128)
@@ -304,13 +319,15 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     xs = [int(v) for v in x_grid]
     xmax = max(xs, default=1)
 
-    shift_vals = multiplicative_table(shift_part_fn, xmax)
+    # The order side is finished before the shift side is built, so at most
+    # two full tables are alive at once.
     if which == "t3":
         order_vals = multiplicative_table(odd_val_part_fn, xmax)
         order_vals *= even_val_symbol_table(xmax, conv)
     else:
         order_fn = order_part_fn if which == "t2a" else order_part_odd_fn
         order_vals = multiplicative_table(order_fn, xmax)
+    shift_vals = multiplicative_table(shift_part_fn, xmax)
 
     sums = shifted_sum(shift_vals, order_vals, 1, xmax, grid=xs)
     return MeanValueReport.from_sums(

@@ -30,10 +30,11 @@ from .reports import csv_text, dumps_json
 # Largest admissible target order, and the ceiling on it.  A histogram costs
 # O(sqrt p) lookups once the class-number table reaches 4p, and the table up
 # to D costs O(D^1.5).  Measured on a 2-core VM, `curvelab --n-min 20
-# --n-max 20000` runs in 2.6 s at 42 MB RSS as CSV (the records stream to the
-# writer; every cached histogram together is 6.4 MiB) and in 4.1 s at 442 MB
-# RSS as JSON, which writes 45 MB.  Past this, the exact per-order bigint
-# sums and the indented JSON encoder dominate.
+# --n-max 20000` runs in 1.6-2.1 s at 42 MB RSS as CSV (the records stream to
+# the writer; every cached histogram together is 6.4 MiB) and in 4.0-5.4 s at
+# 129 MB RSS as JSON, which writes 45 MB (each record is encoded on its own,
+# and the joined text is written in slices).  Past this, the exact per-order
+# bigint sums and the indented JSON encoder dominate.
 DEFAULT_ORDER_CAP = 200
 MAX_ORDER_CAP = 20000
 
@@ -149,8 +150,15 @@ def records_to_csv(records) -> str:
 
 
 def records_to_json(records) -> str:
-    payload = [
-        {
+    """The records as dumps_json writes a list of their payloads, byte for byte.
+
+    Each record is encoded on its own and indented one level more, between
+    "[\n", ",\n" and "\n]", so neither the list of payloads nor the
+    encoder's pieces of the whole array are ever held.
+    """
+    parts = []
+    for r in records:
+        payload = {
             "N": r.order,
             "hasse_primes": list(r.rho),
             "rho": {str(p): v for p, v in r.rho.items()},
@@ -158,6 +166,9 @@ def records_to_json(records) -> str:
             "predicted": r.predicted,
             "note": EXCLUDED_PRIMES_NOTE,
         }
-        for r in records
-    ]
-    return dumps_json(payload)
+        parts.append(",\n  " if parts else "[\n  ")
+        parts.append(dumps_json(payload).replace("\n", "\n  "))
+    if not parts:
+        return dumps_json([])
+    parts.append("\n]")
+    return "".join(parts)

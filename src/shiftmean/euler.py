@@ -149,9 +149,9 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray) -> tuple:
     series runs until p^k passes POWER_CEILING for every prime or all its
     terms fall below TERM_FLOOR.  Each k walks the primes FOLD_CHUNK at a
     time; the envelope (NaN if any term is) and the stop test reduce over
-    the chunks as over one array.
+    the chunks as over one array, and each chunk's primes are converted to
+    float64 on their own, so no float copy of the whole segment is held.
     """
-    pf = primes.astype(np.float64)
     sums = np.zeros(len(primes))
     envelope = 0.0
     depth_used = 0
@@ -163,7 +163,7 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray) -> tuple:
             break
         live = False
         for a in range(0, hi, FOLD_CHUNK):
-            sub = pf[a : min(a + FOLD_CHUNK, hi)]
+            sub = primes[a : min(a + FOLD_CHUNK, hi)].astype(np.float64)
             with np.errstate(over="ignore"):
                 terms = pair.f.on_primes(sub, k)
                 terms += pair.g.on_primes(sub, k)

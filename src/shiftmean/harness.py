@@ -66,42 +66,58 @@ _LIMB = 21
 _LIMB_MASK = (1 << _LIMB) - 1
 
 
-def _int_limbs(v: np.ndarray) -> tuple:
-    """v = lo + mid * 2^21 + top * 2^42, lo and mid in [0, 2^21), top signed."""
-    v = v.astype(np.int64, copy=False)
-    return v & _LIMB_MASK, (v >> _LIMB) & _LIMB_MASK, v >> 2 * _LIMB
-
-
-def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+def _exact_dot(a: np.ndarray, b: np.ndarray, limbs) -> int:
     """The exact integer sum of a*b.
 
-    Arrays that fit int64 are split into three 21-bit limbs, so each of the
-    nine limb dots is exact in int64 (every limb lies in [-2^21, 2^21)).
-    Object arrays (Python ints past int64) and uint64, which an int64 cast
-    could wrap, take Python-int dots.
+    With limbs (6 x at least len(a) int64 scratch), for arrays that cast to
+    int64, each side is split into three 21-bit limbs,
+    v = lo + mid * 2^21 + top * 2^42 with lo and mid in [0, 2^21) and top
+    signed, so each of the nine limb dots is exact in int64 (every limb lies
+    in [-2^21, 2^21)).  Without, for object arrays (Python ints past int64)
+    and uint64, which an int64 cast could wrap, it takes a Python-int dot.
     """
-    if not (np.can_cast(a.dtype, np.int64) and np.can_cast(b.dtype, np.int64)):
+    if limbs is None:
         return int(np.dot(a.astype(object), b.astype(object)))
-    b_limbs = _int_limbs(b)
+    n = len(a)
+    for side, v in enumerate((a, b)):
+        v = v.astype(np.int64, copy=False)
+        lo, mid, top = limbs[3 * side : 3 * side + 3, :n]
+        np.bitwise_and(v, _LIMB_MASK, out=lo)
+        np.right_shift(v, _LIMB, out=mid)
+        mid &= _LIMB_MASK
+        np.right_shift(v, 2 * _LIMB, out=top)
     total = 0
-    for i, u in enumerate(_int_limbs(a)):
-        for j, v in enumerate(b_limbs):
-            total += int(np.dot(u, v)) << _LIMB * (i + j)
+    for i in range(3):
+        for j in range(3):
+            total += int(np.dot(limbs[i, :n], limbs[3 + j, :n])) << _LIMB * (i + j)
     return total
 
 
-def _scaled_float_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """The exact sum of the float64 products a*b, times 2^1126."""
-    terms = np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64)
-    if not np.isfinite(terms).all():
+def _float_scratch(n: int) -> tuple:
+    """Block scratch of _scaled_float_dot: terms, top limb, finite mask, frexp outputs."""
+    return (np.empty(n), np.empty(n), np.empty(n, dtype=bool),
+            np.empty(n), np.empty(n, dtype=np.int64))
+
+
+def _scaled_float_dot(a: np.ndarray, b: np.ndarray, scratch: tuple) -> int:
+    """The exact sum of the float64 products a*b, times 2^1126.
+
+    scratch is _float_scratch of at least len(a) entries; int64 exponents
+    reach np.bincount without a cast.
+    """
+    terms, top, finite, frac, exp = (v[: len(a)] for v in scratch)
+    np.multiply(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), out=terms)
+    if not np.isfinite(terms, out=finite).all():
         raise ValueError("non-finite term in sum")
-    frac, exp = np.frexp(terms)
+    np.frexp(terms, out=(frac, exp))
     exp += _EXP_BIAS
     # Cut the 53-bit integer mantissa frac * 2^53 into two 27-bit limbs, the
     # top one signed.  Every step is exact in float64: scaling by powers of
     # two, floor, and the difference of frac and its own leading bits.
-    top = np.floor(frac * 2.0**26)
-    frac -= top * 2.0**-26
+    np.multiply(frac, 2.0**26, out=top)
+    np.floor(top, out=top)
+    np.multiply(top, 2.0**-26, out=terms)
+    frac -= terms
     frac *= 2.0**53
     total = 0
     for k, limb in enumerate((frac, top)):
@@ -118,19 +134,26 @@ def prefix_dots(a, b, ends) -> list:
     Integer arrays (int64 or object) give exact ints.  Otherwise the float64
     products are summed exactly and each prefix is rounded once, so every
     result equals math.fsum of that prefix's products.  A non-finite product
-    raises ValueError.  Work runs in blocks of at most SUM_BLOCK terms.
+    raises ValueError.  Work runs in blocks of at most SUM_BLOCK terms, whose
+    scratch arrays are allocated once per call.
     """
     a, b = np.asarray(a), np.asarray(b)
     ends = [int(e) for e in ends]
     if any(hi < lo for lo, hi in zip([0, *ends], [*ends, min(len(a), len(b))])):
         raise ValueError(f"prefix ends must ascend within [0, {min(len(a), len(b))}]")
     exact = all(v.dtype == object or v.dtype.kind in "iu" for v in (a, b))
-    dot = _exact_dot if exact else _scaled_float_dot
+    size = min(SUM_BLOCK, ends[-1]) if ends else 0
+    if not exact:
+        dot, scratch = _scaled_float_dot, _float_scratch(size)
+    else:
+        dot, scratch = _exact_dot, None
+        if all(np.can_cast(v.dtype, np.int64) for v in (a, b)):
+            scratch = np.empty((6, size), dtype=np.int64)
     out, total, lo = [], 0, 0
     for end in ends:
         while lo < end:
             hi = min(end, lo + SUM_BLOCK)
-            total += dot(a[lo:hi], b[lo:hi])
+            total += dot(a[lo:hi], b[lo:hi], scratch)
             lo = hi
         out.append(total if exact else total / _SCALE)
     return out

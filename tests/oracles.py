@@ -2,16 +2,18 @@
 
 None of these runs on a command-line path.  Each recomputes a quantity the
 package produces by a different route: the primes by one whole-array sieve
-(the oracles below read theirs from it), the constant as a rearranged double
-sum (brute and regrouped by gcd), prime-zeta values and the twin-prime
-product built from them, the order constant from its defining product,
-the symbol-substitution gap over a mask of its congruence class, the
-symbol table with the cofactors of each prime power batched, local
-factors and divisor sums term by term, the curve-order presets' shifted
-sums at 40 digits from closed forms, point counts by character sum and by
-enumeration, the class-number table by one weighted bincount per a,
-curve densities as exact fractions, and the least-squares error
-exponent of a report.
+(the oracles below read theirs from it, except the two earlier package
+builders kept for bit identity, which read arith.primes_up_to), the
+constant as a rearranged double sum (brute and regrouped by gcd),
+prime-zeta values and the twin-prime product built from them, the order
+constant from its defining product, the symbol-substitution gap over a
+mask of its congruence class, the symbol table with the cofactors of each
+prime power batched and with each period tiled, the prime-power sieve
+through one buffer of limit // 2 entries, local factors and divisor sums
+term by term, the curve-order presets' shifted sums at 40 digits from
+closed forms, point counts by character sum and by enumeration, the
+class-number table by one weighted bincount per a, curve densities as
+exact fractions, and the least-squares error exponent of a report.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import numpy as np
@@ -28,10 +31,13 @@ from shiftmean.arith import (
     PrimePowerFn,
     factorize_trial,
     multiplicative_table,
+    primes_up_to,
 )
 from shiftmean.curveconst import (
     SymbolConvention,
+    _even_val_factor,
     _qr_table,
+    _symbol_at_two,
     even_val_mean_fn,
     even_val_symbol_table,
 )
@@ -294,6 +300,66 @@ def even_val_symbol_table_batched(limit: int,
                 chi = qr[(-m) % p].astype(np.float64)
             res[base * m] *= 1.0 - (p - chi) / (float(base) * p * (p - 1.0))
             base *= p * p
+    return res
+
+
+def even_val_symbol_table_by_tile(limit: int,
+                                  conv: SymbolConvention = SymbolConvention.UNIT) -> np.ndarray:
+    """even_val_symbol_table, with each prime power's periodic factor tiled.
+
+    The factor at base*m, base = p^(2a), is built for one period of m and
+    copied by np.tile over the whole strided slice res[base::base].
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    res = np.ones(limit + 1)
+    res[0] = 0.0
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        t = np.arange(8 if p == 2 else p)  # m mod the period
+        if p > 2:
+            chi = _qr_table(p)[-t % p].astype(np.float64)
+        else:
+            chi = np.array([_symbol_at_two(m, conv) for m in range(8)], dtype=np.float64)
+        e = 2
+        while (base := p**e) <= limit:
+            n = limit // base
+            fac = _even_val_factor(p, e, chi)
+            fac[t % p == 0] = 1.0
+            res[base::base] *= np.tile(fac, n // len(t) + 1)[1 : n + 1]
+            e += 2
+    return res
+
+
+# ---------------------------------------------------------------------------
+# Prime-power tables through one buffer of limit // 2 entries
+
+
+def prime_power_sieve_by_buffer(limit: int, dtype, local, on_big) -> np.ndarray:
+    """arith._prime_power_sieve with one strided buffer per small prime.
+
+    Each prime's factors at every multiple are laid out in one buffer of
+    limit // 2 entries and multiplied in at once; the big primes' products
+    are fresh arrays for each cofactor q.
+    """
+    res = np.ones(limit + 1, dtype=dtype)
+    res[0] = 0
+    primes = primes_up_to(limit)
+    n_small = int(np.searchsorted(primes, isqrt(limit), side="right"))
+    buf = np.empty(limit // 2, dtype=dtype)  # buf[j]: the factor of p at n = (j + 1) p
+    for p in primes[:n_small].tolist():
+        s, e = 1, 1  # multiples of p^e sit every s = p^(e-1) slots; higher powers overwrite
+        while s * p <= limit:
+            buf[s - 1 : limit // p : s] = local(p, e)
+            s, e = s * p, e + 1
+        res[p::p] *= buf[: limit // p]
+    del buf
+    # p > sqrt(limit) divides each multiple p*q <= limit once (q <= sqrt(limit)): scatter per q
+    big = primes[n_small:]
+    vals = on_big(big)
+    for q in range(1, isqrt(limit) + 1):
+        hi = int(np.searchsorted(big, limit // q, side="right"))
+        # q has only small primes, which gave res[q] and res[p*q] the same factors in order
+        res[big[:hi] * q] = res[q] * vals[:hi]
     return res
 
 

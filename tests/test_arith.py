@@ -21,7 +21,7 @@ from shiftmean.arith import (
     totient_table,
 )
 
-from oracles import eval_divisor_sum, plain_sieve
+from oracles import eval_divisor_sum, plain_sieve, prime_power_sieve_by_buffer
 
 PHI_RATIO = PrimePowerFn(lambda p, k: -1.0 / p if k == 1 else 0.0 * p, name="phi_ratio")
 ZERO_FN = PrimePowerFn(lambda p, k: 0.0 * p, name="zero")
@@ -360,10 +360,59 @@ def test_jordan_table_matches_pointwise_jordan_totient():
             assert table.tolist() == expect[: limit + 1], (k, limit)
 
 
+# limits 1..10, limits on both sides of a POWER_CHUNK edge of p = 2, 3, 5
+# (limit // p one below, at and one past the chunk), and 10^6
+CHUNK_LIMITS = (*range(1, 11),
+                *(p * arith.POWER_CHUNK + d for p in (2, 3, 5) for d in (-1, 0, 1, p)), 10**6)
+
+
+def _jordan_by_buffer(limit, k):
+    dtype = arith.jordan_dtype(limit, k)
+    return prime_power_sieve_by_buffer(limit, dtype, lambda p, e: p ** (k * (e - 1)) * (p**k - 1),
+                                       lambda big: big.astype(dtype) ** k - 1)
+
+
+def _assert_same_table(table, expect, label):
+    assert table.dtype == expect.dtype, label
+    if table.dtype == object:
+        assert np.array_equal(table, expect), label
+    else:
+        assert table.tobytes() == expect.tobytes(), label  # bit for bit, -0.0 included
+
+
+def test_prime_power_sieve_equals_the_buffer_oracle():
+    # every factor goes through the POWER_CHUNK scratch instead of one buffer
+    # of limit // 2 entries, and the big-prime products land in two reused
+    # buffers; each table keeps its bits
+    for limit in CHUNK_LIMITS:
+        for fn in _cli_tabulated_fns():
+            expect = prime_power_sieve_by_buffer(limit, np.float64, fn,
+                                                 lambda big: fn.on_primes(big, 1))
+            _assert_same_table(multiplicative_table(fn, limit), expect, (fn.name, limit))
+        for k in (1, 2):
+            _assert_same_table(jordan_table(limit, k), _jordan_by_buffer(limit, k), (k, limit))
+    table = jordan_table(10**5, 4)
+    assert table.dtype == object
+    _assert_same_table(table, _jordan_by_buffer(10**5, 4), (4, 10**5))
+
+
+def test_prime_power_sieve_chunk_edges_at_a_small_chunk(monkeypatch):
+    # a 7-entry chunk puts many chunk edges, and powers longer than a chunk,
+    # inside small tables
+    monkeypatch.setattr(arith, "POWER_CHUNK", 7)
+    for limit in range(1, 300):
+        for fn in _cli_tabulated_fns()[:2]:
+            expect = prime_power_sieve_by_buffer(limit, np.float64, fn,
+                                                 lambda big: fn.on_primes(big, 1))
+            _assert_same_table(multiplicative_table(fn, limit), expect, (fn.name, limit))
+        _assert_same_table(jordan_table(limit, 2), _jordan_by_buffer(limit, 2), limit)
+
+
 def test_multiplicative_table_memory():
-    # the float64 table is 7.6 MiB and the strided buffer of the primes up to
-    # 1000 3.8 MiB; the buffer is released before the values at the 78,330
-    # primes above 1000 are computed: 11.45 MiB measured
+    # the float64 table is 7.6 MiB, the factors of the primes up to 1000 pass
+    # through one 1 MiB chunk, released before the values at the 78,330
+    # primes above 1000 are computed: 10.02 MiB measured; one strided buffer
+    # of limit // 2 entries peaked at 11.45 MiB
     from shiftmean.curveconst import odd_val_part_fn
 
     primes_up_to(10**6)  # warm the prime cache so only the table's arrays count
@@ -373,7 +422,7 @@ def test_multiplicative_table_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12.5 * 2**20
+    assert peak < 10.5 * 2**20
 
 
 def test_multiplicative_table_handles_zero_values():

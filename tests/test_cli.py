@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import shiftmean
-from shiftmean import arith, curveconst, curvelab, harness
+from shiftmean import arith, cli, curveconst, curvelab, harness
 from shiftmean.cli import build_parser, main
 
 
@@ -364,6 +364,22 @@ def test_output_file_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().startswith(b"x,empirical")
+
+
+def test_output_in_slices_keeps_its_bytes(tmp_path, monkeypatch, capsys):
+    # a 7-character slice cuts the payload at many places; stdout and the
+    # file both get the unsliced text
+    args = ["curvelab", "--n-min", "20", "--n-max", "22", "--prime-cutoff", "1e4",
+            "--format", "json"]
+    whole = tmp_path / "whole.json"
+    assert main(args + ["--output", str(whole)]) == 0
+    _, out, _ = run_cli(args, capsys)
+    monkeypatch.setattr(cli, "EMIT_SLICE", 7)
+    sliced = tmp_path / "sliced.json"
+    assert main(args + ["--output", str(sliced)]) == 0
+    _, sliced_out, _ = run_cli(args, capsys)
+    assert sliced.read_bytes() == whole.read_bytes() == out.encode()
+    assert sliced_out == out
 
 
 def test_parser_builds():

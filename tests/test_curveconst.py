@@ -37,6 +37,7 @@ from shiftmean.harness import shifted_sum
 from oracles import (
     eval_divisor_sum,
     even_val_symbol_table_batched,
+    even_val_symbol_table_by_tile,
     local_factor,
     odd_val_kernel,
     order_constant_direct,
@@ -245,11 +246,31 @@ def test_symbol_table_bytes_equal_batched_oracle(conv):
         even_val_symbol_table_batched(limit, conv).tobytes()
 
 
+# limits 1..10, limits whose p = 2 views (limit // 4 + 1 entries) end one
+# below, at and one past a row of PERIODIC_ROW entries, and 10^6
+SYMBOL_LIMITS = (*range(1, 11),
+                 *(4 * curveconst.PERIODIC_ROW + d for d in (-5, -4, -1, 0, 4)), 10**6)
+
+
+@pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)
+def test_symbol_table_bytes_equal_tiled_oracle(conv, monkeypatch):
+    # rows of whole periods multiply the strided view in place of a tiled
+    # full-length copy of the period; no bit moves, also at a 24-entry row
+    for limit in SYMBOL_LIMITS:
+        assert even_val_symbol_table(limit, conv).tobytes() == \
+            even_val_symbol_table_by_tile(limit, conv).tobytes(), limit
+    monkeypatch.setattr(curveconst, "PERIODIC_ROW", 24)
+    for limit in range(1, 2000, 7):
+        assert even_val_symbol_table(limit, conv).tobytes() == \
+            even_val_symbol_table_by_tile(limit, conv).tobytes(), limit
+
+
 @pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)
 def test_symbol_table_memory(conv):
-    # the float64 table is 7.6 MiB and the largest tiled period 1.9 MiB;
-    # 9.5 MiB peak measured; the batched oracle peaked at 13.4 (unit) and
-    # 14.3 MiB (kronecker)
+    # the float64 table is 7.6 MiB, and each prime power multiplies in rows
+    # of at most PERIODIC_ROW factors: 7.77 MiB peak measured; a tiled
+    # full-length period peaked at 9.54 MiB, and the batched oracle at 13.4
+    # (unit) and 14.3 MiB (kronecker)
     primes_up_to(10**6)  # warm the prime cache so only the table's arrays count
     tracemalloc.start()
     try:
@@ -257,7 +278,7 @@ def test_symbol_table_memory(conv):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11 * 2**20
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +384,22 @@ def test_mean_order_grid_small():
         mean_order_grid("t4", [100], c2=c2)
 
 
+def test_t3_grid_holds_two_tables():
+    # the order side (its symbol table multiplied in and dropped) is done
+    # before the shift table is built, so two 7.6 MiB tables are alive at
+    # once: 17.75 MiB measured; building the shift table first held three,
+    # 24.8 MiB
+    c2 = twin_prime_constant(10**4)
+    primes_up_to(10**6)  # warm the prime cache so only the run's arrays count
+    tracemalloc.start()
+    try:
+        mean_order_grid("t3", [10**6], c2=c2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19 * 2**20
+
+
 def test_mean_order_grid_agrees_with_preset_route():
     # the preset and the verify target tabulate the same factor functions, so
     # with shift 1 the harness sum times c2 is the verify row bit for bit
@@ -453,8 +490,9 @@ def test_substitution_gap_matches_mask_oracle(d, modulus, conv):
 
 
 def test_substitution_gap_memory():
-    # one table pair and a strided difference: 27.8 MiB measured; the
-    # mask-based version (tests/oracles.py) peaked at 40.2 MiB on this call
+    # one table pair and a strided difference: 17.15 MiB measured (19.18
+    # with a limit // 2 buffer in the table sieve and a tiled symbol period);
+    # the mask-based version (tests/oracles.py) peaked at 40.2 MiB on this call
     primes_up_to(10**6)  # warm the prime cache so only the gap's arrays count
     tracemalloc.start()
     try:
@@ -462,4 +500,4 @@ def test_substitution_gap_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 34 * 2**20
+    assert peak < 18.5 * 2**20

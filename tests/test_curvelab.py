@@ -8,6 +8,7 @@ import pytest
 from shiftmean.curveconst import _qr_table, twin_prime_constant
 from shiftmean import arith, curvelab
 from shiftmean.cli import main
+from shiftmean.reports import dumps_json
 from shiftmean.curvelab import (
     MAX_ORDER_CAP,
     CurveDensityRecord,
@@ -330,3 +331,19 @@ def test_record_serialization():
     payload = json.loads(records_to_json(recs))
     assert payload[0]["N"] == 20
     assert "rho" in payload[0] and "hasse_primes" in payload[0]
+
+
+def _payload(r):
+    return {"N": r.order, "hasse_primes": list(r.rho), "rho": {str(p): v for p, v in r.rho.items()},
+            "expected_m": r.expected_m, "predicted": r.predicted,
+            "note": curvelab.EXCLUDED_PRIMES_NOTE}
+
+
+@pytest.mark.parametrize("orders", [range(20, 61), range(20, 21), range(0)],
+                         ids=["20-60", "one", "none"])
+def test_streamed_json_equals_whole_array_encoding(orders):
+    # records_to_json encodes one record at a time; its text is what one
+    # dumps_json of the whole payload list writes
+    c2 = twin_prime_constant(10**5)
+    recs = [expected_m(n, c2=c2) for n in orders]
+    assert records_to_json(iter(recs)) == dumps_json([_payload(r) for r in recs])
