@@ -1,5 +1,14 @@
 """Mean values of shifted multiplicative functions and curve-order constants."""
 
+import os
+
+# No shiftmean call reaches BLAS (its only np.dot takes int64 or object
+# arrays), yet OpenBLAS starts a pool of worker threads when numpy loads, and
+# they cost CPU time in every process.  OpenBLAS reads this variable once, at
+# load, so it is set before the first import of numpy; a value the user has
+# set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arith import (
     PrimePowerFn,
     eval_multiplicative,

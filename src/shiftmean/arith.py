@@ -11,7 +11,7 @@ interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -157,13 +157,19 @@ _prime_cache: tuple = (0, np.empty(0, dtype=np.int64))
 # it POWER_CHUNK multiples at a time, so no buffer grows with the limit.
 POWER_CHUNK = 2**17
 
+# Entries at a time that the sieves turn from flags into primes and from big
+# primes into their values, so the temporaries stay at a few 256 KiB beside
+# the arrays they fill.  Even, so a wheel entry's parity is its offset's.
+PRIME_BLOCK = 2**15
+
 
 def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
     """Ascending int64 array of the primes p with lo <= p <= limit.
 
     Calls with lo = 0 are cached: a larger limit sieves only past the cached
-    one and appends.  Other ranges are sliced from the cache when it covers
-    them, else sieved afresh and not kept.
+    one, into one array that starts with the cached primes.  Other ranges
+    are sliced from the cache when it covers them, else sieved afresh and
+    not kept.
     """
     global _prime_cache
     if limit < max(lo, 2):
@@ -176,9 +182,22 @@ def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
                       int(np.searchsorted(primes, limit, side="right"))]
     if lo > 0:
         return _sieve_range(lo, limit)
-    primes = np.concatenate([primes, _sieve_range(cached_limit + 1, limit)])
+    n = len(primes)
+    out = np.empty(_prime_count_bound(limit), dtype=np.int64)
+    out[:n] = primes
+    n += len(_sieve_range(cached_limit + 1, limit, out=out[n:]))
+    primes = out[:n]
     _prime_cache = (limit, primes)
     return primes
+
+
+def _prime_count_bound(x: int) -> int:
+    """An upper bound on the number of primes <= x (x >= 2), from Dusart's
+    pi(x) <= x/ln x (1 + 1.2762/ln x) for x > 1 and
+    pi(x) <= x/ln x (1 + 1/ln x + 2.51/ln^2 x) for x >= 355991."""
+    ln = log(x)
+    factor = 1 + 1 / ln + 2.51 / ln**2 if x >= 355991 else 1 + 1.2762 / ln
+    return int(x / ln * factor) + 2  # + 2 covers the float rounding
 
 
 def prime_segments(limit: int) -> Iterator[np.ndarray]:
@@ -207,24 +226,35 @@ def _sieve_flags(span: int) -> np.ndarray:
     return np.empty(2 * ((span - 1) // 6 + 2), dtype=bool)
 
 
-def _sieve_range(lo: int, hi: int, flags: Optional[np.ndarray] = None) -> np.ndarray:
+def _sieve_range(lo: int, hi: int, flags: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Primes in [lo, hi], sieved SIEVE_SPAN integers at a time into flags
-    (allocated here when not given)."""
+    (allocated here when not given).  With out, which must have room for
+    them, they are written to its head and that view is returned; without,
+    each segment's primes get an array of their own."""
     if flags is None:
         flags = _sieve_flags(min(SIEVE_SPAN, hi - lo + 1))
     wheel_base = primes_up_to(isqrt(hi))[2:]
-    small = [p for p in (2, 3) if lo <= p <= hi]
-    parts = [np.array(small, dtype=np.int64)] if small else []
+    small = np.array([p for p in (2, 3) if lo <= p <= hi], dtype=np.int64)
+    parts = [small] if len(small) else []
+    filled = len(small)
+    if out is not None:
+        out[:filled] = small
     for start in range(lo, hi + 1, SIEVE_SPAN):
         end = min(start + SIEVE_SPAN - 1, hi)
         base = wheel_base[: int(np.searchsorted(wheel_base, isqrt(end), side="right"))]
-        parts.append(_sieve_wheel(start, end, base, flags))
+        parts.append(_sieve_wheel(start, end, base, flags, None if out is None else out[filled:]))
+        filled += len(parts[-1])
+    if out is not None:
+        return out[:filled]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray) -> np.ndarray:
+def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Primes in [lo, hi] prime to 6, given the primes 5 <= p <= sqrt(hi),
-    sieved in the leading entries of flags."""
+    sieved in the leading entries of flags and written to the head of out
+    (allocated here, one entry per flag left, when not given)."""
     k0 = lo // 6
     # entry i stands for n = 6 k0 + 3i + 1 + (i & 1): the even entries n = 1 and
     # the odd ones n = 5 (mod 6), so each class of a prime p recurs every 2p entries
@@ -242,19 +272,30 @@ def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray) -> np.nd
         is_prime[i5::step] = False
     if k0 == 0:
         is_prime[0] = False  # n = 1
-    n = np.flatnonzero(is_prime)
-    odd = n & 1
-    n *= 3
-    n += odd
-    n += 6 * k0 + 1
-    return n[int(np.searchsorted(n, lo)) : int(np.searchsorted(n, hi, side="right"))]
+    if out is None:
+        out = np.empty(np.count_nonzero(is_prime), dtype=np.int64)
+    filled = 0
+    for j in range(0, len(is_prime), PRIME_BLOCK):
+        n = np.flatnonzero(is_prime[j : j + PRIME_BLOCK])
+        # with i = j + n: 3i + 1 + (i & 1) = (3i + 1) | 1, and 6 k0 is even
+        n *= 3
+        n += 3 * j + 6 * k0 + 1
+        n |= 1
+        n = n[int(np.searchsorted(n, lo)) : int(np.searchsorted(n, hi, side="right"))]
+        out[filled : filled + len(n)] = n
+        filled += len(n)
+    return out[:filled]
 
 
 def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> np.ndarray:
     """Table over 0 <= n <= limit of the multiplicative function local(p, e).
 
-    on_big(primes) gives the values at primes above sqrt(limit).  Entry n is
-    the product of its prime-power values in ascending prime order.
+    on_big(primes) gives the values at primes above sqrt(limit), elementwise.
+    Entry n is the product of its prime-power values in ascending prime
+    order.  A factor of exactly 1 changes no bit of a product, so it is left
+    out: a small prime's leading powers valued 1 get no pass (its pass
+    strides over the multiples of its first power valued otherwise), and
+    big primes valued 1 get no scatter.
     """
     res = np.ones(limit + 1, dtype=dtype)
     res[0] = 0
@@ -262,29 +303,39 @@ def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> 
     n_small = int(np.searchsorted(primes, isqrt(limit), side="right"))
     buf = np.empty(min(limit // 2, POWER_CHUNK), dtype=dtype)
     for p in primes[:n_small].tolist():
-        m = limit // p
-        powers = []  # (s, local(p, e)): the multiples of p^e sit every s = p^(e-1) slots
-        s, e = 1, 1
-        while s * p <= limit:
-            powers.append((s, local(p, e)))
-            s, e = s * p, e + 1
+        step, powers = 0, []  # (s, local(p, e)): the multiples of p^e sit every s = p^e / step slots
+        pe, e = p, 1
+        while pe <= limit:
+            v = local(p, e)
+            if powers or v != 1:
+                step = step or pe
+                powers.append((pe // step, v))
+            pe, e = pe * p, e + 1
+        m = limit // step if step else 0
         for c in range(0, m, POWER_CHUNK):
-            n = min(POWER_CHUNK, m - c)  # buf[i]: the factor of p at (c + i + 1) p, i < n
+            n = min(POWER_CHUNK, m - c)  # buf[i]: the factor of p at (c + i + 1) step, i < n
             for s, v in powers:  # higher powers overwrite
                 buf[(s - 1 - c) % s : n : s] = v
-            res[(c + 1) * p : (c + n) * p + 1 : p] *= buf[:n]
+            res[(c + 1) * step : (c + n) * step + 1 : step] *= buf[:n]
     del buf
     # p > sqrt(limit) divides each multiple p*q <= limit once (q <= sqrt(limit)): scatter per q
     big = primes[n_small:]
-    vals = on_big(big)
-    idx = np.empty(len(big), dtype=np.int64)
+    vals = np.empty(len(big), dtype=dtype)
+    for c in range(0, len(big), PRIME_BLOCK):
+        vals[c : c + PRIME_BLOCK] = on_big(big[c : c + PRIME_BLOCK])
+    keep = vals != 1
+    if not keep.all():
+        big, vals = big[keep], vals[keep]
+    del keep
+    if not len(big):
+        return res
     prod = np.empty(len(big), dtype=dtype)
     for q in range(1, isqrt(limit) + 1):
         hi = int(np.searchsorted(big, limit // q, side="right"))
-        # q has only small primes, which gave res[q] and res[p*q] the same factors in order
-        np.multiply(big[:hi], q, out=idx[:hi])
+        # q has only small primes, which gave res[q] and res[p*q] the same factors in order;
+        # entry p of the view res[::q] is res[p*q]
         np.multiply(vals[:hi], res[q], out=prod[:hi])
-        res[idx[:hi]] = prod[:hi]
+        res[::q][big[:hi]] = prod[:hi]
     return res
 
 

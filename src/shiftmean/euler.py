@@ -142,8 +142,9 @@ def shift_local_factor(f: PrimePowerFn, g: PrimePowerFn, p: int, valuation: int,
     return 1.0 + num / s0
 
 
-def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray) -> tuple:
-    """Per-prime sums over k >= 1 of (f(p^k) + g(p^k)) / p^k on ascending primes.
+def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray, sums: np.ndarray) -> tuple:
+    """Per-prime sums over k >= 1 of (f(p^k) + g(p^k)) / p^k on ascending
+    primes, written into sums (float64, one entry per prime, zeroed here).
 
     Also returns the k = 1 envelope max p^2 |term| and the last k used: each
     series runs until p^k passes POWER_CEILING for every prime or all its
@@ -152,7 +153,7 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray) -> tuple:
     the chunks as over one array, and each chunk's primes are converted to
     float64 on their own, so no float copy of the whole segment is held.
     """
-    sums = np.zeros(len(primes))
+    sums.fill(0.0)
     envelope = 0.0
     depth_used = 0
     for k in itertools.count(1):
@@ -198,8 +199,14 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProd
     log_sum, negative = 0.0, False
     envelope = 0.0
     depth_used = 0
+    # one sums buffer serves every segment (the first holds the most primes):
+    # a fresh array per segment came back from the allocator as new pages,
+    # faulted in again each time
+    scratch = np.empty(0)
     for primes in prime_segments(prime_cutoff):
-        sums, segment_envelope, segment_depth = _local_sums(pair, primes)
+        if len(scratch) < len(primes):
+            scratch = np.empty(len(primes))
+        sums, segment_envelope, segment_depth = _local_sums(pair, primes, scratch[: len(primes)])
         envelope = max(envelope, segment_envelope)
         depth_used = max(depth_used, segment_depth)
         below = sums < -1.0

@@ -396,23 +396,54 @@ def test_prime_power_sieve_equals_the_buffer_oracle():
     _assert_same_table(table, _jordan_by_buffer(10**5, 4), (4, 10**5))
 
 
+def _unit_mixed_rule(p, k):
+    # exactly 1 at every power of p = 3 (mod 8) and at the odd powers of p = 1 (mod 4)
+    unit = (p % 8 == 3) | ((p % 4 == 1) & (k % 2 == 1))
+    return np.where(unit, 1.0, 1.0 + 1.0 / p**k)
+
+
+UNIT_MIXED_FN = PrimePowerFn(_unit_mixed_rule, name="unit_mixed")
+
+
 def test_prime_power_sieve_chunk_edges_at_a_small_chunk(monkeypatch):
     # a 7-entry chunk puts many chunk edges, and powers longer than a chunk,
-    # inside small tables
+    # inside small tables, and a 6-entry block many edges among the big
+    # primes; even_val_mean (1 at odd powers), the totient (1 at p = 2) and
+    # unit_mixed leave out factors of exactly 1, at small and at big primes
     monkeypatch.setattr(arith, "POWER_CHUNK", 7)
+    monkeypatch.setattr(arith, "PRIME_BLOCK", 6)
+    fns = _cli_tabulated_fns()
     for limit in range(1, 300):
-        for fn in _cli_tabulated_fns()[:2]:
+        for fn in (*fns[:2], fns[5], UNIT_MIXED_FN):
             expect = prime_power_sieve_by_buffer(limit, np.float64, fn,
                                                  lambda big: fn.on_primes(big, 1))
             _assert_same_table(multiplicative_table(fn, limit), expect, (fn.name, limit))
-        _assert_same_table(jordan_table(limit, 2), _jordan_by_buffer(limit, 2), limit)
+        for k in (1, 2):
+            _assert_same_table(jordan_table(limit, k), _jordan_by_buffer(limit, k), (k, limit))
+
+
+def test_shift_table_memory():
+    # the float64 table is 30.5 MiB; the values at the 282,843 primes above
+    # 2000 are computed PRIME_BLOCK at a time into one array and scattered
+    # through strided views: 34.84 MiB measured, where valuing them all at
+    # once and scattering through an index array peaked at 39.15 MiB
+    from shiftmean.curveconst import shift_part_fn
+
+    primes_up_to(4 * 10**6)  # warm the prime cache so only the table's arrays count
+    tracemalloc.start()
+    try:
+        multiplicative_table(shift_part_fn, 4 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
 
 
 def test_multiplicative_table_memory():
     # the float64 table is 7.6 MiB, the factors of the primes up to 1000 pass
     # through one 1 MiB chunk, released before the values at the 78,330
-    # primes above 1000 are computed: 10.02 MiB measured; one strided buffer
-    # of limit // 2 entries peaked at 11.45 MiB
+    # primes above 1000 are computed PRIME_BLOCK at a time: 9.23 MiB
+    # measured; one strided buffer of limit // 2 entries peaked at 11.45 MiB
     from shiftmean.curveconst import odd_val_part_fn
 
     primes_up_to(10**6)  # warm the prime cache so only the table's arrays count
@@ -560,10 +591,47 @@ def test_primes_up_to_range_starting_at_a_base_prime_square(plain_primes, cold_p
             assert np.array_equal(primes_up_to(hi, p * p), expect), (p, hi)
 
 
+def test_cold_primes_up_to_holds_its_primes_once(cold_primes):
+    # the 1,270,607 primes (9.7 MiB) are sieved straight into one array
+    # sized by a bound on their count, next to 1.4 MiB of flags: 11.18 MiB
+    # measured; joining per-segment arrays peaked at 20.73 MiB
+    tracemalloc.start()
+    try:
+        primes = primes_up_to(2 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 1270607
+    assert peak <= 12 * 2**20
+
+
+def test_prime_count_bound_holds_at_every_prime(plain_primes):
+    # pi(x) jumps at the primes, so the bound holds for x <= 10^7 when it
+    # holds at each of them; the second bound takes over at 355,991
+    bounds = [arith._prime_count_bound(p) for p in plain_primes.tolist()]
+    assert all(b >= k for k, b in enumerate(bounds, start=1))
+
+
+@pytest.mark.parametrize("block", [2, 6])
+def test_primes_up_to_at_a_small_block(block, monkeypatch, plain_primes, cold_primes):
+    # flags turned into primes a few at a time, so block edges fall
+    # everywhere, against segment ends and the bounds of a range
+    monkeypatch.setattr(arith, "PRIME_BLOCK", block)
+    for limit in range(2, 400):
+        arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+        assert np.array_equal(primes_up_to(limit), plain_primes[plain_primes <= limit]), limit
+    for lo in range(0, 60):
+        for hi in (lo, lo + 1, lo + 7, 400):
+            if lo <= hi:
+                arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+                expect = plain_primes[(plain_primes >= lo) & (plain_primes <= hi)]
+                assert np.array_equal(primes_up_to(hi, lo), expect), (lo, hi)
+
+
 def test_sieve_segment_memory(cold_primes):
     # the wheel keeps 1.4 MiB of flags for the 4,194,304 integers, and the
-    # 228,778 primes need an int64 array and one int64 temporary: 4.85 MiB
-    # measured
+    # 228,778 primes need an int64 array, filled PRIME_BLOCK flags at a
+    # time: 3.19 MiB measured (4.85 MiB with one int64 temporary as long)
     lo, hi = 9 * 10**7, 9 * 10**7 + SPAN - 1
     primes_up_to(isqrt(hi))  # warm the base primes so only the segment counts
     tracemalloc.start()
@@ -572,4 +640,4 @@ def test_sieve_segment_memory(cold_primes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.25 * 2**20
+    assert peak < 3.5 * 2**20

@@ -228,11 +228,13 @@ def test_local_sums_do_not_depend_on_the_chunk(name, monkeypatch):
     pair = {"signed": SIGNED_PAIR, "nan": NAN_AT_ONE_PRIME}.get(name) or get_preset(name).pair
     primes = primes_up_to(10**5)
     monkeypatch.setattr(euler, "FOLD_CHUNK", 2**30)
-    whole_sums, whole_envelope, whole_depth = euler._local_sums(pair, primes)
+    whole_sums, whole_envelope, whole_depth = euler._local_sums(pair, primes,
+                                                                np.empty(len(primes)))
     assert (name == "nan") == math.isnan(whole_envelope)
     for chunk in (1, 7):
         monkeypatch.setattr(euler, "FOLD_CHUNK", chunk)
-        sums, envelope, depth = euler._local_sums(pair, primes)
+        # the fold zeroes the buffer it is given
+        sums, envelope, depth = euler._local_sums(pair, primes, np.full(len(primes), np.inf))
         assert np.array_equal(sums, whole_sums, equal_nan=True), chunk
         assert envelope == whole_envelope or math.isnan(envelope) and math.isnan(whole_envelope)
         assert depth == whole_depth, chunk
@@ -293,12 +295,14 @@ def test_constant_memory_is_bounded_by_a_segment(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["c2", "kstar"])
 def test_constant_fold_releases_each_segment(name, monkeypatch):
-    # each step drops its primes and float arrays before the next segment is
-    # sieved (prime_segments too lets go of the segment it yielded), the
-    # segments share one flag array, and the fold converts primes to float
-    # one chunk at a time: 7.75 (c2) and 8.94 MiB (kstar) measured; with the
-    # yielded segment held until the next was sieved, 9.61 MiB for both, and
-    # with each step's arrays held too, 11.66 (c2) and 11.94 MiB (kstar)
+    # each step drops its primes before the next segment is sieved
+    # (prime_segments too lets go of the segment it yielded), the segments
+    # share one flag array, kstar's fold reuses one sums buffer sized by the
+    # first segment, and the fold converts primes to float one chunk at a
+    # time: 7.75 (c2) and 9.22 MiB (kstar) measured (8.94 with a fresh sums
+    # array per segment); with the yielded segment held until the next was
+    # sieved, 9.61 MiB for both, and with each step's arrays held too, 11.66
+    # (c2) and 11.94 MiB (kstar)
     assert _constant_peak(name, monkeypatch) < 9.25 * 2**20
 
 
