@@ -168,8 +168,8 @@ def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
 
     Calls with lo = 0 are cached: a larger limit sieves only past the cached
     one, into one array that starts with the cached primes.  Other ranges
-    are sliced from the cache when it covers them, else sieved afresh and
-    not kept.
+    are sliced from the cache when it covers them, else sieved afresh into
+    one array sized by bounds on their count, and not kept.
     """
     global _prime_cache
     if limit < max(lo, 2):
@@ -181,23 +181,33 @@ def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
         return primes[int(np.searchsorted(primes, lo)) :
                       int(np.searchsorted(primes, limit, side="right"))]
     if lo > 0:
-        return _sieve_range(lo, limit)
+        out = np.empty(_prime_count_bound(limit, lo), dtype=np.int64)
+        return _sieve_range(lo, limit, out)
     n = len(primes)
     out = np.empty(_prime_count_bound(limit), dtype=np.int64)
     out[:n] = primes
-    n += len(_sieve_range(cached_limit + 1, limit, out=out[n:]))
+    n += len(_sieve_range(cached_limit + 1, limit, out[n:]))
     primes = out[:n]
     _prime_cache = (limit, primes)
     return primes
 
 
-def _prime_count_bound(x: int) -> int:
-    """An upper bound on the number of primes <= x (x >= 2), from Dusart's
-    pi(x) <= x/ln x (1 + 1.2762/ln x) for x > 1 and
-    pi(x) <= x/ln x (1 + 1/ln x + 2.51/ln^2 x) for x >= 355991."""
-    ln = log(x)
-    factor = 1 + 1 / ln + 2.51 / ln**2 if x >= 355991 else 1 + 1.2762 / ln
-    return int(x / ln * factor) + 2  # + 2 covers the float rounding
+def _prime_count_bound(hi: int, lo: int = 0) -> int:
+    """An upper bound on the number of primes p with lo <= p <= hi (hi >= 2).
+
+    Dusart's upper bounds on pi(hi): pi(x) <= x/ln x (1 + 1.2762/ln x) for
+    x > 1, and x/ln x (1 + 1/ln x + 2.51/ln^2 x) for x >= 355991; less his
+    lower bounds on pi(lo - 1): pi(x) >= x/ln x (1 + 1/ln x) for x >= 599,
+    and x/ln x (1 + 1/ln x + 2/ln^2 x) for x >= 88783 (0 below 599).
+    """
+    ln = log(hi)
+    factor = 1 + 1 / ln + 2.51 / ln**2 if hi >= 355991 else 1 + 1.2762 / ln
+    bound = int(hi / ln * factor) + 2  # + 2 and - 2 cover the float rounding
+    if lo - 1 >= 599:
+        ln = log(lo - 1)
+        factor = 1 + 1 / ln + 2 / ln**2 if lo - 1 >= 88783 else 1 + 1 / ln
+        bound -= int((lo - 1) / ln * factor) - 2
+    return bound
 
 
 def prime_segments(limit: int) -> Iterator[np.ndarray]:
@@ -205,7 +215,8 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
     time; a segment that holds no prime is skipped.
 
     The first segment and any the cache covers come from primes_up_to; the
-    others are sieved, past the cache, into one flag array that they share.
+    others are sieved, past the cache, into one flag array that they share,
+    each into an array of its own.
     """
     flags = None
     for lo in range(0, limit + 1, SIEVE_SPAN):
@@ -215,7 +226,7 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
         else:
             if flags is None:
                 flags = _sieve_flags(SIEVE_SPAN)
-            primes = _sieve_range(lo, hi, flags)
+            primes = _sieve_wheel(lo, hi, primes_up_to(isqrt(hi))[2:], flags)
         if len(primes):
             yield primes
         del primes  # the consumer may drop it before the next segment is sieved
@@ -226,28 +237,20 @@ def _sieve_flags(span: int) -> np.ndarray:
     return np.empty(2 * ((span - 1) // 6 + 2), dtype=bool)
 
 
-def _sieve_range(lo: int, hi: int, flags: Optional[np.ndarray] = None,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Primes in [lo, hi], sieved SIEVE_SPAN integers at a time into flags
-    (allocated here when not given).  With out, which must have room for
-    them, they are written to its head and that view is returned; without,
-    each segment's primes get an array of their own."""
-    if flags is None:
-        flags = _sieve_flags(min(SIEVE_SPAN, hi - lo + 1))
+def _sieve_range(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi], sieved SIEVE_SPAN integers at a time into one
+    flag array and written to the head of out, which must have room for
+    them; that view is returned."""
+    flags = _sieve_flags(min(SIEVE_SPAN, hi - lo + 1))
     wheel_base = primes_up_to(isqrt(hi))[2:]
-    small = np.array([p for p in (2, 3) if lo <= p <= hi], dtype=np.int64)
-    parts = [small] if len(small) else []
+    small = [p for p in (2, 3) if lo <= p <= hi]
+    out[: len(small)] = small
     filled = len(small)
-    if out is not None:
-        out[:filled] = small
     for start in range(lo, hi + 1, SIEVE_SPAN):
         end = min(start + SIEVE_SPAN - 1, hi)
         base = wheel_base[: int(np.searchsorted(wheel_base, isqrt(end), side="right"))]
-        parts.append(_sieve_wheel(start, end, base, flags, None if out is None else out[filled:]))
-        filled += len(parts[-1])
-    if out is not None:
-        return out[:filled]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        filled += len(_sieve_wheel(start, end, base, flags, out[filled:]))
+    return out[:filled]
 
 
 def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray,
@@ -351,20 +354,24 @@ def multiplicative_table(fn: PrimePowerFn, limit: int) -> np.ndarray:
 
 
 def totient_table(limit: int) -> np.ndarray:
-    """Exact int64 array of totient values for 0 <= n <= limit."""
+    """Exact array of totient values for 0 <= n <= limit (jordan_dtype)."""
     return jordan_table(limit, 1)
 
 
 def jordan_dtype(limit: int, k: int):
-    """int64 when limit^k < 2^62, so every J_k(n <= limit) fits; else object."""
-    return object if limit > 1 and (k >= 62 or limit**k >= 2**62) else np.int64
+    """The narrowest of int32, int64 and object that holds limit^k, so every
+    J_k(n <= limit) fits, and so does each partial product of the table
+    sieve, which is at most the entry it builds."""
+    if limit > 1 and (k >= 62 or limit**k >= 2**62):
+        return object
+    return np.int32 if limit**k < 2**31 else np.int64
 
 
 def jordan_table(limit: int, k: int) -> np.ndarray:
     """Exact array of J_k values for 0 <= n <= limit.
 
-    Uses int64 when limit^k fits, Python integers (object dtype) up to the
-    128-bit ceiling, and rejects anything larger.
+    Uses int32 or int64 when limit^k fits (jordan_dtype), Python integers
+    (object dtype) up to the 128-bit ceiling, and rejects anything larger.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

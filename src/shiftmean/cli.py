@@ -32,10 +32,11 @@ DEFAULT_GRID_START = 1000
 # eval factors n by trial division: a prime near 1e16 takes about 11 s.
 MAX_EVAL_N = 10**16
 
-# Float and int64 tables and sums up to x peak at 13-21 bytes per x (127-210
-# MB of RSS at x = 1e7 for meanvalue phi, jordan-2, kstar and verify gap, t3;
-# no run holds more than two full tables), and the peak grows by 9.5-17.6
-# bytes per x from 1e7 to 2e7, so this ceiling keeps those runs near 0.9 GB.
+# Float and fixed-width integer tables and sums up to x peak at 8-20 bytes per
+# x (RSS at x = 1e7: 80 MB for meanvalue phi with int32 totients, 123 for
+# jordan-2, 199 for kstar, 194 for verify gap, 199 for t3; no run holds more
+# than two full tables), and the peak grows by 4.8-16.7 bytes per x from 1e7
+# to 2e7, so this ceiling keeps those runs near 0.9 GB.
 MAX_X = 5 * 10**7
 
 # Jordan tables of Python ints (arith.jordan_dtype) add about 82 bytes per x

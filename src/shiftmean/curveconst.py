@@ -355,5 +355,11 @@ def substitution_gap(x_grid, d: int = 1, modulus: int = 1,
     start = modulus * pow(modulus, -1, d) % step or step  # least N >= 1 in the class
     diff = even_val_symbol_table(xs[-1], conv)[start::step]
     diff -= multiplicative_table(even_val_mean_fn, xs[-1])[start::step]
-    ends = [len(range(start, x + 1, step)) for x in xs]
+    # The tables differ only at N where some prime has an even valuation >= 2
+    # (an odd prime under UNIT, whose factors at p = 2 agree), so most
+    # differences are exactly 0: only the others are summed, each grid end
+    # mapped to the count of them before it.
+    kept = np.flatnonzero(diff != 0)
+    ends = np.searchsorted(kept, [len(range(start, x + 1, step)) for x in xs])
+    diff = diff[kept]
     return prefix_dots(diff, np.broadcast_to(1.0, diff.shape), ends)

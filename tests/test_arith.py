@@ -351,12 +351,14 @@ def test_multiplicative_table_matches_pointwise_eval():
 
 
 def test_jordan_table_matches_pointwise_jordan_totient():
-    # k = 9 at limit 10^4 takes the object-dtype path (limit^k >= 2^62)
+    # the narrowest dtype that holds limit^k: k = 3 at limit 10^4 takes int64
+    # and k = 9 the object-dtype path (limit^k >= 2^62)
     for k in (1, 2, 3, 9):
         expect = [0] + [jordan_totient(n, k) for n in range(1, max(TABLE_LIMITS) + 1)]
         for limit in TABLE_LIMITS:
             table = jordan_table(limit, k)
-            assert table.dtype == (np.int64 if limit**k < 2**62 else object)
+            assert table.dtype == (np.int32 if limit**k < 2**31 else
+                                   np.int64 if limit**k < 2**62 else object)
             assert table.tolist() == expect[: limit + 1], (k, limit)
 
 
@@ -610,6 +612,32 @@ def test_prime_count_bound_holds_at_every_prime(plain_primes):
     # holds at each of them; the second bound takes over at 355,991
     bounds = [arith._prime_count_bound(p) for p in plain_primes.tolist()]
     assert all(b >= k for k, b in enumerate(bounds, start=1))
+
+
+def test_prime_count_bound_of_a_range_holds_at_every_prime(plain_primes):
+    # the bound on [lo, 10^7] is the one on [0, 10^7] less a lower bound on
+    # pi(lo - 1), which is k - 1 at the k-th prime lo, so it holds for every
+    # lo - 1 < 10^7 when it holds there; the second bound takes over at 88,783
+    top = arith._prime_count_bound(10**7)
+    lows = [top - arith._prime_count_bound(10**7, p) for p in plain_primes.tolist()]
+    assert all(low <= k for k, low in enumerate(lows))
+    assert top - arith._prime_count_bound(10**7, 10**7 + 1) <= len(plain_primes)
+
+
+def test_primes_up_to_range_past_the_cache_holds_its_primes_once(cold_primes):
+    # the 5,096,876 primes of (10^7, 10^8] (38.9 MiB) are sieved straight
+    # into one array sized by bounds on pi, next to 1.4 MiB of flags: 40.4
+    # MiB measured; joining per-segment arrays peaked at 79.1 MiB
+    primes_up_to(10**4)  # the base primes, so only the range counts
+    tracemalloc.start()
+    try:
+        got = primes_up_to(10**8, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * got.nbytes
+    everything = primes_up_to(10**8)
+    assert np.array_equal(got, everything[np.searchsorted(everything, 10**7):])
 
 
 @pytest.mark.parametrize("block", [2, 6])

@@ -412,6 +412,9 @@ COVERAGE_ARGV = [
     "verify t3 --x-grid 1000 --prime-cutoff 1e4",
     "verify t3 --x-grid 1000 --convention kronecker --prime-cutoff 1e4",
     "verify gap --x-grid 1000 --prime-cutoff 1e4",
+    # past x = 10^4 its differences span more binades than the fixed-point
+    # float sum takes, so a block is summed per exponent
+    "verify gap --x-grid 20000 --prime-cutoff 1e4",
     "verify gap --x-grid 1000,2000 --gap-d 3 --gap-l 4 --prime-cutoff 1e4 --format json",
     "curvelab --n-min 20 --n-max 22 --prime-cutoff 1e4",
     "curvelab --n-min 20 --n-max 20 --prime-cutoff 1e4 --format json",

@@ -32,7 +32,7 @@ from shiftmean.curveconst import (
     substitution_gap,
     twin_prime_constant,
 )
-from shiftmean.harness import shifted_sum
+from shiftmean.harness import prefix_dots, shifted_sum
 
 from oracles import (
     eval_divisor_sum,
@@ -487,6 +487,22 @@ def test_substitution_gap_matches_mask_oracle(d, modulus, conv):
     grid = sorted({2, 3, 2999, 3000} | {m + o for m in members for o in (-1, 0, 1)} - {0})
     got = substitution_gap(grid, d, modulus, conv)
     assert got == [substitution_gap_by_mask(x, d, modulus, conv) for x in grid]
+
+
+@pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)
+@pytest.mark.parametrize("d, modulus", [(1, 1), (3, 4), (5, 7), (1, 9), (8, 1)])
+def test_substitution_gap_equals_the_sum_of_every_difference(d, modulus, conv):
+    # leaving out the differences that are exactly 0 changes no sum: against
+    # one prefix_dots pass over every difference of the class, over blocks
+    x = 300_000
+    step = d * modulus
+    start = modulus * pow(modulus, -1, d) % step or step
+    diff = even_val_symbol_table(x, conv)[start::step]
+    diff -= multiplicative_table(even_val_mean_fn, x)[start::step]
+    assert 0 < np.count_nonzero(diff) < len(diff)
+    grid = [1, 2, 1000, 65_537, 131_073, 200_001, x - 1, x]
+    ends = [len(range(start, y + 1, step)) for y in grid]
+    assert substitution_gap(grid, d, modulus, conv) == prefix_dots(diff, np.ones_like(diff), ends)
 
 
 def test_substitution_gap_memory():

@@ -139,10 +139,12 @@ _GRID_ENDS = [1, 1000, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK]
 
 
 @pytest.mark.parametrize("f_spec, g_spec, shift, dtype", [
-    (NamedFn("totient"), NamedFn("totient"), 3, np.int64),
+    # J_2 past 46340 needs int64; totients fit in int32 (arith.jordan_dtype)
+    (NamedFn("jordan", 2), NamedFn("jordan", 2), 3, np.int64),
     (shift_part_fn, order_part_fn, 6, np.float64),
     # a shift this large puts G = J_3 past 2^62, so the table is object dtype
     (NamedFn("jordan", 3), NamedFn("jordan", 3), 1_600_000, object),
+    (NamedFn("totient"), NamedFn("totient"), 3, np.int32),
 ])
 def test_shifted_sum_grid_equals_scalar_sums(f_spec, g_spec, shift, dtype):
     grid = [shift + e for e in _GRID_ENDS]
@@ -294,6 +296,119 @@ def test_prefix_dots_float_extremes_fill_a_block(pattern):
     exact = [sum(Fraction(v) * len(range(j, e, len(pattern))) for j, v in enumerate(pattern))
              for e in ends]
     assert prefix_dots(a, np.ones_like(a), ends) == [float(s) for s in exact]
+
+
+# Block values at the edges of the limb layouts: one limb a side holds
+# magnitudes below 2^23 (2 x 23 bits + 16 for the block length = 62), two
+# 21-bit limbs below 2^42, and wider values take three.
+_LAYOUT_EDGES = [2**22 - 1, 2**22, 2**23 - 1, 2**23, 2**42 - 1, 2**42,
+                 2**45, 2**46, 2**62, 2**63 - 1]
+
+
+def _periodic_sums(prods, ends):
+    """Prefix sums of the products repeated with period len(prods)."""
+    return [sum(p * len(range(j, e, len(prods))) for j, p in enumerate(prods)) for e in ends]
+
+
+@pytest.mark.parametrize("u", _LAYOUT_EDGES)
+def test_prefix_dots_blocks_at_limb_layout_edges(u):
+    # blocks filled with +-u and its neighbours against the same at each
+    # other edge, so each layout sums its largest blocks
+    n = SUM_BLOCK + 3
+    ends = [SUM_BLOCK - 1, SUM_BLOCK, n]
+    a = [u, -u, u - 1, -u - 1]
+    for v in _LAYOUT_EDGES:
+        b = [v, v, -v - 1, 1 - v]
+        got = prefix_dots(np.resize(np.array(a), n), np.resize(np.array(b), n), ends)
+        assert got == _periodic_sums([x * y for x, y in zip(a, b)], ends), (u, v)
+
+
+def test_prefix_dots_mixed_sign_int32_near_2_31():
+    rng = np.random.default_rng(8)
+    n = SUM_BLOCK + 5
+    edges = np.array([2**31 - 1, -(2**31), 2**31 - 2, -(2**31) + 1], dtype=np.int32)
+    for a in (np.resize(edges, n), rng.integers(-(2**31), 2**31, n, dtype=np.int32)):
+        for b in (np.resize(edges[::-1], n), rng.integers(-(2**31), 2**31, n, dtype=np.int32),
+                  rng.integers(0, 2**22, n, dtype=np.int32)):
+            prods = [x * y for x, y in zip(a.tolist(), b.tolist())]
+            ends = [1, SUM_BLOCK, n]
+            assert prefix_dots(a, b, ends) == [sum(prods[:e]) for e in ends]
+
+
+@pytest.mark.parametrize("dtype, bound, dots", [
+    (np.int32, 2**23, 1), (np.int64, 2**23, 1),  # totient-sized: one plain dot
+    (np.int32, 2**31, 3),  # one side whole, the other in three 11-bit limbs
+    (np.int64, 2**42, 4),  # Jordan-2-sized: two 21-bit limbs a side
+    (np.int64, 2**63, 9),
+], ids=["int32-totient-sized", "totient-sized", "int32", "jordan-2-sized", "int64"])
+def test_exact_dot_count_per_block(dtype, bound, dots, monkeypatch):
+    calls = []
+    real_dot = np.dot
+
+    def counting_dot(a, b):
+        calls.append(len(a))
+        return real_dot(a, b)
+
+    rng = np.random.default_rng(9)
+    n = 4 * SUM_BLOCK  # whole blocks: a shorter block may take fewer limbs
+    a = rng.integers(-bound + 1, bound, n).astype(dtype)
+    a[:2] = [bound - 1, -bound + 1]  # the largest magnitudes in the first block
+    b = rng.integers(0, bound, n).astype(dtype)
+    monkeypatch.setattr(np, "dot", counting_dot)
+    got = prefix_dots(a, b, [n])
+    monkeypatch.undo()
+    assert got == [sum(x * y for x, y in zip(a.tolist(), b.tolist()))]
+    assert len(calls) == 4 * dots  # four blocks
+
+
+def _exact_float_sums(pattern, ends):
+    return [sum(Fraction(v) * len(range(j, e, len(pattern))) for j, v in enumerate(pattern))
+            for e in ends]
+
+
+_SPAN = harness._FIXED_SPAN
+_M = 1 - 2**-53  # the largest mantissa, 2^53 - 1 ulps
+
+
+@pytest.mark.parametrize("pattern, fixed", [
+    # binary exponents (np.frexp) 0 and -_SPAN: at the span limit
+    ([_M, -_M, 2.0**-_SPAN * _M, -(2.0**-_SPAN) * (0.5 + 2**-53), _M], True),
+    # one binade past it
+    ([_M, -_M, 2.0**-(_SPAN + 1) * _M, -(2.0**-(_SPAN + 1)) * (0.5 + 2**-53), _M], False),
+    # all positive and near the top, so a block's top limbs sum to nearly
+    # 2^53, and odd: one binade more would need a 54th bit
+    ([1 - 2**-38, 1 - 3 * 2**-38, 1 - 5 * 2**-38, 2.0**-_SPAN * 0.75, 1 - 7 * 2**-38], True),
+    ([1 - 2**-38, 1 - 3 * 2**-38, 1 - 5 * 2**-38, 2.0**-(_SPAN + 1) * 0.75, 1 - 7 * 2**-38],
+     False),
+    ([0.0, _M, -0.0, 2.0**-_SPAN * _M, 0.0], True),  # zeros take no binade
+    ([0.0, -0.0], True),
+    ([5e-324, -2.3e-308, 1e-310], False),  # subnormals
+    ([2.0**-1000 * _M, -(2.0**-1001), 2.0**-990], True),  # the least exponent, -1000
+    ([2.0**-1001 * _M, -(2.0**-1001), 2.0**-990], False),
+    ([2.0**1023 * _M, -(2.0**1023) * _M, 2.0**1004 * _M, -(2.0**1003)], True),  # +-huge
+    ([1.7976931348623157e308, -1.7976931348623157e308, 1.0], False),
+], ids=["at-limit", "past-limit", "positive-at-limit", "positive-past-limit", "zeros",
+        "all-zero", "subnormal", "least-exponent", "below-least-exponent", "huge", "huge-and-one"])
+def test_prefix_dots_float_blocks_at_the_fixed_point_limits(pattern, fixed, monkeypatch):
+    # blocks full of each pattern: the fixed-point limbs at their largest
+    # sums, and each block on the path its span and exponents give
+    paths = []
+    for name in ("_fixed_point_sum", "_frexp_sum"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *args, real=real, name=name: paths.append(name) or real(*args))
+    a = np.resize(np.array(pattern), 2 * SUM_BLOCK)
+    ends = [SUM_BLOCK, 2 * SUM_BLOCK]  # two whole blocks, each holding the pattern
+    got = prefix_dots(a, np.ones_like(a), ends)
+    assert got == [float(s) for s in _exact_float_sums(pattern, ends)]
+    terms = a.tolist()
+    assert got == [math.fsum(terms[:e]) for e in ends]
+    if any(pattern):
+        assert set(paths) == {"_fixed_point_sum" if fixed else "_frexp_sum"}
+    # and a block's exact sum itself, before any rounding
+    block = a[:SUM_BLOCK]
+    scaled = harness._scaled_float_dot(block, np.ones_like(block), harness._float_scratch(SUM_BLOCK))
+    assert scaled == _exact_float_sums(pattern, [SUM_BLOCK])[0] * 2**1126
 
 
 def test_prefix_dots_uint64_above_int64_is_exact():
