@@ -22,14 +22,26 @@ INT128_CEILING = 1 << 127
 Factorization = list[tuple[int, int]]
 
 
+# factorize_trial divides by 2 and the odd numbers below this bound in pure
+# Python, cheaper than a numpy call for the small n most callers factor, and
+# by sieved primes past it.
+TRIAL_BOUND = 2**8
+
+
 def factorize_trial(n: int) -> Factorization:
-    """Return [(p, e), ...] with strictly increasing p and prod p^e == n."""
+    """Return [(p, e), ...] with strictly increasing p and prod p^e == n.
+
+    Trial division by 2 and the odd numbers below TRIAL_BOUND, then by the
+    primes up to the square root of what is left, tested a sieve segment
+    at a time (prime_segments), so a large n caches no primes past the
+    first segment.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     out: Factorization = []
     m = n
     p = 2
-    while p * p <= m:
+    while p < TRIAL_BOUND and p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -37,6 +49,21 @@ def factorize_trial(n: int) -> Factorization:
                 e += 1
             out.append((p, e))
         p += 1 if p == 2 else 2
+    if p * p <= m:
+        for primes in prime_segments(isqrt(m)):
+            primes = primes[int(np.searchsorted(primes, p)) :]
+            if not len(primes) or int(primes[0]) ** 2 > m:
+                break
+            # every divisor found divides what is left of m once the smaller ones are out
+            rem = m % (primes if m < 2**63 else primes.astype(object))
+            for q in primes[np.flatnonzero(rem == 0)].tolist():
+                if q * q > m:
+                    break
+                e = 0
+                while m % q == 0:
+                    m //= q
+                    e += 1
+                out.append((q, e))
     if m > 1:
         out.append((m, 1))
     return out
@@ -293,7 +320,9 @@ def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray,
 def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> np.ndarray:
     """Table over 0 <= n <= limit of the multiplicative function local(p, e).
 
-    on_big(primes) gives the values at primes above sqrt(limit), elementwise.
+    on_big(primes) gives the values at primes above sqrt(limit), elementwise;
+    it is called, and its values scattered, one PRIME_BLOCK of them at a
+    time, so no array beside the table grows with the count of big primes.
     Entry n is the product of its prime-power values in ascending prime
     order.  A factor of exactly 1 changes no bit of a product, so it is left
     out: a small prime's leading powers valued 1 get no pass (its pass
@@ -321,24 +350,23 @@ def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> 
                 buf[(s - 1 - c) % s : n : s] = v
             res[(c + 1) * step : (c + n) * step + 1 : step] *= buf[:n]
     del buf
-    # p > sqrt(limit) divides each multiple p*q <= limit once (q <= sqrt(limit)): scatter per q
-    big = primes[n_small:]
-    vals = np.empty(len(big), dtype=dtype)
-    for c in range(0, len(big), PRIME_BLOCK):
-        vals[c : c + PRIME_BLOCK] = on_big(big[c : c + PRIME_BLOCK])
-    keep = vals != 1
-    if not keep.all():
-        big, vals = big[keep], vals[keep]
-    del keep
-    if not len(big):
-        return res
-    prod = np.empty(len(big), dtype=dtype)
-    for q in range(1, isqrt(limit) + 1):
-        hi = int(np.searchsorted(big, limit // q, side="right"))
-        # q has only small primes, which gave res[q] and res[p*q] the same factors in order;
-        # entry p of the view res[::q] is res[p*q]
-        np.multiply(vals[:hi], res[q], out=prod[:hi])
-        res[::q][big[:hi]] = prod[:hi]
+    # p > sqrt(limit) divides each multiple p*q <= limit once (q <= sqrt(limit)): scatter per
+    # q, one PRIME_BLOCK of big primes at a time; q < p, so res[q] is final when it is read
+    prod = np.empty(min(len(primes) - n_small, PRIME_BLOCK), dtype=dtype)
+    for c in range(n_small, len(primes), PRIME_BLOCK):
+        big = primes[c : c + PRIME_BLOCK]
+        vals = np.asarray(on_big(big), dtype=dtype)
+        keep = vals != 1
+        if not keep.all():
+            big, vals = big[keep], vals[keep]
+        if not len(big):
+            continue
+        for q in range(1, limit // int(big[0]) + 1):
+            hi = int(np.searchsorted(big, limit // q, side="right"))
+            # q has only small primes, which gave res[q] and res[p*q] the same factors in
+            # order; entry p of the view res[::q] is res[p*q]
+            np.multiply(vals[:hi], res[q], out=prod[:hi])
+            res[::q][big[:hi]] = prod[:hi]
     return res
 
 

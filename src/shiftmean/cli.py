@@ -29,14 +29,16 @@ from .reports import csv_text, dumps_json
 
 DEFAULT_GRID_START = 1000
 
-# eval factors n by trial division: a prime near 1e16 takes about 11 s.
+# eval factors n by trial division by sieved primes: a prime near 1e16
+# takes about 0.2 s and 39 MB RSS, sieving the primes to 1e8 a segment at
+# a time.
 MAX_EVAL_N = 10**16
 
-# Float and fixed-width integer tables and sums up to x peak at 8-20 bytes per
-# x (RSS at x = 1e7: 80 MB for meanvalue phi with int32 totients, 123 for
-# jordan-2, 199 for kstar, 194 for verify gap, 199 for t3; no run holds more
-# than two full tables), and the peak grows by 4.8-16.7 bytes per x from 1e7
-# to 2e7, so this ceiling keeps those runs near 0.9 GB.
+# Float and fixed-width integer tables and sums up to x peak at 8-19 bytes per
+# x (RSS at x = 1e7: 76 MB for meanvalue phi with int32 totients, 116 for
+# jordan-2, 190 for kstar, 148 for verify gap, 190 for t3; no run holds more
+# than two full tables, verify gap one), and the peak grows by 4.3-15.7
+# bytes per x from 1e7 to 2e7, so this ceiling keeps those runs near 0.8 GB.
 MAX_X = 5 * 10**7
 
 # Jordan tables of Python ints (arith.jordan_dtype) add about 82 bytes per x
@@ -124,7 +126,7 @@ def _check_shift(shift: int, cutoff: int) -> None:
     """The shift correction needs every prime of the shift inside the cutoff."""
     if shift < 1:
         raise UsageError(f"--shift: must be >= 1 (got {shift})")
-    if shift > MAX_EVAL_N:  # trial division below is O(sqrt(shift))
+    if shift > MAX_EVAL_N:  # trial division below runs to sqrt(shift)
         raise UsageError(f"--shift: must be <= {MAX_EVAL_N} (got {shift})")
     largest = factorize_trial(shift)[-1][0] if shift > 1 else 1
     if largest > cutoff:

@@ -1,7 +1,8 @@
 """Independent reference implementations the tests compare the package against.
 
 None of these runs on a command-line path.  Each recomputes a quantity the
-package produces by a different route: the primes by one whole-array sieve
+package produces by a different route: factorizations by trial division
+by every odd number, the primes by one whole-array sieve
 (the oracles below read theirs from it, except the two earlier package
 builders kept for bit identity, which read arith.primes_up_to), the
 constant as a rearranged double sum (brute and regrouped by gcd),
@@ -29,7 +30,6 @@ import numpy as np
 from shiftmean.arith import (
     Factorization,
     PrimePowerFn,
-    factorize_trial,
     multiplicative_table,
     primes_up_to,
 )
@@ -62,6 +62,31 @@ def plain_sieve(limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Factorization
+
+
+def factorize_by_trial_division(n: int) -> Factorization:
+    """[(p, e), ...] of n >= 1 by trial division by 2 and every odd number
+    up to the square root of what is left; no sieve."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    out: Factorization = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Rearranged double sum
 
 
@@ -81,7 +106,7 @@ def double_sum_oracle(pair: ShiftedPairSpec, cutoff: int) -> float:
         vals[0] = 0.0
         for n in range(1, cutoff + 1):
             v = 1.0
-            for p, e in factorize_trial(n):
+            for p, e in factorize_by_trial_division(n):
                 v *= fn(p, e)
             vals[n] = v
         return vals
@@ -120,7 +145,7 @@ def double_sum_by_gcd(pair: ShiftedPairSpec, cutoff: int) -> float:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     f_vals, g_vals, mu = np.zeros(cutoff + 1), np.zeros(cutoff + 1), np.zeros(cutoff + 1)
     for n in range(1, cutoff + 1):
-        fac = factorize_trial(n)
+        fac = factorize_by_trial_division(n)
         f_vals[n] = math.prod(pair.f(p, e) for p, e in fac)
         g_vals[n] = math.prod(pair.g(p, e) for p, e in fac)
         mu[n] = 0.0 if any(e > 1 for _, e in fac) else (-1.0) ** len(fac)
@@ -233,7 +258,7 @@ def order_constant_direct(n: int, prime_cutoff: int) -> EulerProductValue:
     if n == 1:
         indicator[:] = 0.0  # n-1 = 0 is divisible by every prime
     deficits = -(indicator * pf + 1.0) / ((pf - 1.0) ** 2 * (pf + 1.0))
-    for p, e in factorize_trial(n):
+    for p, e in factorize_by_trial_division(n):
         if p <= prime_cutoff:
             idx = int(np.searchsorted(primes, p))
             deficits[idx] = -1.0 / (float(p) ** e * (p - 1.0))

@@ -21,7 +21,12 @@ from shiftmean.arith import (
     totient_table,
 )
 
-from oracles import eval_divisor_sum, plain_sieve, prime_power_sieve_by_buffer
+from oracles import (
+    eval_divisor_sum,
+    factorize_by_trial_division,
+    plain_sieve,
+    prime_power_sieve_by_buffer,
+)
 
 PHI_RATIO = PrimePowerFn(lambda p, k: -1.0 / p if k == 1 else 0.0 * p, name="phi_ratio")
 ZERO_FN = PrimePowerFn(lambda p, k: 0.0 * p, name="zero")
@@ -87,6 +92,51 @@ def test_factorize_reconstructs_and_valuations():
             assert v == e
         assert prod == n
         assert all(a < b for (a, _), (b, _) in zip(fac, fac[1:]))
+
+
+# primes on both sides of TRIAL_BOUND (251, 257), of SIEVE_SPAN = 2^22
+# (4194301, 4194319) and of 2^26 and 10^8; safe primes n = 2q + 1 from 1019 to
+# 1000000000547
+TRIAL_EDGE_PRIMES = (251, 257, 4194301, 4194319)
+SAFE_PRIMES = (1019, 1000667, 1000000007, 1000000000547)
+# offsets from 2^53 and 10^16 whose trial division by every odd number ends
+# within about 10^6 divisions (the others run to 10^7 and past)
+NEAR_2_53 = (-11, -10, -9, -8, -5, -4, -3, -2, -1, 0, 2, 3, 4, 7, 8, 10, 12)
+NEAR_10_16 = (-11, -10, -9, -4, -3, -2, -1, 0, 1, 2, 4, 5, 7, 9, 10, 11, 12)
+
+
+def test_factorize_trial_equals_trial_division_by_every_odd_number():
+    p, q = TRIAL_EDGE_PRIMES[2:]
+    ns = [1, 2, 3, 4, 255, 256, 257, 65521, 65537, *TRIAL_EDGE_PRIMES,
+          *(p * p for p in (3, 251, 257, 65521, 65537)),
+          251 * 257, 257 * 263, 65521 * 65537, p * q, 251 * q, 257 * p * q,
+          *(2**k for k in range(64)), *(2**k * 257 for k in (1, 40, 60)),
+          # at and past 2^63, so the remainders are Python ints
+          257**6 * 32027, 257**8, 257**7 * 263,
+          *SAFE_PRIMES, *(n - 1 for n in SAFE_PRIMES),
+          *(2**53 + d for d in NEAR_2_53), *(10**16 + d for d in NEAR_10_16)]
+    for n in ns:
+        assert factorize_trial(n) == factorize_by_trial_division(n), n
+    for n in SAFE_PRIMES:
+        assert factorize_by_trial_division(n // 2) == [(n // 2, 1)], n
+
+
+def test_factorize_trial_products_of_two_primes_near_the_square_root():
+    # p just below sqrt(n) and q just above, near 2^52 and 10^16, and a pair
+    # across the first sieve segment's end: the primes past that segment are
+    # tested a segment at a time
+    for p, q in ((67108859, 67108879), (99999989, 100000007), (4194301, 99999989)):
+        assert factorize_by_trial_division(p) == [(p, 1)]
+        assert factorize_by_trial_division(q) == [(q, 1)]
+        assert factorize_trial(p * q) == [(p, 1), (q, 1)]
+    # past 2^63 until the first factor is out
+    assert factorize_trial(4194301**2 * 99999989) == [(4194301, 2), (99999989, 1)]
+
+
+def test_factorize_trial_of_a_large_n_caches_one_segment(cold_primes):
+    # the primes to 10^8 are tested a segment at a time; only the first is kept
+    assert factorize_trial(99999989 * 100000007) == [(99999989, 1), (100000007, 1)]
+    assert arith._prime_cache[0] < SPAN
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +448,27 @@ def test_prime_power_sieve_equals_the_buffer_oracle():
     _assert_same_table(table, _jordan_by_buffer(10**5, 4), (4, 10**5))
 
 
+@pytest.mark.parametrize("limit", [10**6 + 7, 5 * 10**6])
+def test_prime_power_sieve_equals_the_buffer_oracle_over_many_blocks(limit):
+    # the big primes fill 3 and 11 PRIME_BLOCKs, each valued and scattered on
+    # its own, against one array of them all; even_val_mean is 1 at every
+    # big prime, so none is scattered.  Python ints (jordan-4) only at the
+    # smaller limit: at 5e6 the two object tables would hold some 0.4 GB
+    from shiftmean.curveconst import even_val_mean_fn, shift_part_fn
+
+    assert len(primes_up_to(limit)) - len(primes_up_to(isqrt(limit))) > 2 * arith.PRIME_BLOCK
+    for fn in (shift_part_fn, even_val_mean_fn):
+        expect = prime_power_sieve_by_buffer(limit, np.float64, fn,
+                                             lambda big: fn.on_primes(big, 1))
+        _assert_same_table(multiplicative_table(fn, limit), expect, (fn.name, limit))
+    for k, dtype in ((1, np.int32), (2, np.int64), (4, object)):
+        if dtype is object and limit > 10**6 + 7:
+            continue
+        table = jordan_table(limit, k)
+        assert table.dtype == dtype
+        _assert_same_table(table, _jordan_by_buffer(limit, k), (k, limit))
+
+
 def _unit_mixed_rule(p, k):
     # exactly 1 at every power of p = 3 (mod 8) and at the odd powers of p = 1 (mod 4)
     unit = (p % 8 == 3) | ((p % 4 == 1) & (k % 2 == 1))
@@ -405,18 +476,22 @@ def _unit_mixed_rule(p, k):
 
 
 UNIT_MIXED_FN = PrimePowerFn(_unit_mixed_rule, name="unit_mixed")
+# exactly 1 below 100, so whole blocks of big primes go unscattered before others
+UNIT_BELOW_100_FN = PrimePowerFn(lambda p, k: np.where(p < 100, 1.0, 1.0 + 1.0 / p**k),
+                                 name="unit_below_100")
 
 
 def test_prime_power_sieve_chunk_edges_at_a_small_chunk(monkeypatch):
     # a 7-entry chunk puts many chunk edges, and powers longer than a chunk,
     # inside small tables, and a 6-entry block many edges among the big
-    # primes; even_val_mean (1 at odd powers), the totient (1 at p = 2) and
-    # unit_mixed leave out factors of exactly 1, at small and at big primes
+    # primes; even_val_mean (1 at odd powers), the totient (1 at p = 2),
+    # unit_mixed and unit_below_100 leave out factors of exactly 1, at small
+    # and at big primes
     monkeypatch.setattr(arith, "POWER_CHUNK", 7)
     monkeypatch.setattr(arith, "PRIME_BLOCK", 6)
     fns = _cli_tabulated_fns()
     for limit in range(1, 300):
-        for fn in (*fns[:2], fns[5], UNIT_MIXED_FN):
+        for fn in (*fns[:2], fns[5], UNIT_MIXED_FN, UNIT_BELOW_100_FN):
             expect = prime_power_sieve_by_buffer(limit, np.float64, fn,
                                                  lambda big: fn.on_primes(big, 1))
             _assert_same_table(multiplicative_table(fn, limit), expect, (fn.name, limit))
@@ -425,20 +500,23 @@ def test_prime_power_sieve_chunk_edges_at_a_small_chunk(monkeypatch):
 
 
 def test_shift_table_memory():
-    # the float64 table is 30.5 MiB; the values at the 282,843 primes above
-    # 2000 are computed PRIME_BLOCK at a time into one array and scattered
-    # through strided views: 34.84 MiB measured, where valuing them all at
-    # once and scattering through an index array peaked at 39.15 MiB
+    # beside the float64 table, the small primes' factors pass through one
+    # 1 MiB chunk, and the big primes are valued and scattered a PRIME_BLOCK
+    # at a time through two block-sized arrays: 1.54 MiB over the table at
+    # both limits, measured; one array of values and one of products over
+    # all big primes (148,710 and 282,843 of them) gave 2.27 and 4.44 MiB
     from shiftmean.curveconst import shift_part_fn
 
-    primes_up_to(4 * 10**6)  # warm the prime cache so only the table's arrays count
-    tracemalloc.start()
-    try:
-        multiplicative_table(shift_part_fn, 4 * 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 36 * 2**20
+    for limit in (2 * 10**6, 4 * 10**6):
+        primes_up_to(limit)  # warm the prime cache so only the table's arrays count
+        tracemalloc.start()
+        try:
+            table = multiplicative_table(shift_part_fn, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 8 * 8 * arith.PRIME_BLOCK, limit  # 8 float64 blocks
+        del table
 
 
 def test_multiplicative_table_memory():

@@ -480,9 +480,12 @@ def test_substitution_gap_congruence_restriction():
 
 
 @pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)
-@pytest.mark.parametrize("d, modulus", [(1, 1), (3, 4), (5, 7), (8, 1), (1, 9), (4, 6)])
+@pytest.mark.parametrize("d, modulus", [(1, 1), (3, 4), (5, 7), (8, 1), (1, 9), (4, 6),
+                                        (7, 100), (1, 5000), (5000, 1)])
 def test_substitution_gap_matches_mask_oracle(d, modulus, conv):
-    # grid points below the first class member, on members and between them
+    # grid points below the first class member, on members and between them,
+    # so the first ones precede every entry that can differ; modulus 5000
+    # leaves the class empty below x, and d = 5000 holds N = 1 alone
     members = [n for n in range(1, 400) if n % d == 1 % d and n % modulus == 0][:3]
     grid = sorted({2, 3, 2999, 3000} | {m + o for m in members for o in (-1, 0, 1)} - {0})
     got = substitution_gap(grid, d, modulus, conv)
@@ -506,14 +509,15 @@ def test_substitution_gap_equals_the_sum_of_every_difference(d, modulus, conv):
 
 
 def test_substitution_gap_memory():
-    # one table pair and a strided difference: 17.15 MiB measured (19.18
-    # with a limit // 2 buffer in the table sieve and a tiled symbol period);
-    # the mask-based version (tests/oracles.py) peaked at 40.2 MiB on this call
-    primes_up_to(10**6)  # warm the prime cache so only the gap's arrays count
+    # one full table at a time, beside the class entries that can differ (29%
+    # of them, as int32 positions and float64 values): 1.54 tables measured;
+    # holding both tables gave 2.12
+    x = 2 * 10**6
+    primes_up_to(x)  # warm the prime cache so only the gap's arrays count
     tracemalloc.start()
     try:
-        substitution_gap([10**6])
+        substitution_gap([x])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18.5 * 2**20
+    assert peak <= 1.6 * 8 * (x + 1)  # one float64 table is 8 (x + 1) bytes
