@@ -179,15 +179,22 @@ SIEVE_SPAN = 2**22
 # pairs a limit with a prime list sieved for another.
 _prime_cache: tuple = (0, np.empty(0, dtype=np.int64))
 
-# Entries of the prime-power sieve's one scratch chunk (1 MiB of float64 or
-# int64): each small prime's factors are laid out and multiplied in through
-# it POWER_CHUNK multiples at a time, so no buffer grows with the limit.
-POWER_CHUNK = 2**17
+# Entries per segment of the table sieve.  A table is filled one segment at
+# a time, so beside its output the sieve holds one segment's scratch: one
+# small prime's factors at its multiples (at most TABLE_SPAN / 2 entries,
+# 1 MiB of float64) and the big primes' values.  A streamed sum holds a few
+# segments and no whole table.
+TABLE_SPAN = 2**18
 
-# Entries at a time that the sieves turn from flags into primes and from big
-# primes into their values, so the temporaries stay at a few 256 KiB beside
-# the arrays they fill.  Even, so a wheel entry's parity is its offset's.
+# Entries at a time that the sieves turn from flags into primes, so the
+# temporaries stay at a few 256 KiB beside the arrays they fill.  Even, so
+# a wheel entry's parity is its offset's.
 PRIME_BLOCK = 2**15
+
+# (big prime, cofactor) pairs at a time that the table sieve values and
+# scatters, so that the pairs, their values and the rule's temporaries stay
+# near 1 MiB.
+PAIR_BLOCK = 2**14
 
 
 def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
@@ -242,10 +249,11 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
     time; a segment that holds no prime is skipped.
 
     The first segment and any the cache covers come from primes_up_to; the
-    others are sieved, past the cache, into one flag array that they share,
-    each into an array of its own.
+    others are sieved, past the cache, into one flag array and one output
+    array that they share, so a yielded array is valid only until the next
+    segment is asked for.
     """
-    flags = None
+    flags = out = None
     for lo in range(0, limit + 1, SIEVE_SPAN):
         hi = min(lo + SIEVE_SPAN - 1, limit)
         if lo == 0 or hi <= _prime_cache[0]:
@@ -253,7 +261,9 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
         else:
             if flags is None:
                 flags = _sieve_flags(SIEVE_SPAN)
-            primes = _sieve_wheel(lo, hi, primes_up_to(isqrt(hi))[2:], flags)
+            if out is None or len(out) < _prime_count_bound(hi, lo):
+                out = np.empty(_prime_count_bound(hi, lo), dtype=np.int64)
+            primes = _sieve_wheel(lo, hi, primes_up_to(isqrt(hi))[2:], flags, out)
         if len(primes):
             yield primes
         del primes  # the consumer may drop it before the next segment is sieved
@@ -281,10 +291,10 @@ def _sieve_range(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
 
 
 def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi] prime to 6, given the primes 5 <= p <= sqrt(hi),
-    sieved in the leading entries of flags and written to the head of out
-    (allocated here, one entry per flag left, when not given)."""
+    sieved in the leading entries of flags and written to the head of out,
+    which must have room for them; that view is returned."""
     k0 = lo // 6
     # entry i stands for n = 6 k0 + 3i + 1 + (i & 1): the even entries n = 1 and
     # the odd ones n = 5 (mod 6), so each class of a prime p recurs every 2p entries
@@ -302,8 +312,6 @@ def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray,
         is_prime[i5::step] = False
     if k0 == 0:
         is_prime[0] = False  # n = 1
-    if out is None:
-        out = np.empty(np.count_nonzero(is_prime), dtype=np.int64)
     filled = 0
     for j in range(0, len(is_prime), PRIME_BLOCK):
         n = np.flatnonzero(is_prime[j : j + PRIME_BLOCK])
@@ -317,68 +325,141 @@ def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray,
     return out[:filled]
 
 
-def _prime_power_sieve(limit: int, dtype, local: Callable, on_big: Callable) -> np.ndarray:
-    """Table over 0 <= n <= limit of the multiplicative function local(p, e).
+class _PrimePowerSieve:
+    """The table over 0 <= n <= limit of the multiplicative function
+    local(p, e), filled one segment at a time.
 
-    on_big(primes) gives the values at primes above sqrt(limit), elementwise;
-    it is called, and its values scattered, one PRIME_BLOCK of them at a
-    time, so no array beside the table grows with the count of big primes.
     Entry n is the product of its prime-power values in ascending prime
-    order.  A factor of exactly 1 changes no bit of a product, so it is left
-    out: a small prime's leading powers valued 1 get no pass (its pass
-    strides over the multiples of its first power valued otherwise), and
-    big primes valued 1 get no scatter.
+    order, starting from 1 (entry 0 is 0).  The small primes p <= sqrt(limit)
+    go in first, each through a strided view: one multiply by a scalar when
+    all its powers share one value, else by a buffer of its power's value at
+    every multiple.  Then comes the one prime P > sqrt(limit) that n may
+    have, n = P q, as on_big(P), elementwise.  q < P has only small primes,
+    so the entry is res[q] * on_big(P) of a whole-table sieve, bit for bit,
+    wherever the segment starts.  A factor of exactly 1 changes no bit, so
+    it is left out: a small prime's leading powers valued 1 get no pass (its
+    pass strides over the multiples of its first power valued otherwise),
+    and big primes all valued 1 get no scatter.
     """
-    res = np.ones(limit + 1, dtype=dtype)
-    res[0] = 0
-    primes = primes_up_to(limit)
-    n_small = int(np.searchsorted(primes, isqrt(limit), side="right"))
-    buf = np.empty(min(limit // 2, POWER_CHUNK), dtype=dtype)
-    for p in primes[:n_small].tolist():
-        step, powers = 0, []  # (s, local(p, e)): the multiples of p^e sit every s = p^e / step slots
-        pe, e = p, 1
-        while pe <= limit:
-            v = local(p, e)
-            if powers or v != 1:
-                step = step or pe
-                powers.append((pe // step, v))
-            pe, e = pe * p, e + 1
-        m = limit // step if step else 0
-        for c in range(0, m, POWER_CHUNK):
-            n = min(POWER_CHUNK, m - c)  # buf[i]: the factor of p at (c + i + 1) step, i < n
-            for s, v in powers:  # higher powers overwrite
-                buf[(s - 1 - c) % s : n : s] = v
-            res[(c + 1) * step : (c + n) * step + 1 : step] *= buf[:n]
-    del buf
-    # p > sqrt(limit) divides each multiple p*q <= limit once (q <= sqrt(limit)): scatter per
-    # q, one PRIME_BLOCK of big primes at a time; q < p, so res[q] is final when it is read
-    prod = np.empty(min(len(primes) - n_small, PRIME_BLOCK), dtype=dtype)
-    for c in range(n_small, len(primes), PRIME_BLOCK):
-        big = primes[c : c + PRIME_BLOCK]
-        vals = np.asarray(on_big(big), dtype=dtype)
-        keep = vals != 1
-        if not keep.all():
-            big, vals = big[keep], vals[keep]
+
+    def __init__(self, limit: int, dtype, local: Callable, on_big: Callable):
+        self.limit, self.dtype, self.on_big = limit, dtype, on_big
+        self.small = []  # (step, [(s, local(p, e)), ...]): the multiples of p^e sit every s steps
+        for p in primes_up_to(isqrt(limit)).tolist():
+            step, powers = 0, []
+            pe, e = p, 1
+            while pe <= limit:
+                v = local(p, e)
+                if powers or v != 1:
+                    step = step or pe
+                    powers.append((pe // step, v))
+                pe, e = pe * p, e + 1
+            if len({np.array(v, dtype=dtype).tobytes() for _, v in powers}) == 1:
+                powers = powers[:1]  # one value at every multiple (bits compared, so -0.0 is not 0.0)
+            if powers:
+                self.small.append((step, powers))
+        primes = primes_up_to(limit)
+        big = primes[int(np.searchsorted(primes, isqrt(limit), side="right")) :]
+        self.big_unit = all((np.asarray(on_big(big[c : c + PAIR_BLOCK])) == 1).all()
+                            for c in range(0, len(big), PAIR_BLOCK))
+
+    def fill(self, lo: int, out: np.ndarray) -> None:
+        """Write the entries lo <= n < lo + len(out) into out."""
+        hi = lo + len(out)
+        out.fill(1)
+        if lo == 0 and hi:
+            out[0] = 0
+        factors = np.empty((len(out) + 1) // 2, dtype=self.dtype)
+        for step, powers in self.small:
+            m0 = max(1, -(-lo // step))  # the first multiple in the segment is m0 step
+            n = (hi - 1) // step - m0 + 1
+            if n <= 0:
+                continue
+            if len(powers) == 1:
+                out[m0 * step - lo :: step] *= powers[0][1]
+                continue
+            for s, v in powers:  # factors[i]: p's factor at (m0 + i) step; higher powers overwrite
+                factors[-m0 % s : n : s] = v
+            out[m0 * step - lo :: step] *= factors[:n]
+        del factors
+        if not self.big_unit:
+            for big, at in self._big_pairs(lo, hi):
+                out[at] *= np.asarray(self.on_big(big), dtype=self.dtype)
+
+    def _big_pairs(self, lo: int, hi: int) -> Iterator[tuple]:
+        """(P, P q - lo) for the big primes P and cofactors q with
+        lo <= P q < hi, a block of whole cofactors at a time: at most
+        PAIR_BLOCK pairs, unless one cofactor alone has more."""
+        primes = primes_up_to(self.limit)
+        big = primes[int(np.searchsorted(primes, isqrt(self.limit), side="right")) :
+                     int(np.searchsorted(primes, hi - 1, side="right"))]
         if not len(big):
-            continue
-        for q in range(1, limit // int(big[0]) + 1):
-            hi = int(np.searchsorted(big, limit // q, side="right"))
-            # q has only small primes, which gave res[q] and res[p*q] the same factors in
-            # order; entry p of the view res[::q] is res[p*q]
-            np.multiply(vals[:hi], res[q], out=prod[:hi])
-            res[::q][big[:hi]] = prod[:hi]
-    return res
+            return
+        qs = np.arange(1, (hi - 1) // int(big[0]) + 1)
+        first = np.searchsorted(big, -(-lo // qs))  # the P of cofactor q are big[first : first + count]
+        counts = np.searchsorted(big, (hi - 1) // qs, side="right") - first
+        ends = np.cumsum(counts)
+        a = 0
+        while a < len(qs):
+            done = int(ends[a - 1]) if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, side="right")))
+            # pair i of the block: cofactor qs[j] and prime big[first[j] + i - (ends[j] - counts[j] - done)]
+            idx = np.arange(int(ends[b - 1]) - done)
+            idx += np.repeat(first[a:b] - (ends[a:b] - counts[a:b] - done), counts[a:b])
+            p = big[idx]
+            at = np.multiply(p, np.repeat(qs[a:b], counts[a:b]), out=idx)
+            at -= lo
+            yield p, at
+            a = b
 
 
-def multiplicative_table(fn: PrimePowerFn, limit: int) -> np.ndarray:
+def segmented_table(fill: Callable, dtype, limit: int, lo: int = 0, hi: Optional[int] = None,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The entries lo <= n < hi (by default all of 0 <= n <= limit) of a
+    table that fill(a, seg) writes a segment at a time, from n = a on,
+    TABLE_SPAN entries at a time.  They go to the head of out (or a new
+    array of dtype), which is returned, so the segments of a stream can
+    share one array.
+    """
+    hi = limit + 1 if hi is None else hi
+    if not 0 <= lo <= hi <= limit + 1:
+        raise ValueError(f"entries [{lo}, {hi}) are not within [0, {limit}]")
+    if out is None:
+        out = np.empty(hi - lo, dtype=dtype)
+    elif len(out) < hi - lo:
+        raise ValueError(f"out holds {len(out)} entries, not {hi - lo}")
+    out = out[: hi - lo]
+    for a in range(lo, hi, TABLE_SPAN):
+        fill(a, out[a - lo : a - lo + TABLE_SPAN])
+    return out
+
+
+# multiplicative_table's sieves, by (fn, limit), so a table asked for one
+# segment at a time computes its small primes' power values once.
+_sieve_cache: dict = {}
+_SIEVE_CACHE_SIZE = 4
+
+
+def multiplicative_table(fn: PrimePowerFn, limit: int, lo: int = 0, hi: Optional[int] = None,
+                         *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Tabulate the multiplicative function with local values fn(p, e).
 
     Returns a float64 array indexed by n for 0 <= n <= limit, with entry 0
-    set to 0 and entry n >= 1 equal to eval_multiplicative at n.
+    set to 0 and entry n >= 1 equal to eval_multiplicative at n.  Given lo
+    and hi, returns only the entries lo <= n < hi of that table (index
+    n - lo), bit for bit, without building the rest, so a sum can stream
+    the table a segment at a time; given out, they are written to its head,
+    which is returned, so the segments can share one array.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    return _prime_power_sieve(limit, np.float64, fn, lambda big: fn.on_primes(big, 1))
+    sieve = _sieve_cache.get((fn, limit))
+    if sieve is None:
+        if len(_sieve_cache) >= _SIEVE_CACHE_SIZE:
+            _sieve_cache.clear()
+        sieve = _sieve_cache[fn, limit] = _PrimePowerSieve(
+            limit, np.float64, fn, lambda big: fn.on_primes(big, 1))
+    return segmented_table(sieve.fill, np.float64, limit, lo, hi, out)
 
 
 def totient_table(limit: int) -> np.ndarray:
@@ -412,4 +493,5 @@ def jordan_table(limit: int, k: int) -> np.ndarray:
     def local(p, e):  # J_k(p^e)
         return p ** (k * (e - 1)) * (p**k - 1)
 
-    return _prime_power_sieve(limit, dtype, local, lambda big: big.astype(dtype) ** k - 1)
+    sieve = _PrimePowerSieve(limit, dtype, local, lambda big: big.astype(dtype) ** k - 1)
+    return segmented_table(sieve.fill, dtype, limit)

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import (
+    TABLE_SPAN,
     Factorization,
     PrimePowerFn,
     eval_multiplicative,
@@ -32,6 +33,7 @@ from .arith import (
     prime_segments,
     primes_up_to,
     quad_symbol,
+    segmented_table,
 )
 from .euler import EulerProductValue
 from .harness import prefix_dots, shifted_sum
@@ -184,34 +186,84 @@ def even_val_symbol_part(n: int, conv: SymbolConvention = SymbolConvention.UNIT,
     return out
 
 
-def even_val_symbol_table(limit: int,
-                          conv: SymbolConvention = SymbolConvention.UNIT) -> np.ndarray:
+def even_val_symbol_table(limit: int, conv: SymbolConvention = SymbolConvention.UNIT,
+                          lo: int = 0, hi: Optional[int] = None, *,
+                          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Tabulate even_val_symbol_part over [0, limit].
 
-    Not multiplicative, so it gets its own pass.  For each prime power
+    Given lo and hi, returns only the entries lo <= n < hi of that table
+    (index n - lo), bit for bit, without building the rest; given out, they
+    are written to its head, which is returned.  Not multiplicative, so it
+    gets its own sieve, TABLE_SPAN entries at a time: for each prime power
     base = p^(2a), the factor at base*m depends only on m mod p (mod 8 at
-    p = 2, where the symbol is read off -m mod 8), so it is built for one
-    period, set to exactly 1.0 where p divides m, and multiplied into the
-    strided view res[::base] through rows of whole periods.  Multiplying by
-    1.0 leaves an entry's bits as they are, and keeps entry 0 at 0.
+    p = 2, where the symbol is read off -m mod 8), and is exactly 1.0 where
+    p divides m, which leaves an entry's bits as they are and keeps entry 0
+    at 0.  Each entry takes its factors in ascending p.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    res = np.ones(limit + 1)
-    res[0] = 0.0
+    return segmented_table(lambda a, seg: _symbol_segment(limit, conv, a, seg),
+                           np.float64, limit, lo, hi, out)
+
+
+@lru_cache(maxsize=4)
+def _symbol_sieve(limit: int, conv: SymbolConvention, span: int) -> tuple:
+    """even_val_symbol_table's prime powers at limit, for segments of at
+    most span entries, as (periodic, rare).
+
+    periodic holds (base, factors, code) for each base = p^(2a) <= limit
+    with p^2 <= span, in ascending p, then a: the factor at base*m is
+    factors[code[j]] for j = m mod the period, with factors = (1.0, the
+    factor at symbol +1, at -1), and code is laid out twice, so that a
+    segment reads the period from its own phase as one slice.  rare holds
+    the arrays of p, 2a and p^(2a) of the larger primes, each of whose
+    powers has at most one multiple in a segment.
+    """
+    periodic, rare = [], []
     for p in primes_up_to(math.isqrt(limit)).tolist():
+        powers, e = [], 2  # (2a, p^(2a))
+        while p**e <= limit:
+            powers.append((e, p**e))
+            e += 2
+        if p * p > span:
+            rare += [(p, e, base) for e, base in powers]
+            continue
         t = np.arange(8 if p == 2 else p)  # m mod the period
         if p > 2:
-            chi = _qr_table(p)[-t % p].astype(np.float64)
+            chi = _qr_table(p)[-t % p]
         else:
-            chi = np.array([_symbol_at_two(m, conv) for m in range(8)], dtype=np.float64)
-        e = 2
-        while (base := p**e) <= limit:
-            fac = _even_val_factor(p, e, chi)
-            fac[t % p == 0] = 1.0
-            _multiply_periodic(res[::base], fac)
-            e += 2
-    return res
+            chi = np.array([_symbol_at_two(m, conv) for m in range(8)])
+        code = np.tile(np.where(t % p == 0, 0, np.where(chi > 0, 1, 2)).astype(np.int8), 2)
+        for e, base in powers:
+            factors = np.array([1.0, _even_val_factor(p, e, 1.0), _even_val_factor(p, e, -1.0)])
+            periodic.append((base, factors, code))
+    return periodic, np.array(rare, dtype=np.int64).reshape(-1, 3).T
+
+
+def _symbol_segment(limit: int, conv: SymbolConvention, lo: int, out: np.ndarray) -> None:
+    """Write the entries lo <= n < lo + len(out) of even_val_symbol_table at
+    limit into out."""
+    periodic, rare = _symbol_sieve(limit, conv, len(out))
+    hi = lo + len(out)
+    out.fill(1.0)
+    if lo == 0 and hi:
+        out[0] = 0.0
+    for base, factors, code in periodic:
+        m0 = -(-lo // base)
+        view = out[m0 * base - lo :: base]
+        period = len(code) // 2
+        phase = m0 % period
+        if len(view) <= period:  # no whole period to repeat
+            view *= factors[code[phase : phase + len(view)]]
+        else:
+            _multiply_periodic(view, factors[code[phase : phase + period]])
+    # the rare powers' multiples come after every periodic one: their primes are larger
+    p, e, base = rare
+    m = -(-lo // base)
+    for i in np.flatnonzero((m * base < hi) & (m % p != 0)).tolist():
+        q, mi = int(p[i]), int(m[i])
+        chi = _symbol_at_two(mi, conv) if q == 2 else quad_symbol(-mi, q)
+        out[mi * int(base[i]) - lo] *= _even_val_factor(q, int(e[i]), float(chi))
 
 
 # Entries per row when a periodic factor is multiplied into a strided view:
@@ -248,12 +300,18 @@ def twin_prime_constant(prime_cutoff: int) -> EulerProductValue:
     if prime_cutoff < 3:
         raise ValueError(f"prime cutoff must be >= 3, got {prime_cutoff}")
     log_sum = 0.0
+    # one scratch array serves every segment (the first holds the most
+    # primes), so no segment draws fresh pages for its p - 1
+    scratch = np.empty(0)
     for primes in prime_segments(prime_cutoff):
-        x = np.subtract(primes[1:] if primes[0] == 2 else primes, 1.0)  # p - 1 as float64
+        if primes[0] == 2:
+            primes = primes[1:]
+        if len(scratch) < len(primes):
+            scratch = np.empty(len(primes))
+        x = np.subtract(primes, 1.0, out=scratch[: len(primes)])  # p - 1 as float64
         x *= x
         np.divide(-1.0, x, out=x)
         log_sum += np.sum(np.log1p(x, out=x))
-        del x, primes  # so the next segment is sieved without this one held
     value = float(np.exp(log_sum))
     crude = 2.0 / (prime_cutoff - 1)
     sharp = abs(value) / (prime_cutoff * (math.log(prime_cutoff) - 1.0))
@@ -311,7 +369,10 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     sum of F(N-1) G(N) with shift 1, so it starts at N = 2 (the shifted
     factor is undefined at 0; the omission is absorbed by the O(log x) error
     scale) and the whole grid comes from one harness.shifted_sum pass, which
-    also checks the grid.  Normalized residual divides by log x.
+    also checks the grid.  The pass streams G over [lo, hi) (times the
+    symbol table's segment for t3) and F over [lo - 1, hi - 1), one segment
+    of each table at a time, so no whole table is held.  Normalized
+    residual divides by log x.
     """
     slope = MEAN_TARGETS.get(which)
     if slope is None:
@@ -319,15 +380,18 @@ def mean_order_grid(which: str, x_grid, conv: SymbolConvention = SymbolConventio
     xs = [int(v) for v in x_grid]
     xmax = max(xs, default=1)
 
-    # The order side is finished before the shift side is built, so at most
-    # two full tables are alive at once.
-    if which == "t3":
-        order_vals = multiplicative_table(odd_val_part_fn, xmax)
-        order_vals *= even_val_symbol_table(xmax, conv)
-    else:
-        order_fn = order_part_fn if which == "t2a" else order_part_odd_fn
-        order_vals = multiplicative_table(order_fn, xmax)
-    shift_vals = multiplicative_table(shift_part_fn, xmax)
+    order_fn = {"t2a": order_part_fn, "t2b": order_part_odd_fn, "t3": odd_val_part_fn}[which]
+    # each segment of G, of the symbol factor and of F is written over the last
+    g_buf, symbol_buf, f_buf = (np.empty(min(TABLE_SPAN, xmax)) for _ in range(3))
+
+    def order_vals(lo, hi):  # G at lo <= N < hi
+        vals = multiplicative_table(order_fn, xmax, lo, hi, out=g_buf)
+        if which == "t3":
+            vals *= even_val_symbol_table(xmax, conv, lo, hi, out=symbol_buf)
+        return vals
+
+    def shift_vals(lo, hi):  # F at lo <= N - 1 < hi
+        return multiplicative_table(shift_part_fn, xmax, lo, hi, out=f_buf)
 
     sums = shifted_sum(shift_vals, order_vals, 1, xmax, grid=xs)
     return MeanValueReport.from_sums(

@@ -17,10 +17,12 @@ their nonzero products span at most 21 binades, else per exponent into
 27-bit mantissa limbs (per-exponent sums below 2^43).
 
 A grid of x is summed in one such pass too: shifted_sum takes the grid and
-returns the sum at every point from one prefix_dots call, so run_grid
-(`meanvalue`) and curveconst.mean_order_grid (`verify t2a|t2b|t3`) cost
-O(largest x) however many points the grid has.  shifted_sum is also where
-the library checks a grid.
+returns the sum at every point, so run_grid (`meanvalue`) and
+curveconst.mean_order_grid (`verify t2a|t2b|t3`) cost O(largest x) however
+many points the grid has.  run_grid hands it whole tables, summed by one
+prefix_dots call; mean_order_grid hands it table segments, read a segment
+at a time into one running sum that prefix_dots carries from call to call.
+shifted_sum is also where the library checks a grid.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimePowerFn, jordan_table, multiplicative_table, totient_table
+from .arith import TABLE_SPAN, PrimePowerFn, jordan_table, multiplicative_table, totient_table
 from .euler import shifted_mean_constant
 from .reports import MeanValueReport
 
@@ -207,14 +209,27 @@ def _frexp_sum(terms: np.ndarray, top: np.ndarray, frac: np.ndarray, exp: np.nda
     return total
 
 
-def prefix_dots(a, b, ends) -> list:
+@dataclass
+class RunningSum:
+    """The exact total of every product prefix_dots has summed into it (an
+    integer, scaled by 2^1126 when the products are floats), and the block
+    scratch it keeps for the next call, which sums products of one kind."""
+
+    total: int = 0
+    scratch: object = None
+
+
+def prefix_dots(a, b, ends, running: RunningSum | None = None) -> list:
     """sum(a[:e] * b[:e]) for each e in ends (ascending), in one pass.
 
     Integer arrays (int32, int64 or object) give exact ints.  Otherwise the float64
     products are summed exactly and each prefix is rounded once, so every
     result equals math.fsum of that prefix's products.  A non-finite product
     raises ValueError.  Work runs in blocks of at most SUM_BLOCK terms, whose
-    scratch arrays are allocated once per call.
+    scratch arrays are allocated once per call.  Given a running sum, the
+    products are added to its total, each result counts every product
+    summed into it before, and the scratch is the running sum's, so
+    consecutive slices of two long arrays give the prefix sums of the whole.
     """
     a, b = np.asarray(a), np.asarray(b)
     ends = [int(e) for e in ends]
@@ -222,19 +237,26 @@ def prefix_dots(a, b, ends) -> list:
         raise ValueError(f"prefix ends must ascend within [0, {min(len(a), len(b))}]")
     exact = all(v.dtype == object or v.dtype.kind in "iu" for v in (a, b))
     size = min(SUM_BLOCK, ends[-1]) if ends else 0
+    running = running or RunningSum()
+    scratch = running.scratch
     if not exact:
-        dot, scratch = _scaled_float_dot, _float_scratch(size)
+        dot = _scaled_float_dot
+        if scratch is None or len(scratch[0]) < size:
+            scratch = _float_scratch(size)
     else:
-        dot, scratch = _exact_dot, None
-        if all(np.can_cast(v.dtype, np.int64) for v in (a, b)):
+        dot = _exact_dot
+        if not all(np.can_cast(v.dtype, np.int64) for v in (a, b)):
+            scratch = None
+        elif scratch is None or scratch.shape[1] < size:
             scratch = np.empty((6, size), dtype=np.int64)
-    out, total, lo = [], 0, 0
+    running.scratch = scratch
+    out, lo = [], 0
     for end in ends:
         while lo < end:
             hi = min(end, lo + SUM_BLOCK)
-            total += dot(a[lo:hi], b[lo:hi], scratch)
+            running.total += dot(a[lo:hi], b[lo:hi], scratch)
             lo = hi
-        out.append(total if exact else total / _SCALE)
+        out.append(running.total if exact else running.total / _SCALE)
     return out
 
 
@@ -243,23 +265,41 @@ def shifted_sum(f_vals, g_vals, shift: int, x: int, *, grid=None):
 
     Without a grid, y = x and the one sum is returned.  With a grid (points
     strictly ascending in (shift, x], the last equal to x), the list of sums
-    at every point comes from one prefix_dots pass over n <= x.  Arrays are
-    indexed by n and must cover [0, x].  Integer arrays give exact ints;
-    otherwise each sum is the exactly rounded float.
+    at every point comes from one pass over n <= x.  F and G are arrays
+    indexed by n that cover [0, x], or table segments: callables (lo, hi)
+    giving the values at lo <= n < hi, which are read arith.TABLE_SPAN terms
+    at a time into one running sum, so no whole table is held.  Integer
+    values give exact ints; otherwise each sum is the exactly rounded float.
     """
     if shift < 1:
         raise ValueError(f"shift must be >= 1, got {shift}")
-    if x > len(f_vals) - 1 or x > len(g_vals) - 1:
+    if any(not callable(v) and x > len(v) - 1 for v in (f_vals, g_vals)):
         raise ValueError(f"arrays do not cover [0, {x}]")
     ys = [x] if grid is None else [int(y) for y in grid]
     if grid is not None and (not ys or ys[0] <= shift or ys[-1] != x
                              or any(b <= a for a, b in zip(ys, ys[1:]))):
         raise ValueError(f"grid must strictly ascend within ({shift}, {x}] "
                          f"and end at x = {x}")
+    f, g = (v if callable(v) else _slicer(v) for v in (f_vals, g_vals))
     terms = max(0, x - shift)
-    sums = prefix_dots(f_vals[1 : terms + 1], g_vals[shift + 1 : shift + 1 + terms],
-                       [max(0, y - shift) for y in ys])
+    ends = [max(0, y - shift) for y in ys]
+    span = TABLE_SPAN if callable(f_vals) or callable(g_vals) else max(terms, 1)
+    running, sums, i = RunningSum(), [], 0
+    for lo in range(0, max(terms, 1), span):  # term t is F(t + 1) G(t + 1 + shift)
+        hi = min(lo + span, terms)
+        j = i
+        while j < len(ends) and ends[j] <= hi:
+            j += 1
+        part = prefix_dots(f(lo + 1, hi + 1), g(lo + 1 + shift, hi + 1 + shift),
+                           [e - lo for e in ends[i:j]] + [hi - lo], running)
+        sums += part[:-1]
+        i = j
     return sums[0] if grid is None else sums
+
+
+def _slicer(values: np.ndarray):
+    """values as a table segment: (lo, hi) -> values[lo:hi]."""
+    return lambda lo, hi: values[lo:hi]
 
 
 # ---------------------------------------------------------------------------

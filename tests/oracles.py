@@ -40,9 +40,14 @@ from shiftmean.curveconst import (
     _symbol_at_two,
     even_val_mean_fn,
     even_val_symbol_table,
+    odd_val_part_fn,
+    order_part_fn,
+    order_part_odd_fn,
+    shift_part_fn,
 )
 from shiftmean.curvelab import _check_prime, class_number_table
 from shiftmean.euler import EulerProductValue, ShiftedPairSpec
+from shiftmean.harness import shifted_sum
 from shiftmean.reports import MeanValueReport
 
 # ---------------------------------------------------------------------------
@@ -360,11 +365,12 @@ def even_val_symbol_table_by_tile(limit: int,
 
 
 def prime_power_sieve_by_buffer(limit: int, dtype, local, on_big) -> np.ndarray:
-    """arith._prime_power_sieve with one strided buffer per small prime.
+    """The table of arith.multiplicative_table and jordan_table, built whole,
+    with one strided buffer per small prime.
 
     Each prime's factors at every multiple are laid out in one buffer of
     limit // 2 entries and multiplied in at once; the big primes' products
-    are fresh arrays for each cofactor q.
+    are fresh arrays for each cofactor q, scattered over the whole table.
     """
     res = np.ones(limit + 1, dtype=dtype)
     res[0] = 0
@@ -386,6 +392,28 @@ def prime_power_sieve_by_buffer(limit: int, dtype, local, on_big) -> np.ndarray:
         # q has only small primes, which gave res[q] and res[p*q] the same factors in order
         res[big[:hi] * q] = res[q] * vals[:hi]
     return res
+
+
+def mean_order_sums_by_whole_tables(which: str, grid: list,
+                                    conv: SymbolConvention = SymbolConvention.UNIT) -> list:
+    """The sums of F(N-1) G(N) over 2 <= N <= x, x in the grid, that
+    curveconst.mean_order_grid scales by c2, from whole tables.
+
+    F and G are built over [0, x] by prime_power_sieve_by_buffer (and t3's
+    symbol factor by even_val_symbol_table_by_tile) and summed by one
+    shifted_sum call over the whole arrays.
+    """
+    xmax = grid[-1]
+
+    def table(fn):
+        return prime_power_sieve_by_buffer(xmax, np.float64, fn, lambda big: fn.on_primes(big, 1))
+
+    if which == "t3":
+        g_vals = table(odd_val_part_fn)
+        g_vals *= even_val_symbol_table_by_tile(xmax, conv)
+    else:
+        g_vals = table(order_part_fn if which == "t2a" else order_part_odd_fn)
+    return shifted_sum(table(shift_part_fn), g_vals, 1, xmax, grid=grid)
 
 
 # ---------------------------------------------------------------------------

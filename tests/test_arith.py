@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -23,6 +24,7 @@ from shiftmean.arith import (
 
 from oracles import (
     eval_divisor_sum,
+    even_val_symbol_table_by_tile,
     factorize_by_trial_division,
     plain_sieve,
     prime_power_sieve_by_buffer,
@@ -412,16 +414,20 @@ def test_jordan_table_matches_pointwise_jordan_totient():
             assert table.tolist() == expect[: limit + 1], (k, limit)
 
 
-# limits 1..10, limits on both sides of a POWER_CHUNK edge of p = 2, 3, 5
-# (limit // p one below, at and one past the chunk), and 10^6
-CHUNK_LIMITS = (*range(1, 11),
-                *(p * arith.POWER_CHUNK + d for p in (2, 3, 5) for d in (-1, 0, 1, p)), 10**6)
+# limits 1..10, limits on both sides of the first and second TABLE_SPAN
+# edges, and 10^6
+SEGMENT_LIMITS = (*range(1, 11), *(arith.TABLE_SPAN * j + d for j in (1, 2) for d in (-1, 0, 1)),
+                  3 * arith.TABLE_SPAN + 7, 10**6)
 
 
 def _jordan_by_buffer(limit, k):
     dtype = arith.jordan_dtype(limit, k)
     return prime_power_sieve_by_buffer(limit, dtype, lambda p, e: p ** (k * (e - 1)) * (p**k - 1),
                                        lambda big: big.astype(dtype) ** k - 1)
+
+
+def _float_by_buffer(fn, limit):
+    return prime_power_sieve_by_buffer(limit, np.float64, fn, lambda big: fn.on_primes(big, 1))
 
 
 def _assert_same_table(table, expect, label):
@@ -433,14 +439,14 @@ def _assert_same_table(table, expect, label):
 
 
 def test_prime_power_sieve_equals_the_buffer_oracle():
-    # every factor goes through the POWER_CHUNK scratch instead of one buffer
-    # of limit // 2 entries, and the big-prime products land in two reused
-    # buffers; each table keeps its bits
-    for limit in CHUNK_LIMITS:
+    # the table is filled one TABLE_SPAN segment at a time, its big primes
+    # multiplied in per (prime, cofactor) pair, against one buffer of
+    # limit // 2 entries per small prime and one scatter per cofactor over
+    # the whole table; each table keeps its bits
+    for limit in SEGMENT_LIMITS:
         for fn in _cli_tabulated_fns():
-            expect = prime_power_sieve_by_buffer(limit, np.float64, fn,
-                                                 lambda big: fn.on_primes(big, 1))
-            _assert_same_table(multiplicative_table(fn, limit), expect, (fn.name, limit))
+            _assert_same_table(multiplicative_table(fn, limit), _float_by_buffer(fn, limit),
+                               (fn.name, limit))
         for k in (1, 2):
             _assert_same_table(jordan_table(limit, k), _jordan_by_buffer(limit, k), (k, limit))
     table = jordan_table(10**5, 4)
@@ -450,17 +456,17 @@ def test_prime_power_sieve_equals_the_buffer_oracle():
 
 @pytest.mark.parametrize("limit", [10**6 + 7, 5 * 10**6])
 def test_prime_power_sieve_equals_the_buffer_oracle_over_many_blocks(limit):
-    # the big primes fill 3 and 11 PRIME_BLOCKs, each valued and scattered on
-    # its own, against one array of them all; even_val_mean is 1 at every
-    # big prime, so none is scattered.  Python ints (jordan-4) only at the
+    # the big primes' pairs with their cofactors fill many PAIR_BLOCKs in
+    # each segment, each block valued and scattered on its own, against one
+    # array of all big primes' values; even_val_mean is 1 at every big
+    # prime, so none is scattered.  Python ints (jordan-4) only at the
     # smaller limit: at 5e6 the two object tables would hold some 0.4 GB
     from shiftmean.curveconst import even_val_mean_fn, shift_part_fn
 
-    assert len(primes_up_to(limit)) - len(primes_up_to(isqrt(limit))) > 2 * arith.PRIME_BLOCK
+    assert len(primes_up_to(limit)) - len(primes_up_to(isqrt(limit))) > 2 * arith.PAIR_BLOCK
     for fn in (shift_part_fn, even_val_mean_fn):
-        expect = prime_power_sieve_by_buffer(limit, np.float64, fn,
-                                             lambda big: fn.on_primes(big, 1))
-        _assert_same_table(multiplicative_table(fn, limit), expect, (fn.name, limit))
+        _assert_same_table(multiplicative_table(fn, limit), _float_by_buffer(fn, limit),
+                           (fn.name, limit))
     for k, dtype in ((1, np.int32), (2, np.int64), (4, object)):
         if dtype is object and limit > 10**6 + 7:
             continue
@@ -476,35 +482,85 @@ def _unit_mixed_rule(p, k):
 
 
 UNIT_MIXED_FN = PrimePowerFn(_unit_mixed_rule, name="unit_mixed")
-# exactly 1 below 100, so whole blocks of big primes go unscattered before others
+# exactly 1 below 100, so runs of big primes valued 1 are scattered among others
 UNIT_BELOW_100_FN = PrimePowerFn(lambda p, k: np.where(p < 100, 1.0, 1.0 + 1.0 / p**k),
                                  name="unit_below_100")
+# exactly 1 at every big prime of any table past 10^4, so their scatter is left out
+UNIT_PAST_100_FN = PrimePowerFn(lambda p, k: np.where(p > 100, 1.0, 1.0 + 1.0 / p**k),
+                                name="unit_past_100")
+# 0.0 at p and -0.0 at the higher powers: equal values whose bits differ
+SIGNED_ZERO_FN = PrimePowerFn(lambda p, k: (1.0 if k == 1 else -1.0) * 0.0 * p, name="signed_zero")
 
 
 def test_prime_power_sieve_chunk_edges_at_a_small_chunk(monkeypatch):
-    # a 7-entry chunk puts many chunk edges, and powers longer than a chunk,
-    # inside small tables, and a 6-entry block many edges among the big
-    # primes; even_val_mean (1 at odd powers), the totient (1 at p = 2),
-    # unit_mixed and unit_below_100 leave out factors of exactly 1, at small
-    # and at big primes
-    monkeypatch.setattr(arith, "POWER_CHUNK", 7)
-    monkeypatch.setattr(arith, "PRIME_BLOCK", 6)
+    # 7-entry segments put many segment edges, and powers longer than a
+    # segment, inside small tables, and 6-pair blocks many block edges among
+    # the (big prime, cofactor) pairs.
+    # even_val_mean (1 at odd powers), the totient (1 at p = 2), unit_mixed,
+    # unit_below_100 and unit_past_100 leave out factors of exactly 1, at
+    # small and at big primes; shift_part's powers share one value, and
+    # signed_zero's only seem to
+    monkeypatch.setattr(arith, "TABLE_SPAN", 7)
+    monkeypatch.setattr(arith, "PAIR_BLOCK", 6)
     fns = _cli_tabulated_fns()
     for limit in range(1, 300):
-        for fn in (*fns[:2], fns[5], UNIT_MIXED_FN, UNIT_BELOW_100_FN):
-            expect = prime_power_sieve_by_buffer(limit, np.float64, fn,
-                                                 lambda big: fn.on_primes(big, 1))
-            _assert_same_table(multiplicative_table(fn, limit), expect, (fn.name, limit))
+        for fn in (*fns[:2], fns[5], UNIT_MIXED_FN, UNIT_BELOW_100_FN, UNIT_PAST_100_FN,
+                   SIGNED_ZERO_FN):
+            _assert_same_table(multiplicative_table(fn, limit), _float_by_buffer(fn, limit),
+                               (fn.name, limit))
         for k in (1, 2):
             _assert_same_table(jordan_table(limit, k), _jordan_by_buffer(limit, k), (k, limit))
 
 
+# a span whose third edge, 3 * 2^14 + 7, lies past the 4.6e4 where Jordan-4
+# values need Python ints
+SMALL_SPAN = 2**14
+
+
+@pytest.mark.parametrize("limit", [SMALL_SPAN - 1, SMALL_SPAN, SMALL_SPAN + 1, 3 * SMALL_SPAN + 7])
+def test_table_sieve_at_a_small_span_equals_the_oracles(limit, monkeypatch):
+    # whole tables and segments cut at and across the span edges keep the
+    # oracles' bits: every CLI table, Jordan k = 1, 2 and 4, and the symbol
+    # table under both conventions (its primes past 2^7 have at most one
+    # multiple of each power in a segment)
+    from shiftmean.curveconst import SymbolConvention, even_val_symbol_table
+
+    monkeypatch.setattr(arith, "TABLE_SPAN", SMALL_SPAN)
+    ranges = [(0, 1), (1, 2), (SMALL_SPAN - 1, SMALL_SPAN + 1), (limit // 3, limit // 2 + 5),
+              (limit, limit + 1), (limit + 1, limit + 1)]
+    cases = [(fn.name, functools.partial(multiplicative_table, fn, limit), _float_by_buffer(fn, limit))
+             for fn in _cli_tabulated_fns()]
+    cases += [(conv.value, functools.partial(even_val_symbol_table, limit, conv),
+               even_val_symbol_table_by_tile(limit, conv)) for conv in SymbolConvention]
+    for name, table, expect in cases:
+        _assert_same_table(table(), expect, (name, limit))
+        for lo, hi in ranges:
+            hi = min(hi, limit + 1)
+            _assert_same_table(table(lo, hi), expect[lo:hi], (name, limit, lo, hi))
+    for k in (1, 2, 4):
+        table = jordan_table(limit, k)
+        assert (table.dtype == object) == (k == 4 and limit > 46340), (k, limit)
+        _assert_same_table(table, _jordan_by_buffer(limit, k), (k, limit))
+
+
+def test_table_segment_bounds():
+    from shiftmean.curveconst import SymbolConvention, even_val_symbol_table, shift_part_fn
+
+    for table in (functools.partial(multiplicative_table, shift_part_fn, 100),
+                  functools.partial(even_val_symbol_table, 100, SymbolConvention.UNIT)):
+        assert table(40).tobytes() == table()[40:].tobytes()
+        assert len(table(101, 101)) == 0
+        for lo, hi in ((-1, 5), (5, 4), (0, 102)):
+            with pytest.raises(ValueError, match="within"):
+                table(lo, hi)
+
+
 def test_shift_table_memory():
-    # beside the float64 table, the small primes' factors pass through one
-    # 1 MiB chunk, and the big primes are valued and scattered a PRIME_BLOCK
-    # at a time through two block-sized arrays: 1.54 MiB over the table at
-    # both limits, measured; one array of values and one of products over
-    # all big primes (148,710 and 282,843 of them) gave 2.27 and 4.44 MiB
+    # beside the float64 table, the sieve holds one segment's scratch: no
+    # factor buffer (shift_part's powers share one value), then the big
+    # primes' values and positions, about PAIR_BLOCK pairs at a time: 1.43
+    # and 1.46 MiB over the table, measured; 1.54 MiB when the big primes
+    # went in a PRIME_BLOCK at a time over the whole table
     from shiftmean.curveconst import shift_part_fn
 
     for limit in (2 * 10**6, 4 * 10**6):
@@ -520,10 +576,10 @@ def test_shift_table_memory():
 
 
 def test_multiplicative_table_memory():
-    # the float64 table is 7.6 MiB, the factors of the primes up to 1000 pass
-    # through one 1 MiB chunk, released before the values at the 78,330
-    # primes above 1000 are computed PRIME_BLOCK at a time: 9.23 MiB
-    # measured; one strided buffer of limit // 2 entries peaked at 11.45 MiB
+    # the float64 table is 7.6 MiB; beside it one segment's factor buffer
+    # (1 MiB), released before the big primes' values are computed about
+    # PAIR_BLOCK pairs at a time: 9.08 MiB measured; one strided buffer of
+    # limit // 2 entries peaked at 11.45 MiB
     from shiftmean.curveconst import odd_val_part_fn
 
     primes_up_to(10**6)  # warm the prime cache so only the table's arrays count
@@ -628,7 +684,7 @@ def test_primes_up_to_after_call_sequences(order, plain_primes, cold_primes):
 
 
 def test_prime_segments_cover_the_primes_once(plain_primes, cold_primes):
-    segments = list(prime_segments(10**7))
+    segments = [s.copy() for s in prime_segments(10**7)]  # each is valid until the next
     assert len(segments) == -(-(10**7 + 1) // SPAN)
     for i, seg in enumerate(segments):
         assert seg[0] >= i * SPAN and seg[-1] < (i + 1) * SPAN

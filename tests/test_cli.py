@@ -432,12 +432,21 @@ def _src_defs() -> set:
     return defs
 
 
+# Read when this module is imported, together with the package whose code
+# the profile hook reports, so a source edited while the suite runs cannot
+# shift the line numbers.  Lines stay in the key: defs in one file may
+# share a name (euler's two __post_init__ methods).
+SRC_DEFS = _src_defs()
+
+
 def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
     # Test-only code belongs in tests/; the package holds what the CLI runs.
     # Empty caches, so each function that fills one is entered.
     curvelab.order_histogram.cache_clear()
     monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
     curveconst._qr_table.cache_clear()
+    curveconst._symbol_sieve.cache_clear()
+    monkeypatch.setattr(arith, "_sieve_cache", {})
     entered = set()
 
     def profile(frame, event, arg):
@@ -453,5 +462,5 @@ def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert codes == [0] * len(COVERAGE_ARGV)
     entered = {(str(Path(f).resolve()), name, line) for f, name, line in entered}
-    missing = sorted(f"{Path(f).name}:{line} {name}" for f, name, line in _src_defs() - entered)
+    missing = sorted(f"{Path(f).name}:{line} {name}" for f, name, line in SRC_DEFS - entered)
     assert missing == []

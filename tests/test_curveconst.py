@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shiftmean import arith, harness
 from shiftmean.arith import (
     eval_multiplicative,
     factorize_trial,
@@ -39,6 +40,7 @@ from oracles import (
     even_val_symbol_table_batched,
     even_val_symbol_table_by_tile,
     local_factor,
+    mean_order_sums_by_whole_tables,
     odd_val_kernel,
     order_constant_direct,
     substitution_gap_by_mask,
@@ -384,20 +386,49 @@ def test_mean_order_grid_small():
         mean_order_grid("t4", [100], c2=c2)
 
 
-def test_t3_grid_holds_two_tables():
-    # the order side (its symbol table multiplied in and dropped) is done
-    # before the shift table is built, so two 7.6 MiB tables are alive at
-    # once: 17.75 MiB measured; building the shift table first held three,
-    # 24.8 MiB
+def test_t3_grid_streams_its_tables():
+    # G, the symbol factor and F are held one TABLE_SPAN segment each, in
+    # three 2 MiB arrays that every segment reuses, beside prefix_dots' block
+    # scratch (2.2 MiB, kept by the running sum) and one segment's sieve
+    # scratch: 9.52 MiB measured at 10^6 and 9.56 MiB at 4e6, where one
+    # whole table is 32 MB (the two whole tables of the order and the shift
+    # side peaked at 17.75 MiB at 10^6)
     c2 = twin_prime_constant(10**4)
-    primes_up_to(10**6)  # warm the prime cache so only the run's arrays count
-    tracemalloc.start()
-    try:
-        mean_order_grid("t3", [10**6], c2=c2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 19 * 2**20
+    for x in (10**6, 4 * 10**6):
+        primes_up_to(x)  # warm the prime cache so only the run's arrays count
+        tracemalloc.start()
+        try:
+            mean_order_grid("t3", [x], c2=c2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, x
+
+
+# grid points at the first two segment edges (N - 1 = k TABLE_SPAN), one
+# and two below the first and one past it, and a last one inside the fourth
+# segment
+SPAN = arith.TABLE_SPAN
+EDGE_GRID = [SPAN - 1, SPAN, SPAN + 1, SPAN + 2, 2 * SPAN + 1, 3 * SPAN + 7]
+
+
+@pytest.mark.parametrize("which, conv", [("t2a", UNIT), ("t2b", UNIT), ("t3", UNIT),
+                                         ("t3", KRONECKER), ("t2a", KRONECKER),
+                                         ("t2b", KRONECKER)])
+def test_streamed_grid_equals_the_whole_table_sum(which, conv, monkeypatch):
+    # segment by segment, the tables and the running exact sum give every
+    # grid point's float bit for bit, at the real span and at a 64-entry one
+    c2 = twin_prime_constant(10**4)
+
+    def assert_grid(grid):
+        rows = mean_order_grid(which, grid, conv, c2=c2).rows
+        expect = mean_order_sums_by_whole_tables(which, grid, conv)
+        assert [row.empirical for row in rows] == [c2.value * s for s in expect], grid
+
+    assert_grid(EDGE_GRID)
+    for module in (arith, curveconst, harness):
+        monkeypatch.setattr(module, "TABLE_SPAN", 64)
+    assert_grid([2, 63, 64, 65, 66, 129, 1000, 3 * 64 + 7 + 1000])
 
 
 def test_mean_order_grid_agrees_with_preset_route():
