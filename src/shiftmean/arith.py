@@ -11,6 +11,7 @@ interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt, log
 from typing import Callable, Iterator, Optional
 
@@ -251,7 +252,9 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
     The first segment and any the cache covers come from primes_up_to; the
     others are sieved, past the cache, into one flag array and one output
     array that they share, so a yielded array is valid only until the next
-    segment is asked for.
+    segment is asked for.  The output array is sized by the count of the
+    first such segment's wheel flags left standing, and grown only when a
+    later segment leaves more.
     """
     flags = out = None
     for lo in range(0, limit + 1, SIEVE_SPAN):
@@ -261,16 +264,19 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
         else:
             if flags is None:
                 flags = _sieve_flags(SIEVE_SPAN)
-            if out is None or len(out) < _prime_count_bound(hi, lo):
-                out = np.empty(_prime_count_bound(hi, lo), dtype=np.int64)
-            primes = _sieve_wheel(lo, hi, primes_up_to(isqrt(hi))[2:], flags, out)
+            is_prime = _mark_wheel(lo, hi, primes_up_to(isqrt(hi))[2:], flags)
+            count = int(np.count_nonzero(is_prime))
+            if out is None or len(out) < count:
+                out = None  # freed before the larger one is allocated
+                out = np.empty(count, dtype=np.int64)
+            primes = _wheel_primes(lo, hi, is_prime, out)
         if len(primes):
             yield primes
-        del primes  # the consumer may drop it before the next segment is sieved
+        del primes  # else its view would keep the last out alive beside a grown one
 
 
 def _sieve_flags(span: int) -> np.ndarray:
-    """Flags enough for _sieve_wheel over any span consecutive integers."""
+    """Flags enough for _mark_wheel over any span consecutive integers."""
     return np.empty(2 * ((span - 1) // 6 + 2), dtype=bool)
 
 
@@ -286,15 +292,15 @@ def _sieve_range(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     for start in range(lo, hi + 1, SIEVE_SPAN):
         end = min(start + SIEVE_SPAN - 1, hi)
         base = wheel_base[: int(np.searchsorted(wheel_base, isqrt(end), side="right"))]
-        filled += len(_sieve_wheel(start, end, base, flags, out[filled:]))
+        is_prime = _mark_wheel(start, end, base, flags)
+        filled += len(_wheel_primes(start, end, is_prime, out[filled:]))
     return out[:filled]
 
 
-def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi] prime to 6, given the primes 5 <= p <= sqrt(hi),
-    sieved in the leading entries of flags and written to the head of out,
-    which must have room for them; that view is returned."""
+def _mark_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """The leading entries of flags, one per number prime to 6 from
+    6 (lo // 6) up to hi rounded up to 6 k + 5, sieved by the primes
+    5 <= p <= sqrt(hi) in base: True where the number is prime."""
     k0 = lo // 6
     # entry i stands for n = 6 k0 + 3i + 1 + (i & 1): the even entries n = 1 and
     # the odd ones n = 5 (mod 6), so each class of a prime p recurs every 2p entries
@@ -312,6 +318,14 @@ def _sieve_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray,
         is_prime[i5::step] = False
     if k0 == 0:
         is_prime[0] = False  # n = 1
+    return is_prime
+
+
+def _wheel_primes(lo: int, hi: int, is_prime: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The primes in [lo, hi] that _mark_wheel(lo, hi, ...) left standing,
+    written to the head of out, which must have room for them; that view
+    is returned."""
+    k0 = lo // 6
     filled = 0
     for j in range(0, len(is_prime), PRIME_BLOCK):
         n = np.flatnonzero(is_prime[j : j + PRIME_BLOCK])
@@ -434,10 +448,12 @@ def segmented_table(fill: Callable, dtype, limit: int, lo: int = 0, hi: Optional
     return out
 
 
-# multiplicative_table's sieves, by (fn, limit), so a table asked for one
-# segment at a time computes its small primes' power values once.
-_sieve_cache: dict = {}
-_SIEVE_CACHE_SIZE = 4
+@lru_cache(maxsize=4)
+def _float_sieve(fn: PrimePowerFn, limit: int) -> _PrimePowerSieve:
+    """multiplicative_table's sieve for (fn, limit), kept so that a table
+    asked for one segment at a time computes its small primes' power values
+    once."""
+    return _PrimePowerSieve(limit, np.float64, fn, lambda big: fn.on_primes(big, 1))
 
 
 def multiplicative_table(fn: PrimePowerFn, limit: int, lo: int = 0, hi: Optional[int] = None,
@@ -453,13 +469,7 @@ def multiplicative_table(fn: PrimePowerFn, limit: int, lo: int = 0, hi: Optional
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    sieve = _sieve_cache.get((fn, limit))
-    if sieve is None:
-        if len(_sieve_cache) >= _SIEVE_CACHE_SIZE:
-            _sieve_cache.clear()
-        sieve = _sieve_cache[fn, limit] = _PrimePowerSieve(
-            limit, np.float64, fn, lambda big: fn.on_primes(big, 1))
-    return segmented_table(sieve.fill, np.float64, limit, lo, hi, out)
+    return segmented_table(_float_sieve(fn, limit).fill, np.float64, limit, lo, hi, out)
 
 
 def totient_table(limit: int) -> np.ndarray:

@@ -31,9 +31,10 @@ TERM_FLOOR = 1e-20
 # near-zero in the shift correction)
 DEGENERATE_FLOOR = 1e-12
 
-# Primes per chunk of the power-series fold: its few float64 temporaries stay
-# in cache.  Each term is computed elementwise, so the chunk size moves no bit.
-FOLD_CHUNK = 2**15
+# Primes per chunk of the power-series fold: its few float64 temporaries
+# (128 KiB each) stay in cache and set the fold's peak beside the segment's
+# arrays.  Each term is computed elementwise, so the chunk size moves no bit.
+FOLD_CHUNK = 2**14
 
 
 class DegenerateLocalFactor(ArithmeticError):

@@ -697,6 +697,20 @@ def test_prime_segments_cover_the_primes_once(plain_primes, cold_primes):
     assert [s[-1] for s in prime_segments(SPAN + 14)] == [plain_primes[plain_primes < SPAN][-1]]
 
 
+def test_prime_segments_past_the_cache_share_one_array(plain_primes, cold_primes, monkeypatch):
+    # 2,442 segments of 2^12: no later segment leaves more wheel flags than
+    # the first sieved one, so none allocates; sized by Dusart's bounds,
+    # whose slack grows with x, 896 of them did
+    monkeypatch.setattr(arith, "SIEVE_SPAN", 2**12)
+    bases, segments = [], []
+    for i, seg in enumerate(prime_segments(10**7)):
+        if i and not any(seg.base is b for b in bases):
+            bases.append(seg.base)
+        segments.append(seg.copy())
+    assert len(bases) == 1
+    assert np.array_equal(np.concatenate(segments), plain_primes)
+
+
 def test_primes_up_to_every_small_range(cold_primes):
     expected = plain_sieve(200)
     for lo in range(201):

@@ -446,7 +446,7 @@ def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
     curveconst._qr_table.cache_clear()
     curveconst._symbol_sieve.cache_clear()
-    monkeypatch.setattr(arith, "_sieve_cache", {})
+    arith._float_sieve.cache_clear()
     entered = set()
 
     def profile(frame, event, arg):

@@ -288,24 +288,21 @@ def _constant_peak(name, monkeypatch):
 @pytest.mark.parametrize("name", ["c2", "kstar"])
 def test_constant_memory_is_bounded_by_a_segment(name, monkeypatch):
     # one whole-array sieve to 2e7 alone peaks past 40 MiB; streamed segments
-    # need a few MiB each, whatever the cutoff: 7.75 (c2) and 8.94 MiB (kstar)
+    # need a few MiB each, whatever the cutoff: 8.02 (c2) and 8.66 MiB (kstar)
     # measured
     assert _constant_peak(name, monkeypatch) < 16 * 2**20
 
 
 @pytest.mark.parametrize("name", ["c2", "kstar"])
 def test_constant_fold_releases_each_segment(name, monkeypatch):
-    # each step drops its primes before the next segment is sieved
-    # (prime_segments too lets go of the segment it yielded), the segments
-    # past the first share one flag array and one output array, which the
-    # first of them sizes, c2's and kstar's folds each reuse one scratch
-    # array sized by the first segment, and the fold converts primes to
-    # float one chunk at a time: 8.02 (c2) and 9.29 MiB (kstar) measured
-    # (7.75 and 9.22 with a fresh array of each segment's own size); with
-    # the yielded segment held until the next was sieved, 9.61 MiB for
-    # both, and with each step's arrays held too, 11.66 (c2) and 11.94 MiB
-    # (kstar)
-    assert _constant_peak(name, monkeypatch) < 9.4 * 2**20
+    # the segments past the first are sieved into one flag array and one
+    # output array that they share, c2's and kstar's folds each reuse one
+    # scratch array sized by the first segment, each kstar step drops its
+    # arrays before the next segment is sieved, and the fold converts
+    # primes to float one FOLD_CHUNK at a time: 8.02 (c2) and 8.66 MiB
+    # (kstar) measured; with a fresh kstar scratch array per segment, 9.95
+    # MiB, and with chunks of 2^15 primes, 9.29 MiB (kstar)
+    assert _constant_peak(name, monkeypatch) < 9.25 * 2**20
 
 
 def test_tail_bound_monotone_in_cutoff_small_scale():
