@@ -472,9 +472,11 @@ def multiplicative_table(fn: PrimePowerFn, limit: int, lo: int = 0, hi: Optional
     return segmented_table(_float_sieve(fn, limit).fill, np.float64, limit, lo, hi, out)
 
 
-def totient_table(limit: int) -> np.ndarray:
-    """Exact array of totient values for 0 <= n <= limit (jordan_dtype)."""
-    return jordan_table(limit, 1)
+def totient_table(limit: int, lo: int = 0, hi: Optional[int] = None,
+                  *, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact array of totient values for 0 <= n <= limit (jordan_dtype);
+    lo, hi and out select a segment, as in multiplicative_table."""
+    return jordan_table(limit, 1, lo, hi, out=out)
 
 
 def jordan_dtype(limit: int, k: int):
@@ -486,11 +488,24 @@ def jordan_dtype(limit: int, k: int):
     return np.int32 if limit**k < 2**31 else np.int64
 
 
-def jordan_table(limit: int, k: int) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _jordan_sieve(limit: int, k: int) -> _PrimePowerSieve:
+    """jordan_table's sieve for (limit, k), kept like _float_sieve's."""
+    dtype = jordan_dtype(limit, k)
+
+    def local(p, e):  # J_k(p^e)
+        return p ** (k * (e - 1)) * (p**k - 1)
+
+    return _PrimePowerSieve(limit, dtype, local, lambda big: big.astype(dtype) ** k - 1)
+
+
+def jordan_table(limit: int, k: int, lo: int = 0, hi: Optional[int] = None,
+                 *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact array of J_k values for 0 <= n <= limit.
 
     Uses int32 or int64 when limit^k fits (jordan_dtype), Python integers
     (object dtype) up to the 128-bit ceiling, and rejects anything larger.
+    lo, hi and out select a segment, as in multiplicative_table.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -498,10 +513,5 @@ def jordan_table(limit: int, k: int) -> np.ndarray:
         raise ValueError(f"k must be positive, got {k}")
     if _power_exceeds_128_bits(limit, k):
         raise ValueError(f"J_{k} values up to {limit} exceed the 128-bit range")
-    dtype = jordan_dtype(limit, k)
-
-    def local(p, e):  # J_k(p^e)
-        return p ** (k * (e - 1)) * (p**k - 1)
-
-    sieve = _PrimePowerSieve(limit, dtype, local, lambda big: big.astype(dtype) ** k - 1)
-    return segmented_table(sieve.fill, dtype, limit)
+    sieve = _jordan_sieve(limit, k)
+    return segmented_table(sieve.fill, sieve.dtype, limit, lo, hi, out)

@@ -19,7 +19,6 @@ from . import curveconst, curvelab, harness, presets
 from .arith import (
     _power_exceeds_128_bits,
     factorize_trial,
-    jordan_dtype,
     jordan_totient,
     totient,
 )
@@ -34,17 +33,11 @@ DEFAULT_GRID_START = 1000
 # a time.
 MAX_EVAL_N = 10**16
 
-# Float and fixed-width integer tables and sums up to x peak at 8-19 bytes per
-# x (RSS at x = 1e7: 76 MB for meanvalue phi with int32 totients, 116 for
-# jordan-2, 190 for kstar, 148 for verify gap, 190 for t3; no run holds more
-# than two full tables, verify gap one), and the peak grows by 4.3-15.7
-# bytes per x from 1e7 to 2e7, so this ceiling keeps those runs near 0.8 GB.
+# meanvalue and verify read every table one segment at a time, so a run
+# holds its segments and the primes up to x, 8 bytes each: 39-45 MB RSS at
+# x = 1e7 for phi, jordan-2, kstar, t3 and gap, and 75 MB for meanvalue
+# jordan-3 at this ceiling, whose tables hold Python ints (29 s).
 MAX_X = 5 * 10**7
-
-# Jordan tables of Python ints (arith.jordan_dtype) add about 82 bytes per x
-# to some 31 MB (meanvalue jordan-3, -4, -5: 106-109 MB at x = 1e6, 336-346
-# MB at x = 4e6), so this ceiling keeps those runs near 1.3 GB.
-MAX_X_PYINT = 15 * 10**6
 
 # Integer options are parsed exactly up to this many digits.
 MAX_PARSE_DIGITS = 100
@@ -201,13 +194,9 @@ def _cmd_meanvalue(args) -> int:
     except ValueError as exc:
         raise UsageError(f"preset: {exc}") from None
     tab, field = preset.f_tab, "--x-grid" if args.x_grid else "--xmax"
-    if isinstance(tab, harness.NamedFn):
-        if _power_exceeds_128_bits(grid[-1], tab.k):
-            raise UsageError(f"{field}: {preset.name} values at x = {grid[-1]} "
-                             "exceed the 128-bit range (x^k >= 2^127)")
-        if grid[-1] > MAX_X_PYINT and jordan_dtype(grid[-1], tab.k) is object:
-            raise UsageError(f"{field}: {preset.name} tabulates Python ints at this x, "
-                             f"so x must be <= {MAX_X_PYINT} (got {grid[-1]})")
+    if isinstance(tab, harness.NamedFn) and _power_exceeds_128_bits(grid[-1], tab.k):
+        raise UsageError(f"{field}: {preset.name} values at x = {grid[-1]} "
+                         "exceed the 128-bit range (x^k >= 2^127)")
     _echo_config(args, prime_cutoff=cutoff, x_grid=grid)
     report = harness.run_grid(preset, grid, prime_cutoff=cutoff)
     _emit(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.output)

@@ -36,7 +36,7 @@ from .arith import (
     segmented_table,
 )
 from .euler import EulerProductValue
-from .harness import prefix_dots, shifted_sum
+from .harness import RunningSum, prefix_dots, shifted_sum
 from .reports import MeanValueReport
 
 ORIGINAL_MEAN = 31.0 / 30.0  # mean value of the unnormalized constant
@@ -405,64 +405,41 @@ def substitution_gap(x_grid, d: int = 1, modulus: int = 1,
 
     One sum per x in the ascending grid, over N <= x with N = 1 (mod d) and
     N = 0 (mod modulus).  For coprime (d, modulus) those N form one residue
-    class mod d * modulus, so each table is built once, at the largest x,
-    and one at a time: the symbol table gives the class entries that can
-    differ and their values, and is freed before the mean table is built
-    and subtracted at them.  The nonzero differences are summed in one
-    pass.  The symbol substitution claims each sum stays O(1) in x;
-    incompatible congruences give the empty sum, 0.
+    class mod d * modulus.  Both tables are read a TABLE_SPAN segment at a
+    time into two buffers written over each step, and the class entries of
+    the two segments are subtracted.  The difference is 0 wherever no prime
+    has an even valuation >= 2, and at about half of the other entries, so
+    only the others are added into one exact running sum (prefix_dots), and
+    no whole table is held.  The symbol substitution claims each sum stays
+    O(1) in x; incompatible congruences give the empty sum, 0.
     """
     xs = [int(x) for x in x_grid]
     if not xs or xs[0] < 1 or d < 1 or modulus < 1:
         raise ValueError("x, d, modulus must all be >= 1")
+    if any(b < a for a, b in zip(xs, xs[1:])):
+        raise ValueError("grid must ascend")
     if math.gcd(d, modulus) > 1:
         return [0.0] * len(xs)
     step = d * modulus
     start = modulus * pow(modulus, -1, d) % step or step  # least N >= 1 in the class
-    kept, diff = _entries_below_one(even_val_symbol_table(xs[-1], conv)[start::step])
-    view = multiplicative_table(even_val_mean_fn, xs[-1])[start::step]
-    # About half the differences are exactly 0 (under UNIT, every one whose
-    # only even valuation is at p = 2, where the factors agree), so only the
-    # others are kept, moved down in place a block at a time.
-    n = 0
-    for j in range(0, len(kept), GAP_BLOCK):
-        at, block = kept[j : j + GAP_BLOCK], diff[j : j + GAP_BLOCK]
-        block -= view[at.astype(np.intp)]  # numpy gathers faster by intp than by int32
-        nonzero = np.flatnonzero(block != 0)
-        diff[n : n + len(nonzero)] = block[nonzero]
-        kept[n : n + len(nonzero)] = at[nonzero]
-        n += len(nonzero)
-    del view
-    # each grid end is mapped to the count of kept entries before it
-    ends = np.searchsorted(kept[:n], np.array([len(range(start, x + 1, step)) for x in xs],
-                                              dtype=kept.dtype))
-    return prefix_dots(diff[:n], np.broadcast_to(1.0, n), ends)
-
-
-# Class entries per block when the gap gathers and subtracts: the
-# temporaries stay block-sized beside the one full table.
-GAP_BLOCK = 2**16
-
-
-def _entries_below_one(view: np.ndarray) -> tuple:
-    """Positions (int32) and values of the entries of view that are not 1.0.
-
-    These are the N where some prime has an even valuation >= 2: each
-    factor there is at most 1 - x^-1.5, which rounds below 1 up to
-    cli.MAX_X, so the product is below 1 too, in the symbol table and the
-    mean table alike, and both are exactly 1.0 everywhere else.  A class
-    holds at most MAX_X < 2^31 entries.  They are counted first, then
-    gathered, a block at a time.
-    """
-    blocks = range(0, len(view), GAP_BLOCK)
-    count = sum(int(np.count_nonzero(view[j : j + GAP_BLOCK] != 1.0)) for j in blocks)
-    kept, vals = np.empty(count, dtype=np.int32), np.empty(count)
-    n = 0
-    for j in blocks:
-        block = view[j : j + GAP_BLOCK]
-        at = np.flatnonzero(block != 1.0)
-        vals[n : n + len(at)] = block[at]
-        at += j
-        kept[n : n + len(at)] = at
-        n += len(at)
-    return kept, vals
+    xmax = xs[-1]
+    symbol_buf, mean_buf = (np.empty(min(TABLE_SPAN, xmax + 1)) for _ in range(2))
+    running, sums, i = RunningSum(), [], 0
+    before = 0  # class entries below the segment
+    for lo in range(0, xmax + 1, TABLE_SPAN):
+        hi = min(lo + TABLE_SPAN, xmax + 1)
+        first = max(start - lo, (start - lo) % step)  # the segment's first class entry, from lo
+        diff = symbol_buf[:0]
+        if first < hi - lo:
+            diff = even_val_symbol_table(xmax, conv, lo, hi, out=symbol_buf)[first::step]
+            diff -= multiplicative_table(even_val_mean_fn, xmax, lo, hi, out=mean_buf)[first::step]
+        kept = np.flatnonzero(diff)
+        # each grid end in the segment is mapped to the count of kept entries before it
+        ends = []
+        while i < len(xs) and xs[i] < hi:
+            ends.append(int(np.searchsorted(kept, len(range(start, xs[i] + 1, step)) - before)))
+            i += 1
+        sums += prefix_dots(diff[kept], np.broadcast_to(1.0, len(kept)),
+                            ends + [len(kept)], running)[:-1]
+        before += len(diff)
+    return sums

@@ -1,7 +1,7 @@
 """Empirical side: tabulate, sum exactly, compare against prediction.
 
 A table is an exact named function (totient, Jordan) or a PrimePowerFn,
-tabulated by arith.multiplicative_table.
+tabulated by arith.multiplicative_table; tabulate reads any segment of it.
 
 Shifted sums start at n = shift + 1 so the shifted argument stays >= 1.
 Every empirical sum goes through prefix_dots, one blockwise pass that is
@@ -19,10 +19,10 @@ their nonzero products span at most 21 binades, else per exponent into
 A grid of x is summed in one such pass too: shifted_sum takes the grid and
 returns the sum at every point, so run_grid (`meanvalue`) and
 curveconst.mean_order_grid (`verify t2a|t2b|t3`) cost O(largest x) however
-many points the grid has.  run_grid hands it whole tables, summed by one
-prefix_dots call; mean_order_grid hands it table segments, read a segment
-at a time into one running sum that prefix_dots carries from call to call.
-shifted_sum is also where the library checks a grid.
+many points the grid has.  Both hand it table segment readers, read a
+segment at a time into one running sum that prefix_dots carries from call
+to call, so no whole table is held.  shifted_sum is also where the library
+checks a grid.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import TABLE_SPAN, PrimePowerFn, jordan_table, multiplicative_table, totient_table
+from .arith import (TABLE_SPAN, PrimePowerFn, jordan_dtype, jordan_table, multiplicative_table,
+                    totient_table)
 from .euler import shifted_mean_constant
 from .reports import MeanValueReport
 
@@ -45,15 +46,23 @@ class NamedFn:
     k: int = 1
 
 
-def tabulate(spec: NamedFn | PrimePowerFn, limit: int) -> np.ndarray:
-    """Values over [0, limit] in one sieve pass; index n holds the value at n."""
+def tabulate(spec: NamedFn | PrimePowerFn, limit: int, lo: int = 0, hi: int | None = None,
+             *, out: np.ndarray | None = None) -> np.ndarray:
+    """Values over [0, limit]; index n holds the value at n.  Given lo and hi,
+    only the entries lo <= n < hi of that table (index n - lo), bit for bit;
+    given out, they are written to its head, which is returned."""
     if isinstance(spec, PrimePowerFn):
-        return multiplicative_table(spec, limit)
+        return multiplicative_table(spec, limit, lo, hi, out=out)
     if spec.name == "totient":
-        return totient_table(limit)
+        return totient_table(limit, lo, hi, out=out)
     if spec.name == "jordan":
-        return jordan_table(limit, spec.k)
+        return jordan_table(limit, spec.k, lo, hi, out=out)
     raise ValueError(f"unknown named function {spec.name!r}")
+
+
+def _table_dtype(spec: NamedFn | PrimePowerFn, limit: int):
+    """The dtype tabulate gives spec's table at limit."""
+    return np.float64 if isinstance(spec, PrimePowerFn) else jordan_dtype(limit, spec.k)
 
 
 # Terms per block of prefix_dots: bounds its working memory, and fixes how
@@ -260,46 +269,39 @@ def prefix_dots(a, b, ends, running: RunningSum | None = None) -> list:
     return out
 
 
-def shifted_sum(f_vals, g_vals, shift: int, x: int, *, grid=None):
+def shifted_sum(f_read, g_read, shift: int, x: int, *, grid=None):
     """sum_{n=shift+1..y} F(n-shift) G(n), exactly (see prefix_dots).
 
     Without a grid, y = x and the one sum is returned.  With a grid (points
     strictly ascending in (shift, x], the last equal to x), the list of sums
-    at every point comes from one pass over n <= x.  F and G are arrays
-    indexed by n that cover [0, x], or table segments: callables (lo, hi)
-    giving the values at lo <= n < hi, which are read arith.TABLE_SPAN terms
-    at a time into one running sum, so no whole table is held.  Integer
-    values give exact ints; otherwise each sum is the exactly rounded float.
+    at every point comes from one pass over n <= x.  F and G come as table
+    segments: callables (lo, hi) giving the values at lo <= n < hi, read
+    arith.TABLE_SPAN terms at a time into one running sum, so no whole
+    table is held.  Each step reads F's segment before G's, so G's reader
+    may hand out values that F's reader has just written.  Integer values
+    give exact ints; otherwise each sum is the exactly rounded float.
     """
     if shift < 1:
         raise ValueError(f"shift must be >= 1, got {shift}")
-    if any(not callable(v) and x > len(v) - 1 for v in (f_vals, g_vals)):
-        raise ValueError(f"arrays do not cover [0, {x}]")
     ys = [x] if grid is None else [int(y) for y in grid]
     if grid is not None and (not ys or ys[0] <= shift or ys[-1] != x
                              or any(b <= a for a, b in zip(ys, ys[1:]))):
         raise ValueError(f"grid must strictly ascend within ({shift}, {x}] "
                          f"and end at x = {x}")
-    f, g = (v if callable(v) else _slicer(v) for v in (f_vals, g_vals))
     terms = max(0, x - shift)
     ends = [max(0, y - shift) for y in ys]
-    span = TABLE_SPAN if callable(f_vals) or callable(g_vals) else max(terms, 1)
     running, sums, i = RunningSum(), [], 0
-    for lo in range(0, max(terms, 1), span):  # term t is F(t + 1) G(t + 1 + shift)
-        hi = min(lo + span, terms)
+    for lo in range(0, max(terms, 1), TABLE_SPAN):  # term t is F(t + 1) G(t + 1 + shift)
+        hi = min(lo + TABLE_SPAN, terms)
         j = i
         while j < len(ends) and ends[j] <= hi:
             j += 1
-        part = prefix_dots(f(lo + 1, hi + 1), g(lo + 1 + shift, hi + 1 + shift),
+        f = f_read(lo + 1, hi + 1)
+        part = prefix_dots(f, g_read(lo + 1 + shift, hi + 1 + shift),
                            [e - lo for e in ends[i:j]] + [hi - lo], running)
         sums += part[:-1]
         i = j
     return sums[0] if grid is None else sums
-
-
-def _slicer(values: np.ndarray):
-    """values as a table segment: (lo, hi) -> values[lo:hi]."""
-    return lambda lo, hi: values[lo:hi]
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +312,33 @@ def run_grid(preset, x_grid, *, prime_cutoff: int) -> MeanValueReport:
 
     One row per x in the ascending grid; the constant is the preset pair's
     Euler product at the given prime cutoff, and the normalized column
-    divides each residual by the preset's error function.
+    divides each residual by the preset's error function.  The sums stream
+    the tables a segment at a time into buffers written over each step.
+    When F and G are one table and the shift is below TABLE_SPAN, each step
+    tabulates one window, n from lo to hi + shift, and G is the view of it
+    shift entries on, so that table is sieved once.
     """
     pair = preset.pair
+    shift = pair.shift
     xs = [int(v) for v in x_grid]
     xmax = max(xs, default=1)  # shifted_sum checks the grid
 
     constant = shifted_mean_constant(pair, prime_cutoff)
-    f_vals = tabulate(preset.f_tab, xmax)
-    g_vals = f_vals if preset.g_tab == preset.f_tab else tabulate(preset.g_tab, xmax)
-    sums = shifted_sum(f_vals, g_vals, pair.shift, xmax, grid=xs)
+    span = min(TABLE_SPAN, max(xmax - shift, 1))
+    shared = preset.g_tab == preset.f_tab and shift < TABLE_SPAN
+    reach = shift if shared else 0  # entries f_read tabulates past its segment, for G
+    f_buf = np.empty(span + reach, dtype=_table_dtype(preset.f_tab, xmax))
+    g_buf = f_buf if shared else np.empty(span, dtype=_table_dtype(preset.g_tab, xmax))
+
+    def f_read(lo, hi):
+        return tabulate(preset.f_tab, xmax, lo, hi + reach, out=f_buf)[: hi - lo]
+
+    def g_read(lo, hi):
+        if shared:  # the window f_read filled from lo - shift on
+            return g_buf[shift : shift + hi - lo]
+        return tabulate(preset.g_tab, xmax, lo, hi, out=g_buf)
+
+    sums = shifted_sum(f_read, g_read, shift, xmax, grid=xs)
     return MeanValueReport.from_sums(
         xs, [float(s) for s in sums], [constant.value * pair.baseline.main_term(x) for x in xs],
         preset.error_fn, label=preset.name, error_label=preset.error_label)

@@ -8,13 +8,15 @@ builders kept for bit identity, which read arith.primes_up_to), the
 constant as a rearranged double sum (brute and regrouped by gcd),
 prime-zeta values and the twin-prime product built from them, the order
 constant from its defining product, the symbol-substitution gap over a
-mask of its congruence class, the symbol table with the cofactors of each
-prime power batched and with each period tiled, the prime-power sieve
-through one buffer of limit // 2 entries, local factors and divisor sums
-term by term, the curve-order presets' shifted sums at 40 digits from
-closed forms, point counts by character sum and by enumeration, the
-class-number table by one weighted bincount per a, curve densities as
-exact fractions, and the least-squares error exponent of a report.
+mask of its congruence class and from whole tables, the symbol table with
+the cofactors of each prime power batched and with each period tiled, the
+prime-power sieve through one buffer of limit // 2 entries, the shifted
+sums of a grid from whole tables, local factors and divisor sums term by
+term, the curve-order presets' shifted sums at 40 digits from closed
+forms, point counts by character sum and by enumeration, the class-number
+table by one weighted bincount per a, curve densities as exact fractions,
+and the least-squares error exponent of a report.  segments hands a whole
+array to harness.shifted_sum, which reads table segments.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from shiftmean.arith import (
     Factorization,
     PrimePowerFn,
+    jordan_dtype,
     multiplicative_table,
     primes_up_to,
 )
@@ -47,8 +50,23 @@ from shiftmean.curveconst import (
 )
 from shiftmean.curvelab import _check_prime, class_number_table
 from shiftmean.euler import EulerProductValue, ShiftedPairSpec
-from shiftmean.harness import shifted_sum
+from shiftmean.harness import NamedFn, prefix_dots, shifted_sum
 from shiftmean.reports import MeanValueReport
+
+# ---------------------------------------------------------------------------
+# Whole arrays as table segments
+
+
+def segments(values: np.ndarray):
+    """values as the table segment reader harness.shifted_sum takes:
+    (lo, hi) -> values[lo:hi], which must lie within the array."""
+    def read(lo: int, hi: int) -> np.ndarray:
+        if not 0 <= lo <= hi <= len(values):
+            raise ValueError(f"[{lo}, {hi}) is not within the {len(values)} entries")
+        return values[lo:hi]
+
+    return read
+
 
 # ---------------------------------------------------------------------------
 # Primes
@@ -301,6 +319,29 @@ def substitution_gap_by_mask(x: int, d: int = 1, modulus: int = 1,
     return math.fsum(symbol_vals[mask] - mean_vals[mask])
 
 
+def substitution_gap_by_whole_tables(x_grid, d: int = 1, modulus: int = 1,
+                                     conv: SymbolConvention = SymbolConvention.UNIT) -> list:
+    """curveconst.substitution_gap from whole tables at the largest x.
+
+    The class entries of the symbol table below 1.0 (those where some prime
+    has an even valuation >= 2, the only ones where the two tables can
+    differ) less the mean table's entries there; the differences that are
+    not 0 are summed by one prefix_dots call, each grid end mapped to the
+    count of kept entries before it.
+    """
+    xs = [int(x) for x in x_grid]
+    if math.gcd(d, modulus) > 1:
+        return [0.0] * len(xs)
+    step = d * modulus
+    start = modulus * pow(modulus, -1, d) % step or step  # least N >= 1 in the class
+    symbol = even_val_symbol_table(xs[-1], conv)[start::step]
+    kept = np.flatnonzero(symbol != 1.0)
+    diff = symbol[kept] - multiplicative_table(even_val_mean_fn, xs[-1])[start::step][kept]
+    kept, diff = kept[diff != 0], diff[diff != 0]
+    ends = np.searchsorted(kept, [len(range(start, x + 1, step)) for x in xs])
+    return prefix_dots(diff, np.broadcast_to(1.0, len(diff)), ends)
+
+
 def even_val_symbol_table_batched(limit: int,
                                   conv: SymbolConvention = SymbolConvention.UNIT) -> np.ndarray:
     """even_val_symbol_table, with the cofactors m of each p^(2a) batched.
@@ -401,7 +442,7 @@ def mean_order_sums_by_whole_tables(which: str, grid: list,
 
     F and G are built over [0, x] by prime_power_sieve_by_buffer (and t3's
     symbol factor by even_val_symbol_table_by_tile) and summed by one
-    shifted_sum call over the whole arrays.
+    shifted_sum call over segments of the whole arrays.
     """
     xmax = grid[-1]
 
@@ -413,7 +454,39 @@ def mean_order_sums_by_whole_tables(which: str, grid: list,
         g_vals *= even_val_symbol_table_by_tile(xmax, conv)
     else:
         g_vals = table(order_part_fn if which == "t2a" else order_part_odd_fn)
-    return shifted_sum(table(shift_part_fn), g_vals, 1, xmax, grid=grid)
+    return shifted_sum(segments(table(shift_part_fn)), segments(g_vals), 1, xmax,
+                       grid=grid)
+
+
+def run_grid_sums_by_whole_tables(preset, grid: list) -> list:
+    """The sums of F(n - shift) G(n) over shift < n <= x, x in the grid, that
+    harness.run_grid reports for a presets.Preset, from whole tables.
+
+    F and G are built over [0, x] by prime_power_sieve_by_buffer, and each
+    sum is taken on its own: Python ints for exact tables, math.fsum of the
+    float64 products otherwise.
+    """
+    xmax, shift = grid[-1], preset.pair.shift
+
+    def table(spec):
+        if not isinstance(spec, NamedFn):
+            return prime_power_sieve_by_buffer(xmax, np.float64, spec,
+                                               lambda big: spec.on_primes(big, 1))
+        k, dtype = spec.k, jordan_dtype(xmax, spec.k)
+        return prime_power_sieve_by_buffer(xmax, dtype,
+                                           lambda p, e: p ** (k * (e - 1)) * (p**k - 1),
+                                           lambda big: big.astype(dtype) ** k - 1)
+
+    f_vals = table(preset.f_tab)
+    g_vals = f_vals if preset.g_tab == preset.f_tab else table(preset.g_tab)
+    sums = []
+    for x in grid:
+        f, g = f_vals[1 : x - shift + 1], g_vals[shift + 1 : x + 1]
+        if f.dtype.kind == "f":
+            sums.append(math.fsum((f * g).tolist()))
+        else:
+            sums.append(int(np.dot(f.astype(object), g.astype(object))))
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from oracles import (
     local_factor,
     odd_val_kernel,
     order_constant_direct,
+    segments,
     twin_prime_oracle,
 )
 
@@ -122,7 +123,7 @@ def test_acceptance_4_totient_pair_ratio(phi_values):
     worst = 0.0
     for h in (1, 2, 6):
         constant = shifted_mean_constant(get_preset("phi", shift=h).pair, FULL_CUTOFF)
-        empirical = shifted_sum(phi_values, phi_values, h, x)
+        empirical = shifted_sum(segments(phi_values), segments(phi_values), h, x)
         assert isinstance(empirical, int)  # exact accumulation
         ratio = float(empirical) / (constant.value * x**3 / 3)
         worst = max(worst, abs(ratio - 1))
@@ -138,7 +139,7 @@ def test_acceptance_5_jordan_pair_ratio():
     from shiftmean.harness import tabulate
 
     vals = tabulate(preset.f_tab, x)
-    empirical = shifted_sum(vals, vals, 1, x)
+    empirical = shifted_sum(segments(vals), segments(vals), 1, x)
     ratio = float(empirical) / (constant.value * x**5 / 5)
     ok = abs(ratio - 1) <= 1e-2
     _verdict(5, "jordan-2 pair ratio at 1e5", ok, f"|ratio-1|={abs(ratio - 1):.2e}")

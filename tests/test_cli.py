@@ -190,8 +190,9 @@ def test_runtime_error_exits_1(tmp_path, capsys):
         (["constant", "kstar", "--shift", "100000000000000000039"], None, 2, "--shift"),
         (["meanvalue", "kstar", "--shift", "100000000000000000039", "--x-grid", "1000"],
          None, 2, "--shift"),
-        (["meanvalue", "jordan-3", "--x-grid", "1000,15000001"], None, 2, "--x-grid"),
-        (["meanvalue", "jordan-4", "--xmax", "2e7"], None, 2, "--xmax"),
+        # J_5 at the largest accepted x passes 128 bits (5e7^5 >= 2^127)
+        (["meanvalue", "jordan-5", "--x-grid", "1000,50000000"], None, 2, "--x-grid"),
+        (["meanvalue", "jordan-5", "--xmax", "5e7"], None, 2, "--xmax"),
         (["meanvalue", "jordan-1000000000", "--xmax", "2e7"], None, 2, "--xmax"),
         (["eval", "jordan", "6", "--k", "200"], None, 2, "--k"),
         (["eval", "jordan", "100000000000", "--k", "4"], None, 2, "--k"),
@@ -447,6 +448,7 @@ def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
     curveconst._qr_table.cache_clear()
     curveconst._symbol_sieve.cache_clear()
     arith._float_sieve.cache_clear()
+    arith._jordan_sieve.cache_clear()
     entered = set()
 
     def profile(frame, event, arg):

@@ -43,7 +43,9 @@ from oracles import (
     mean_order_sums_by_whole_tables,
     odd_val_kernel,
     order_constant_direct,
+    segments,
     substitution_gap_by_mask,
+    substitution_gap_by_whole_tables,
     twin_prime_oracle,
 )
 
@@ -470,7 +472,7 @@ def test_mean_order_grid_sums_the_whole_grid_in_one_call(monkeypatch):
     f_vals = multiplicative_table(shift_part_fn, grid[-1])
     g_vals = multiplicative_table(order_part_fn, grid[-1])
     assert [row.empirical for row in rep.rows] == [
-        c2.value * shifted_sum(f_vals, g_vals, 1, x) for x in grid]
+        c2.value * shifted_sum(segments(f_vals), segments(g_vals), 1, x) for x in grid]
 
 
 @pytest.mark.parametrize("grid", [[], [1], [1000, 100]])
@@ -540,9 +542,10 @@ def test_substitution_gap_equals_the_sum_of_every_difference(d, modulus, conv):
 
 
 def test_substitution_gap_memory():
-    # one full table at a time, beside the class entries that can differ (29%
-    # of them, as int32 positions and float64 values): 1.54 tables measured;
-    # holding both tables gave 2.12
+    # two segment buffers, the sieves' segment scratch and the kept
+    # differences of one segment, past the warm prime cache: 7.4 MiB (0.48
+    # of a table) measured; whole tables took 1.54 tables, and both of them
+    # held at once 2.12
     x = 2 * 10**6
     primes_up_to(x)  # warm the prime cache so only the gap's arrays count
     tracemalloc.start()
@@ -551,4 +554,22 @@ def test_substitution_gap_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * 8 * (x + 1)  # one float64 table is 8 (x + 1) bytes
+    assert peak <= 0.6 * 8 * (x + 1)  # one float64 table is 8 (x + 1) bytes
+
+
+_SPAN = 256
+
+
+@pytest.mark.parametrize("conv", [UNIT, KRONECKER], ids=lambda c: c.value)
+@pytest.mark.parametrize("d, modulus", [(1, 1), (3, 4), (7, 1), (1, _SPAN)])
+def test_streamed_substitution_gap_equals_whole_tables(d, modulus, conv, monkeypatch):
+    # with a 256-entry span, grid points at 1, 2, 3 and on both sides of the
+    # segment edges; modulus 256 puts the class on the edges themselves
+    for module in (arith, curveconst):
+        monkeypatch.setattr(module, "TABLE_SPAN", _SPAN)
+    grid = [1, 2, 3, _SPAN - 1, _SPAN, _SPAN + 1, 2 * _SPAN - 1, 2 * _SPAN, 2 * _SPAN + 1,
+            3 * _SPAN + 7, 20 * _SPAN + 3]
+    assert substitution_gap(grid, d, modulus, conv) == substitution_gap_by_whole_tables(
+        grid, d, modulus, conv)
+
+

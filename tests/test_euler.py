@@ -299,10 +299,11 @@ def test_constant_fold_releases_each_segment(name, monkeypatch):
     # output array that they share, c2's and kstar's folds each reuse one
     # scratch array sized by the first segment, each kstar step drops its
     # arrays before the next segment is sieved, and the fold converts
-    # primes to float one FOLD_CHUNK at a time: 8.02 (c2) and 8.66 MiB
+    # primes to float one FOLD_CHUNK at a time: 8.00 (c2) and 8.65 MiB
     # (kstar) measured; with a fresh kstar scratch array per segment, 9.95
-    # MiB, and with chunks of 2^15 primes, 9.29 MiB (kstar)
-    assert _constant_peak(name, monkeypatch) < 9.25 * 2**20
+    # MiB, with chunks of 2^15 primes 9.29 MiB, and with a kstar step that
+    # keeps its arrays into the next segment's sieve 8.94 MiB (kstar)
+    assert _constant_peak(name, monkeypatch) < 8.8 * 2**20
 
 
 def test_tail_bound_monotone_in_cutoff_small_scale():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftmean import curveconst, harness, presets
+from shiftmean import arith, curveconst, harness, presets
 
 from shiftmean.arith import factorize_trial, jordan_totient, totient
 from shiftmean.curveconst import (
@@ -29,7 +29,13 @@ from shiftmean.harness import (
 from shiftmean.presets import get_preset
 from shiftmean.reports import MeanValueReport, MeanValueRow
 
-from oracles import eval_divisor_sum, fit_error_exponent, order_factor_sum_mp
+from oracles import (
+    eval_divisor_sum,
+    fit_error_exponent,
+    order_factor_sum_mp,
+    run_grid_sums_by_whole_tables,
+    segments,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -80,27 +86,27 @@ def test_tabulate_unknown_name():
 
 def test_shifted_sum_phi_hand_value():
     vals = tabulate(NamedFn("totient"), 5)
-    assert shifted_sum(vals, vals, 1, 5) == 15  # 1*1 + 1*2 + 2*2 + 2*4
+    assert shifted_sum(segments(vals), segments(vals), 1, 5) == 15  # 1*1 + 1*2 + 2*2 + 2*4
 
 
 def test_shifted_sum_empty_range():
     vals = tabulate(NamedFn("totient"), 10)
-    assert shifted_sum(vals, vals, 10, 10) == 0
+    assert shifted_sum(segments(vals), segments(vals), 10, 10) == 0
     fvals = vals.astype(np.float64)
-    assert shifted_sum(fvals, fvals, 10, 10) == 0.0
+    assert shifted_sum(segments(fvals), segments(fvals), 10, 10) == 0.0
 
 
 def test_shifted_sum_constant_functions():
     ones = np.ones(101, dtype=np.int64)
-    assert shifted_sum(ones, ones, 1, 100) == 99
+    assert shifted_sum(segments(ones), segments(ones), 1, 100) == 99
 
 
 def test_shifted_sum_validates_arguments():
     ones = np.ones(11, dtype=np.int64)
     with pytest.raises(ValueError):
-        shifted_sum(ones, ones, 0, 5)
+        shifted_sum(segments(ones), segments(ones), 0, 5)
     with pytest.raises(ValueError):
-        shifted_sum(ones, ones, 1, 11)
+        shifted_sum(segments(ones), segments(ones), 1, 11)
 
 
 def test_shifted_sum_exact_against_per_point_oracle():
@@ -112,7 +118,7 @@ def test_shifted_sum_exact_against_per_point_oracle():
     for vals, fn in ((phi_vals, totient),
                      (j2_vals, lambda n: jordan_totient(n, 2))):
         for h in (1, 2):
-            got = shifted_sum(vals, vals, h, x)
+            got = shifted_sum(segments(vals), segments(vals), h, x)
             expect = sum(fn(n - h) * fn(n) for n in range(h + 1, x + 1))
             assert got == expect
             assert isinstance(got, int)
@@ -129,7 +135,7 @@ def test_compensated_sum_alternating_millions():
     # shift 1 pairs F(n-1) = 1 with G(n) = vals[n-2] for n = 2 .. len(vals)+1
     g_vals = np.concatenate(([0.0, 0.0], vals))
     f_vals = np.ones(len(g_vals))
-    got = shifted_sum(f_vals, g_vals, 1, len(g_vals) - 1)
+    got = shifted_sum(segments(f_vals), segments(g_vals), 1, len(g_vals) - 1)
     assert isinstance(got, float)
     assert abs(got - exact) <= 1e-10
 
@@ -152,8 +158,8 @@ def test_shifted_sum_grid_equals_scalar_sums(f_spec, g_spec, shift, dtype):
     g_vals = f_vals if g_spec == f_spec else tabulate(g_spec, grid[-1])
     assert g_vals.dtype == dtype
     assert dtype is not object or max(g_vals) >= 2**62
-    got = shifted_sum(f_vals, g_vals, shift, grid[-1], grid=grid)
-    expect = [shifted_sum(f_vals, g_vals, shift, y) for y in grid]
+    got = shifted_sum(segments(f_vals), segments(g_vals), shift, grid[-1], grid=grid)
+    expect = [shifted_sum(segments(f_vals), segments(g_vals), shift, y) for y in grid]
     assert got == expect
     assert [type(v) for v in got] == [type(v) for v in expect]
 
@@ -162,8 +168,8 @@ def test_shifted_sum_grid_validates():
     ones = np.ones(101, dtype=np.int64)
     for grid in ([50, 40, 100], [2, 50, 100], [3, 50, 99], [], [3, 50, 50, 100]):
         with pytest.raises(ValueError):
-            shifted_sum(ones, ones, 2, 100, grid=grid)
-    assert shifted_sum(ones, ones, 2, 100, grid=[3, 50, 100]) == [1, 48, 98]
+            shifted_sum(segments(ones), segments(ones), 2, 100, grid=grid)
+    assert shifted_sum(segments(ones), segments(ones), 2, 100, grid=[3, 50, 100]) == [1, 48, 98]
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +485,90 @@ def test_prefix_dots_integer_memory_bounded():
 
 
 def test_run_grid_tabulates_a_shared_table_once(monkeypatch):
+    # one tabulate call per segment of the shared table: F's segment and the
+    # shift entries past it, with G the view of that window shift entries on
     calls = []
 
-    def counting(spec, limit):
-        calls.append(spec)
-        return tabulate(spec, limit)
+    def counting(spec, limit, lo=0, hi=None, *, out=None):
+        calls.append((spec, lo, hi))
+        return tabulate(spec, limit, lo, hi, out=out)
 
     monkeypatch.setattr(harness, "tabulate", counting)
-    rep = run_grid(get_preset("phi"), [1000, 2000], prime_cutoff=10**4)
-    assert calls == [NamedFn("totient")]
+    monkeypatch.setattr(harness, "TABLE_SPAN", 512)
+    rep = run_grid(get_preset("phi", shift=3), [1000, 2000], prime_cutoff=10**4)
+    assert calls == [(NamedFn("totient"), t + 1, min(t + 512, 1997) + 1 + 3)
+                     for t in range(0, 1997, 512)]
     phi = tabulate(NamedFn("totient"), 2000)
-    assert rep.rows[-1].empirical == float(shifted_sum(phi, phi, 1, 2000))
+    assert rep.rows[-1].empirical == float(shifted_sum(segments(phi), segments(phi), 3, 2000))
+
+
+# A small table span, so a few thousand terms cross several segment edges.
+_SPAN = 256
+_EDGE_ENDS = (1, _SPAN - 1, _SPAN, _SPAN + 1, 2 * _SPAN, 2 * _SPAN + 1, 3 * _SPAN + 7)
+
+
+def _small_spans(monkeypatch):
+    for module in (arith, curveconst, harness):
+        monkeypatch.setattr(module, "TABLE_SPAN", _SPAN)
+
+
+@pytest.mark.parametrize("shift", [3, _SPAN - 1, _SPAN, 2 * _SPAN + 5])
+@pytest.mark.parametrize("name", ["phi", "jordan-2", "kstar", "khat"])
+def test_streamed_run_grid_equals_whole_tables(name, shift, monkeypatch):
+    # grid points y - shift at the segment edges of the terms, for a shared
+    # window (shift below the span), the widest one (span - 1), and two
+    # readers (shift at or past the span): every sum bit for bit
+    _small_spans(monkeypatch)
+    preset = get_preset(name, shift=shift)
+    grid = [shift + e for e in _EDGE_ENDS]
+    rows = run_grid(preset, grid, prime_cutoff=10**3).rows
+    assert [row.empirical for row in rows] == [
+        float(s) for s in run_grid_sums_by_whole_tables(preset, grid)]
+
+
+@pytest.mark.parametrize("name, shift, more", [
+    ("jordan-3", 1_680_000, []),  # two readers
+    ("jordan-5", 3, [6000]),  # a shared window
+    ("jordan-5", _SPAN - 1, [6000]),
+])
+def test_streamed_run_grid_equals_whole_tables_in_python_ints(name, shift, more, monkeypatch):
+    # past 2^62 the tables hold Python ints (J_3 from x ~ 1.66e6, J_5 from ~5405)
+    _small_spans(monkeypatch)
+    preset = get_preset(name, shift=shift)
+    grid = [shift + e for e in _EDGE_ENDS] + more
+    assert harness._table_dtype(preset.f_tab, grid[-1]) is object
+    rows = run_grid(preset, grid, prime_cutoff=10**3).rows
+    assert [row.empirical for row in rows] == [
+        float(s) for s in run_grid_sums_by_whole_tables(preset, grid)]
+
+
+# 8 bytes per prime below x: the prime cache the table sieve reads its big
+# primes from grows with x, and the tables' segments and sums do not
+_PRIME_BYTES = 8 * 664_579  # pi(10^7) int64 primes
+_STREAM_SLACK = 2**20
+
+
+@pytest.mark.parametrize("run", ["phi", "jordan-2", "gap"])
+def test_streamed_runs_hold_no_whole_table(run, monkeypatch):
+    # peak from 10^6 to 10^7 grows by the prime cache alone (within 1 MiB):
+    # 5.3 -> 9.9 MiB (phi), 6.6 -> 11.2 (jordan-2), 7.9 -> 12.4 (gap) measured;
+    # one whole table at 10^7 would add 40-80 MB
+    def peak(x):
+        monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+        arith._float_sieve.cache_clear()
+        arith._jordan_sieve.cache_clear()
+        curveconst._symbol_sieve.cache_clear()
+        tracemalloc.start()
+        try:
+            if run == "gap":
+                curveconst.substitution_gap([x])
+            else:
+                run_grid(get_preset(run), [x], prime_cutoff=10**3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10**7) <= peak(10**6) + _PRIME_BYTES + _STREAM_SLACK
 
 
 def test_run_grid_sums_the_whole_grid_in_one_call(monkeypatch):
@@ -506,7 +585,7 @@ def test_run_grid_sums_the_whole_grid_in_one_call(monkeypatch):
     f_vals = tabulate(shift_part_fn, grid[-1])
     g_vals = tabulate(order_part_fn, grid[-1])
     assert [row.empirical for row in rep.rows] == [
-        shifted_sum(f_vals, g_vals, 3, x) for x in grid]
+        shifted_sum(segments(f_vals), segments(g_vals), 3, x) for x in grid]
 
 
 @pytest.mark.parametrize("name, order_side", [
@@ -555,7 +634,7 @@ def test_run_grid_mu_like_pair_zero_constant():
     assert [eval_divisor_sum(mu_like, factorize_trial(n)) for n in range(1, 1001)] == \
         vals[1:].tolist()
     assert np.all(vals[2:] == 0.0)
-    assert shifted_sum(vals, vals, 1, 1000) == 0.0
+    assert shifted_sum(segments(vals), segments(vals), 1, 1000) == 0.0
 
 
 @pytest.mark.parametrize("name, f_tab, g_tab, deg, label, error_at_e", [
