@@ -71,6 +71,8 @@ def _parse_int(text: str, field: str) -> int:
 
 
 def _parse_grid(args, field_grid="--x-grid", field_max="--xmax") -> tuple:
+    if args.x_grid and args.xmax:
+        raise UsageError(f"{field_grid}: give {field_grid} or {field_max}, not both")
     if args.x_grid:
         xs = tuple(_parse_int(s, field_grid) for s in args.x_grid.split(","))
         if any(b <= a for a, b in zip(xs, xs[1:])) or xs[0] < 2:

@@ -12,9 +12,10 @@ how many terms enter.  Both kinds are cut into limbs small enough that a
 block of SUM_BLOCK = 2^16 terms sums exactly in one numpy reduction, and
 each block takes as few as the magnitudes it holds allow: integers into
 one to three limbs a side whose limb dots stay within 2^62 in int64, and
-floats into two fixed-point limbs below 2^37 (block sums below 2^53) when
-their nonzero products span at most 21 binades, else per exponent into
-27-bit mantissa limbs (per-exponent sums below 2^43).
+float products, on the grid of the block's smallest ulp, into fixed-point
+limbs below 2^37 (block sums below 2^53) taken from the top binade down,
+as many as the span of its nonzero products needs: two up to 21 binades,
+three up to 58.
 
 A grid of x is summed in one such pass too: shifted_sum takes the grid and
 returns the sum at every point, so run_grid (`meanvalue`) and
@@ -71,8 +72,7 @@ def _table_dtype(spec: NamedFn | PrimePowerFn, limit: int):
 SUM_BLOCK = 2**16
 
 # A finite float64 is m * 2^(e - 53) with |m| < 2^53 an integer and
-# e >= -1073 (np.frexp), so every one is an integer multiple of 2^-1126.
-_EXP_BIAS = 1073
+# e >= -1073 (math.frexp), so every one is an integer multiple of 2^-1126.
 _SCALE_BITS = 1126
 _SCALE = 1 << _SCALE_BITS
 
@@ -132,34 +132,43 @@ def _exact_dot(a: np.ndarray, b: np.ndarray, limbs) -> int:
     return total
 
 
-# The fixed-point path of the float sum cuts each product into two limbs of
-# at most _FIXED_LIMB bits: 2^16 integers below 2^37 in magnitude sum below
-# 2^53, so np.sum adds a block's limb exactly in any order.  Two limbs hold
-# the 53-bit mantissas of a block whose nonzero products span at most
-# _FIXED_SPAN = 21 binades; a wider block (verify gap's differences span
-# 26-45) is summed per exponent through np.frexp.
+# Bits per fixed-point limb of the float sum: 2^16 integers below 2^37 in
+# magnitude sum below 2^53, so np.sum adds a block's limb exactly in any
+# order.  kstar and t3 blocks span 1-3 binades and take two limbs; verify
+# gap's differences span 30-38 at x = 4e6 and take three.
 _FIXED_LIMB = 53 - (SUM_BLOCK - 1).bit_length()
-_FIXED_SPAN = 2 * _FIXED_LIMB - 53
-# Least binary exponent (np.frexp) of a nonzero product on the fixed-point
-# path, so every such product is normal and its limb unit a normal power of two.
-_FIXED_MIN_EXP = -1000
 
 
 def _float_scratch(n: int) -> tuple:
-    """Block scratch of _scaled_float_dot: terms, a limb, a nonzero mask,
-    and the frexp outputs."""
-    return (np.empty(n), np.empty(n), np.empty(n, dtype=bool),
-            np.empty(n), np.empty(n, dtype=np.int64))
+    """Block scratch of _scaled_float_dot: terms, a limb and a nonzero mask."""
+    return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+
+
+def _scale(v: np.ndarray, k: int, out: np.ndarray) -> None:
+    """out = v * 2^k, correctly rounded: a multiply while 2^k is a normal
+    float, which is faster, else np.ldexp, which takes any exponent."""
+    if -1022 <= k <= 1023:
+        np.multiply(v, 2.0**k, out=out)
+    else:
+        np.ldexp(v, k, out=out)
 
 
 def _scaled_float_dot(a: np.ndarray, b: np.ndarray, scratch: tuple) -> int:
     """The exact sum of the float64 products a*b, times 2^1126.
 
-    scratch is _float_scratch of at least len(a) entries.  A block whose
-    nonzero products span at most _FIXED_SPAN binades is summed in two
-    fixed-point limbs on the grid of its smallest ulp; any other per exponent.
+    scratch is _float_scratch of at least len(a) entries.  Every product is
+    an integer multiple of 2^grid, grid = e_lo - 53 with e_lo the binary
+    exponent (math.frexp) of the least nonzero one, and below 2^e_hi in
+    magnitude, e_hi that of the largest.  Limbs are taken from the top: for
+    unit = e_hi - _FIXED_LIMB, e_hi - 2 * _FIXED_LIMB, ... while unit > grid,
+    the limb is trunc(terms / 2^unit), and taking it out of terms leaves them
+    below 2^unit.  So the remainder is a multiple of 2^grid below
+    2^(grid + _FIXED_LIMB), and is the last limb.  Every step is exact: a
+    scaled term can round only where it underflows, below 1, which trunc
+    takes to 0 anyway; a limb times 2^unit is the term's leading bits; and
+    clearing them leaves its trailing bits.
     """
-    terms, top, nonzero, frac, exp = (v[: len(a)] for v in scratch)
+    terms, top, nonzero = (v[: len(a)] for v in scratch)
     np.multiply(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), out=terms)
     np.abs(terms, out=top)
     big = float(top.max())  # NaN propagates
@@ -171,51 +180,15 @@ def _scaled_float_dot(a: np.ndarray, b: np.ndarray, scratch: tuple) -> int:
     if small == 0.0:
         np.not_equal(top, 0.0, out=nonzero)
         small = float(np.min(top, where=nonzero, initial=math.inf))
-    e_lo = math.frexp(small)[1]
-    if math.frexp(big)[1] - e_lo <= _FIXED_SPAN and e_lo >= _FIXED_MIN_EXP:
-        return _fixed_point_sum(terms, top, e_lo - 53)
-    return _frexp_sum(terms, top, frac, exp)
-
-
-def _fixed_point_sum(terms: np.ndarray, top: np.ndarray, grid: int) -> int:
-    """The exact sum of terms, times 2^1126, given that every term is an
-    integer multiple of 2^grid below 2^(grid + 2 * _FIXED_LIMB) in magnitude.
-
-    The top limb is trunc(terms / 2^unit), unit = grid + _FIXED_LIMB, and
-    what is left of terms once it is taken out is the low limb times 2^grid.
-    Scaling by powers of two, trunc, and clearing a term's leading bits are
-    all exact, so both limbs are integers below 2^_FIXED_LIMB in magnitude.
-    """
-    unit = grid + _FIXED_LIMB
-    np.multiply(terms, 2.0**-unit, out=top)
-    np.trunc(top, out=top)
-    total = int(top.sum()) << (unit + _SCALE_BITS)
-    top *= 2.0**unit
-    terms -= top
-    return total + (int(math.ldexp(terms.sum(), -grid)) << (grid + _SCALE_BITS))
-
-
-def _frexp_sum(terms: np.ndarray, top: np.ndarray, frac: np.ndarray, exp: np.ndarray) -> int:
-    """The exact sum of the finite terms, times 2^1126, per binary exponent;
-    int64 exponents reach np.bincount without a cast."""
-    np.frexp(terms, out=(frac, exp))
-    exp += _EXP_BIAS
-    # Cut the 53-bit integer mantissa frac * 2^53 into two 27-bit limbs, the
-    # top one signed.  Every step is exact in float64: scaling by powers of
-    # two, floor, and the difference of frac and its own leading bits.  Each
-    # per-exponent sum of 2^16 limbs stays below 2^43.
-    np.multiply(frac, 2.0**26, out=top)
-    np.floor(top, out=top)
-    np.multiply(top, 2.0**-26, out=terms)
-    frac -= terms
-    frac *= 2.0**53
+    grid = math.frexp(small)[1] - 53
     total = 0
-    for k, limb in enumerate((frac, top)):
-        sums = np.bincount(exp, weights=limb)
-        nonzero = np.flatnonzero(sums)
-        for e, s in zip(nonzero.tolist(), sums[nonzero].tolist()):
-            total += int(s) << (e + 27 * k)
-    return total
+    for unit in range(math.frexp(big)[1] - _FIXED_LIMB, grid, -_FIXED_LIMB):
+        _scale(terms, -unit, top)
+        np.trunc(top, out=top)
+        total += int(top.sum()) << (unit + _SCALE_BITS)
+        _scale(top, unit, top)
+        terms -= top
+    return total + (int(math.ldexp(terms.sum(), -grid)) << (grid + _SCALE_BITS))
 
 
 @dataclass

@@ -201,6 +201,7 @@ def test_runtime_error_exits_1(tmp_path, capsys):
         (["eval", "totient", "nan"], None, 2, "n:"),
         (["eval", "totient", "1e1000000000"], None, 2, "n:"),
         (["eval", "totient", "1e-1000000000"], None, 2, "n:"),
+        (["meanvalue", "phi", "--xmax", "1000", "--x-grid", "5,6"], None, 2, "--x-grid or --xmax"),
     ],
 )
 def test_bad_input_exits_2_naming_field(argv, env, code, field, capsys, monkeypatch):
@@ -413,8 +414,8 @@ COVERAGE_ARGV = [
     "verify t3 --x-grid 1000 --prime-cutoff 1e4",
     "verify t3 --x-grid 1000 --convention kronecker --prime-cutoff 1e4",
     "verify gap --x-grid 1000 --prime-cutoff 1e4",
-    # past x = 10^4 its differences span more binades than the fixed-point
-    # float sum takes, so a block is summed per exponent
+    # at x = 20000 its differences span 23 binades, past the 21 that two
+    # fixed-point limbs hold, so its float sum takes three
     "verify gap --x-grid 20000 --prime-cutoff 1e4",
     "verify gap --x-grid 1000,2000 --gap-d 3 --gap-l 4 --prime-cutoff 1e4 --format json",
     "curvelab --n-min 20 --n-max 22 --prime-cutoff 1e4",

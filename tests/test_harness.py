@@ -289,14 +289,14 @@ def test_prefix_dots_int64_extremes_fill_a_block(v):
 
 
 @pytest.mark.parametrize("pattern", [
-    [1 - 2**-53],                  # mantissa 2^53 - 1: both limbs at their largest
-    [-(1 - 2**-53)],               # top limb at its most negative, -2^26
-    [-(0.5 + 2**-53)],             # negative, low limb at its largest, 2^27 - 1
+    [1 - 2**-53],                  # mantissa 2^53 - 1: top limb at its largest, 2^37 - 1
+    [-(1 - 2**-53)],               # top limb at its most negative, -(2^37 - 1)
+    [-(0.5 + 2**-53)],             # negative, one ulp past the top limb's 2^36
     [1 - 2**-53, -(0.5 + 2**-53)],  # mixed signs, every other top limb negative
 ], ids=["positive", "negative", "negative-low", "mixed"])
 def test_prefix_dots_float_extremes_fill_a_block(pattern):
-    # the largest limb sums a block can hold: 2^16 mantissas at one exponent,
-    # each limb below 2^27, so every per-exponent sum stays below 2^43
+    # the largest limb sums a block can hold: 2^16 terms in one binade, whose
+    # top limbs reach 2^37 - 1, so a block's limb sum nears 2^53
     a = np.resize(np.array(pattern), SUM_BLOCK + 1)
     ends = [SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]
     exact = [sum(Fraction(v) * len(range(j, e, len(pattern))) for j, v in enumerate(pattern))
@@ -372,49 +372,74 @@ def _exact_float_sums(pattern, ends):
             for e in ends]
 
 
-_SPAN = harness._FIXED_SPAN
+# The widest span, in binades, that a block sums in two 37-bit limbs: the
+# 53-bit mantissas of its least products on the grid, and 37 bits above it.
+_SPAN = 21
 _M = 1 - 2**-53  # the largest mantissa, 2^53 - 1 ulps
 
 
-@pytest.mark.parametrize("pattern, fixed", [
-    # binary exponents (np.frexp) 0 and -_SPAN: at the span limit
-    ([_M, -_M, 2.0**-_SPAN * _M, -(2.0**-_SPAN) * (0.5 + 2**-53), _M], True),
+@pytest.mark.parametrize("pattern, truncs", [
+    # binary exponents (math.frexp) 0 and -_SPAN: at the two-limb limit
+    ([_M, -_M, 2.0**-_SPAN * _M, -(2.0**-_SPAN) * (0.5 + 2**-53), _M], 1),
     # one binade past it
-    ([_M, -_M, 2.0**-(_SPAN + 1) * _M, -(2.0**-(_SPAN + 1)) * (0.5 + 2**-53), _M], False),
+    ([_M, -_M, 2.0**-(_SPAN + 1) * _M, -(2.0**-(_SPAN + 1)) * (0.5 + 2**-53), _M], 2),
     # all positive and near the top, so a block's top limbs sum to nearly
     # 2^53, and odd: one binade more would need a 54th bit
-    ([1 - 2**-38, 1 - 3 * 2**-38, 1 - 5 * 2**-38, 2.0**-_SPAN * 0.75, 1 - 7 * 2**-38], True),
+    ([1 - 2**-38, 1 - 3 * 2**-38, 1 - 5 * 2**-38, 2.0**-_SPAN * 0.75, 1 - 7 * 2**-38], 1),
     ([1 - 2**-38, 1 - 3 * 2**-38, 1 - 5 * 2**-38, 2.0**-(_SPAN + 1) * 0.75, 1 - 7 * 2**-38],
-     False),
-    ([0.0, _M, -0.0, 2.0**-_SPAN * _M, 0.0], True),  # zeros take no binade
-    ([0.0, -0.0], True),
-    ([5e-324, -2.3e-308, 1e-310], False),  # subnormals
-    ([2.0**-1000 * _M, -(2.0**-1001), 2.0**-990], True),  # the least exponent, -1000
-    ([2.0**-1001 * _M, -(2.0**-1001), 2.0**-990], False),
-    ([2.0**1023 * _M, -(2.0**1023) * _M, 2.0**1004 * _M, -(2.0**1003)], True),  # +-huge
-    ([1.7976931348623157e308, -1.7976931348623157e308, 1.0], False),
+     2),
+    ([0.0, _M, -0.0, 2.0**-_SPAN * _M, 0.0], 1),  # zeros take no binade
+    ([0.0, -0.0], 0),
+    ([5e-324, -2.3e-308, 1e-310], 2),  # subnormals, 52 binades
+    ([2.0**-1000 * _M, -(2.0**-1001), 2.0**-990], 1),
+    ([2.0**-1001 * _M, -(2.0**-1001), 2.0**-990], 1),
+    ([2.0**1023 * _M, -(2.0**1023) * _M, 2.0**1004 * _M, -(2.0**1003)], 1),  # +-huge
+    ([1.7976931348623157e308, -1.7976931348623157e308, 1.0], 29),  # 1023 binades
+    # at the three-limb limit, 58 binades, and one past it
+    ([_M, -_M, 2.0**-58 * _M, -(2.0**-58) * (0.5 + 2**-53), _M], 2),
+    ([_M, -_M, 2.0**-59 * _M, -(2.0**-59) * (0.5 + 2**-53), _M], 3),
 ], ids=["at-limit", "past-limit", "positive-at-limit", "positive-past-limit", "zeros",
-        "all-zero", "subnormal", "least-exponent", "below-least-exponent", "huge", "huge-and-one"])
-def test_prefix_dots_float_blocks_at_the_fixed_point_limits(pattern, fixed, monkeypatch):
-    # blocks full of each pattern: the fixed-point limbs at their largest
-    # sums, and each block on the path its span and exponents give
-    paths = []
-    for name in ("_fixed_point_sum", "_frexp_sum"):
-        real = getattr(harness, name)
-        monkeypatch.setattr(harness, name,
-                            lambda *args, real=real, name=name: paths.append(name) or real(*args))
+        "all-zero", "subnormal", "least-exponent", "below-least-exponent", "huge", "huge-and-one",
+        "at-three-limb-limit", "past-three-limb-limit"])
+def test_prefix_dots_float_blocks_at_the_fixed_point_limits(pattern, truncs, monkeypatch):
+    # blocks full of each pattern: the limbs at their largest sums, and each
+    # block cut into as few limbs as its span allows, one np.trunc pass per
+    # limb above the grid's
+    calls = []
+    real_trunc = np.trunc
+    monkeypatch.setattr(np, "trunc", lambda *args, **kw: calls.append(1) or real_trunc(*args, **kw))
     a = np.resize(np.array(pattern), 2 * SUM_BLOCK)
     ends = [SUM_BLOCK, 2 * SUM_BLOCK]  # two whole blocks, each holding the pattern
     got = prefix_dots(a, np.ones_like(a), ends)
+    monkeypatch.undo()
+    assert len(calls) == 2 * truncs
     assert got == [float(s) for s in _exact_float_sums(pattern, ends)]
     terms = a.tolist()
     assert got == [math.fsum(terms[:e]) for e in ends]
-    if any(pattern):
-        assert set(paths) == {"_fixed_point_sum" if fixed else "_frexp_sum"}
     # and a block's exact sum itself, before any rounding
     block = a[:SUM_BLOCK]
     scaled = harness._scaled_float_dot(block, np.ones_like(block), harness._float_scratch(SUM_BLOCK))
     assert scaled == _exact_float_sums(pattern, [SUM_BLOCK])[0] * 2**1126
+
+
+def test_scaled_float_dot_equals_fractions_at_any_span():
+    # random blocks whose exponents (math.frexp, -1073..1024) cover up to all
+    # 2098 binades of float64, with zeros, subnormals and +-DBL_MAX: each
+    # exact block sum, before rounding
+    rng = np.random.default_rng(29)
+    n = 512
+    scratch = harness._float_scratch(n)
+    for trial in range(200):
+        span = int(rng.integers(0, 2098))  # largest exponent less least
+        e_hi = int(rng.integers(span - 1073, 1025))
+        a = np.ldexp(rng.uniform(0.5, 1, n) * rng.choice([-1.0, 1.0], n),
+                     rng.integers(e_hi - span, e_hi + 1, n))
+        a[rng.random(n) < 0.3] = 0.0
+        if trial % 4 == 0:
+            a[:3] = [np.finfo(float).max, -np.finfo(float).max, 5e-324]
+        b = np.where(rng.random(n) < 0.5, 1.0, -0.5)
+        exact = sum(Fraction(t) for t in (a * b).tolist())  # of the float64 products
+        assert harness._scaled_float_dot(a, b, scratch) == exact * 2**1126, (trial, span)
 
 
 def test_prefix_dots_uint64_above_int64_is_exact():
@@ -452,8 +477,9 @@ def test_prefix_dots_rejects_bad_ends():
 
 
 def test_prefix_dots_memory_bounded():
-    # the blockwise pass holds O(SUM_BLOCK) scratch whatever the length; a
-    # tolist of the products would hold 4e6 Python floats (> 150 MB)
+    # the blockwise pass holds three block arrays (the products, a limb and a
+    # mask: 1.06 MiB) whatever the length; a tolist of the products would
+    # hold 4e6 Python floats (> 150 MB)
     a = np.random.default_rng(3).standard_normal(4 * 10**6)
     b = np.full_like(a, 1.5)
     tracemalloc.start()
@@ -462,7 +488,7 @@ def test_prefix_dots_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 def test_prefix_dots_integer_memory_bounded():
