@@ -96,12 +96,13 @@ def quad_symbol(a: int, m: int) -> int:
 class PrimePowerFn:
     """A multiplicative function determined by its values on prime powers.
 
-    rule(p, k) gives the value at p^k for k >= 1 and must accept either a
-    scalar prime or an ndarray of primes, which may be float64 (k is always
-    a scalar).  It must neither write into its array argument nor return
-    it, since callers hold and reuse that array.  The value
-    at k = 0 is implicitly 1.  two_rule, when given, overrides the values at
-    p = 2 (several of the built-in tables are irregular there).
+    rule(p, k) gives the value at p^k for k >= 1 (a scalar) and must accept
+    either a scalar prime or a float64 ndarray of primes; for an array it
+    returns a new float array shaped like p (a constant is written as
+    c + 0.0 * p), and it must neither write into p nor return it, since
+    callers hold and reuse that array.  The value at k = 0 is implicitly 1.
+    two_rule, when given, overrides the values at p = 2 (several of the
+    built-in tables are irregular there).
     """
 
     rule: Callable
@@ -116,14 +117,10 @@ class PrimePowerFn:
         return float(self.rule(p, k))
 
     def on_primes(self, primes: np.ndarray, k: int) -> np.ndarray:
-        """Vectorized values at p^k over an ascending array of primes."""
-        if k == 0:
-            return np.ones(len(primes))
+        """Vectorized values at p^k, k >= 1, over an ascending array of primes."""
         # rules may divide by zero at p = 2 before the override lands
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = np.asarray(self.rule(np.asarray(primes, dtype=np.float64), k), dtype=np.float64)
-        if vals.shape == ():  # rule returned a scalar constant
-            vals = np.full(len(primes), float(vals))
         if self.two_rule is not None and len(primes) and primes[0] == 2:
             vals[0] = float(self.two_rule(k))
         return vals
@@ -198,26 +195,22 @@ PRIME_BLOCK = 2**15
 PAIR_BLOCK = 2**14
 
 
-def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
-    """Ascending int64 array of the primes p with lo <= p <= limit.
+def primes_up_to(limit: int) -> np.ndarray:
+    """Ascending int64 array of the primes <= limit, from the cache.
 
-    Calls with lo = 0 are cached: a larger limit sieves only past the cached
-    one, into one array that starts with the cached primes.  Other ranges
-    are sliced from the cache when it covers them, else sieved afresh into
-    one array sized by bounds on their count, and not kept.
+    A limit at or below the cached one is sliced from the cache (the cached
+    array itself at the cached limit).  A larger one sieves only past the
+    cached limit, into one array sized by _prime_count_bound that starts
+    with the cached primes, and becomes the cache.
     """
     global _prime_cache
-    if limit < max(lo, 2):
+    if limit < 2:
         return np.empty(0, dtype=np.int64)
     cached_limit, primes = _prime_cache
-    if limit <= cached_limit:
-        if lo <= 2 and limit == cached_limit:
-            return primes
-        return primes[int(np.searchsorted(primes, lo)) :
-                      int(np.searchsorted(primes, limit, side="right"))]
-    if lo > 0:
-        out = np.empty(_prime_count_bound(limit, lo), dtype=np.int64)
-        return _sieve_range(lo, limit, out)
+    if limit == cached_limit:
+        return primes
+    if limit < cached_limit:
+        return primes[: int(np.searchsorted(primes, limit, side="right"))]
     n = len(primes)
     out = np.empty(_prime_count_bound(limit), dtype=np.int64)
     out[:n] = primes
@@ -227,40 +220,32 @@ def primes_up_to(limit: int, lo: int = 0) -> np.ndarray:
     return primes
 
 
-def _prime_count_bound(hi: int, lo: int = 0) -> int:
-    """An upper bound on the number of primes p with lo <= p <= hi (hi >= 2).
-
-    Dusart's upper bounds on pi(hi): pi(x) <= x/ln x (1 + 1.2762/ln x) for
-    x > 1, and x/ln x (1 + 1/ln x + 2.51/ln^2 x) for x >= 355991; less his
-    lower bounds on pi(lo - 1): pi(x) >= x/ln x (1 + 1/ln x) for x >= 599,
-    and x/ln x (1 + 1/ln x + 2/ln^2 x) for x >= 88783 (0 below 599).
-    """
-    ln = log(hi)
-    factor = 1 + 1 / ln + 2.51 / ln**2 if hi >= 355991 else 1 + 1.2762 / ln
-    bound = int(hi / ln * factor) + 2  # + 2 and - 2 cover the float rounding
-    if lo - 1 >= 599:
-        ln = log(lo - 1)
-        factor = 1 + 1 / ln + 2 / ln**2 if lo - 1 >= 88783 else 1 + 1 / ln
-        bound -= int((lo - 1) / ln * factor) - 2
-    return bound
+def _prime_count_bound(x: int) -> int:
+    """An upper bound on pi(x), x >= 2: Dusart's pi(x) <= x/ln x
+    (1 + 1.2762/ln x) for x > 1, and x/ln x (1 + 1/ln x + 2.51/ln^2 x) for
+    x >= 355991."""
+    ln = log(x)
+    factor = 1 + 1 / ln + 2.51 / ln**2 if x >= 355991 else 1 + 1.2762 / ln
+    return int(x / ln * factor) + 2  # + 2 covers the float rounding
 
 
 def prime_segments(limit: int) -> Iterator[np.ndarray]:
     """Yield the primes <= limit in ascending order, one sieve segment at a
     time; a segment that holds no prime is skipped.
 
-    The first segment and any the cache covers come from primes_up_to; the
-    others are sieved, past the cache, into one flag array and one output
-    array that they share, so a yielded array is valid only until the next
-    segment is asked for.  The output array is sized by the count of the
-    first such segment's wheel flags left standing, and grown only when a
-    later segment leaves more.
+    The first segment comes from primes_up_to, so it is cached.  Every
+    later one is sieved, whatever the cache holds, into one flag array and
+    one output array that they share, so a yielded array is valid only
+    until the next segment is asked for, and the cache grows only to the
+    first segment and the base primes up to sqrt(limit).  The output array
+    is sized by the count of the second segment's wheel flags left
+    standing, and grown only when a later segment leaves more.
     """
     flags = out = None
     for lo in range(0, limit + 1, SIEVE_SPAN):
         hi = min(lo + SIEVE_SPAN - 1, limit)
-        if lo == 0 or hi <= _prime_cache[0]:
-            primes = primes_up_to(hi, lo)
+        if lo == 0:
+            primes = primes_up_to(hi)
         else:
             if flags is None:
                 flags = _sieve_flags(SIEVE_SPAN)

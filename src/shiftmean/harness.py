@@ -140,7 +140,7 @@ _FIXED_LIMB = 53 - (SUM_BLOCK - 1).bit_length()
 
 
 def _float_scratch(n: int) -> tuple:
-    """Block scratch of _scaled_float_dot: terms, a limb and a nonzero mask."""
+    """Block scratch of _scaled_float_dot: terms, a limb and a zero mask."""
     return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
 
@@ -168,7 +168,7 @@ def _scaled_float_dot(a: np.ndarray, b: np.ndarray, scratch: tuple) -> int:
     takes to 0 anyway; a limb times 2^unit is the term's leading bits; and
     clearing them leaves its trailing bits.
     """
-    terms, top, nonzero = (v[: len(a)] for v in scratch)
+    terms, top, zero = (v[: len(a)] for v in scratch)
     np.multiply(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), out=terms)
     np.abs(terms, out=top)
     big = float(top.max())  # NaN propagates
@@ -177,9 +177,10 @@ def _scaled_float_dot(a: np.ndarray, b: np.ndarray, scratch: tuple) -> int:
     if big == 0.0:
         return 0
     small = float(top.min())
-    if small == 0.0:
-        np.not_equal(top, 0.0, out=nonzero)
-        small = float(np.min(top, where=nonzero, initial=math.inf))
+    if small == 0.0:  # the least nonzero |product|; the first limb overwrites top
+        np.equal(top, 0.0, out=zero)
+        np.copyto(top, math.inf, where=zero)
+        small = float(top.min())
     grid = math.frexp(small)[1] - 53
     total = 0
     for unit in range(math.frexp(big)[1] - _FIXED_LIMB, grid, -_FIXED_LIMB):

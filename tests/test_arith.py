@@ -647,6 +647,15 @@ def plain_primes():
     return plain_sieve(10**7)
 
 
+def extended_primes(lo, hi):
+    """primes_up_to(hi) from a cache cold but for the primes below lo, so
+    that the primes in [lo, hi] are sieved by _sieve_range(lo, hi, ...)
+    (from 1 when lo <= 2, where the cache stays empty; the same primes)."""
+    arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+    primes_up_to(lo - 1)
+    return primes_up_to(hi)
+
+
 @pytest.mark.parametrize("limit", [SPAN - 1, SPAN, SPAN + 1, 10**7])
 def test_primes_up_to_equals_plain_sieve(limit, plain_primes, cold_primes):
     got = primes_up_to(limit)
@@ -655,19 +664,12 @@ def test_primes_up_to_equals_plain_sieve(limit, plain_primes, cold_primes):
 
 
 def test_primes_up_to_ranges_equal_plain_sieve(plain_primes, cold_primes):
-    def expect(lo, hi):
-        return plain_primes[(plain_primes >= lo) & (plain_primes <= hi)]
-
     ranges = [(lo, hi) for lo in range(5) for hi in (lo, 1, 2, 3, 4, 5, 9, 10**4)]
     ranges += [(SPAN - 9, SPAN + 9), (SPAN - 1, SPAN), (SPAN, SPAN), (SPAN + 1, 2 * SPAN + 1),
                (1000, 2 * SPAN + 7), (SPAN // 2, SPAN + 10**5)]
-    for warm in (0, 100, SPAN + 5):  # empty, short and longer cache than the range
-        arith._prime_cache = (0, np.empty(0, dtype=np.int64))
-        primes_up_to(warm)
-        for lo, hi in ranges:
-            assert np.array_equal(primes_up_to(hi, lo), expect(lo, hi)), (warm, lo, hi)
-    # a range past the cache does not grow it
-    assert arith._prime_cache[0] == SPAN + 5
+    for lo, hi in ranges:
+        got = extended_primes(lo, hi)
+        assert np.array_equal(got, plain_primes[plain_primes <= hi]), (lo, hi)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "mixed"])
@@ -697,6 +699,19 @@ def test_prime_segments_cover_the_primes_once(plain_primes, cold_primes):
     assert [s[-1] for s in prime_segments(SPAN + 14)] == [plain_primes[plain_primes < SPAN][-1]]
 
 
+def test_prime_segments_over_a_warm_cache(plain_primes, cold_primes):
+    # the cache covers the first two segments and the start of the third;
+    # every segment past the first is sieved all the same, and the cache
+    # neither grows nor shrinks
+    primes_up_to(2 * SPAN + 5)
+    segments = [s.copy() for s in prime_segments(10**7)]
+    assert len(segments) == -(-(10**7 + 1) // SPAN)
+    for i, seg in enumerate(segments):
+        assert seg[0] >= i * SPAN and seg[-1] < (i + 1) * SPAN
+    assert np.array_equal(np.concatenate(segments), plain_primes)
+    assert arith._prime_cache[0] == 2 * SPAN + 5
+
+
 def test_prime_segments_past_the_cache_share_one_array(plain_primes, cold_primes, monkeypatch):
     # 2,442 segments of 2^12: no later segment leaves more wheel flags than
     # the first sieved one, so none allocates; sized by Dusart's bounds,
@@ -715,10 +730,9 @@ def test_primes_up_to_every_small_range(cold_primes):
     expected = plain_sieve(200)
     for lo in range(201):
         for hi in range(lo, 201):
-            arith._prime_cache = (0, np.empty(0, dtype=np.int64))
-            got = primes_up_to(hi, lo)
+            got = extended_primes(lo, hi)
             assert got.dtype == np.int64
-            assert np.array_equal(got, expected[(expected >= lo) & (expected <= hi)]), (lo, hi)
+            assert np.array_equal(got, expected[expected <= hi]), (lo, hi)
 
 
 def test_primes_up_to_ranges_ending_around_the_wheel(plain_primes, cold_primes):
@@ -727,18 +741,16 @@ def test_primes_up_to_ranges_ending_around_the_wheel(plain_primes, cold_primes):
     for lo in [0] + ends:
         for hi in ends:
             if lo <= hi:
-                arith._prime_cache = (0, np.empty(0, dtype=np.int64))
-                expect = plain_primes[(plain_primes >= lo) & (plain_primes <= hi)]
-                assert np.array_equal(primes_up_to(hi, lo), expect), (lo, hi)
+                expect = plain_primes[plain_primes <= hi]
+                assert np.array_equal(extended_primes(lo, hi), expect), (lo, hi)
 
 
 def test_primes_up_to_range_starting_at_a_base_prime_square(plain_primes, cold_primes):
     # the first multiple a base prime p marks is p^2 itself
     for p in (5, 7, 11, 13, 1009, 3001):
         for hi in (p * p, p * p + 1, p * p + 5000):
-            arith._prime_cache = (0, np.empty(0, dtype=np.int64))
-            expect = plain_primes[(plain_primes >= p * p) & (plain_primes <= hi)]
-            assert np.array_equal(primes_up_to(hi, p * p), expect), (p, hi)
+            expect = plain_primes[plain_primes <= hi]
+            assert np.array_equal(extended_primes(p * p, hi), expect), (p, hi)
 
 
 def test_cold_primes_up_to_holds_its_primes_once(cold_primes):
@@ -762,32 +774,6 @@ def test_prime_count_bound_holds_at_every_prime(plain_primes):
     assert all(b >= k for k, b in enumerate(bounds, start=1))
 
 
-def test_prime_count_bound_of_a_range_holds_at_every_prime(plain_primes):
-    # the bound on [lo, 10^7] is the one on [0, 10^7] less a lower bound on
-    # pi(lo - 1), which is k - 1 at the k-th prime lo, so it holds for every
-    # lo - 1 < 10^7 when it holds there; the second bound takes over at 88,783
-    top = arith._prime_count_bound(10**7)
-    lows = [top - arith._prime_count_bound(10**7, p) for p in plain_primes.tolist()]
-    assert all(low <= k for k, low in enumerate(lows))
-    assert top - arith._prime_count_bound(10**7, 10**7 + 1) <= len(plain_primes)
-
-
-def test_primes_up_to_range_past_the_cache_holds_its_primes_once(cold_primes):
-    # the 5,096,876 primes of (10^7, 10^8] (38.9 MiB) are sieved straight
-    # into one array sized by bounds on pi, next to 1.4 MiB of flags: 40.4
-    # MiB measured; joining per-segment arrays peaked at 79.1 MiB
-    primes_up_to(10**4)  # the base primes, so only the range counts
-    tracemalloc.start()
-    try:
-        got = primes_up_to(10**8, 10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * got.nbytes
-    everything = primes_up_to(10**8)
-    assert np.array_equal(got, everything[np.searchsorted(everything, 10**7):])
-
-
 @pytest.mark.parametrize("block", [2, 6])
 def test_primes_up_to_at_a_small_block(block, monkeypatch, plain_primes, cold_primes):
     # flags turned into primes a few at a time, so block edges fall
@@ -799,21 +785,23 @@ def test_primes_up_to_at_a_small_block(block, monkeypatch, plain_primes, cold_pr
     for lo in range(0, 60):
         for hi in (lo, lo + 1, lo + 7, 400):
             if lo <= hi:
-                arith._prime_cache = (0, np.empty(0, dtype=np.int64))
-                expect = plain_primes[(plain_primes >= lo) & (plain_primes <= hi)]
-                assert np.array_equal(primes_up_to(hi, lo), expect), (lo, hi)
+                expect = plain_primes[plain_primes <= hi]
+                assert np.array_equal(extended_primes(lo, hi), expect), (lo, hi)
 
 
 def test_sieve_segment_memory(cold_primes):
-    # the wheel keeps 1.4 MiB of flags for the 4,194,304 integers, and the
-    # 228,778 primes need an int64 array, filled PRIME_BLOCK flags at a
-    # time: 3.19 MiB measured (4.85 MiB with one int64 temporary as long)
+    # beside the output, the wheel keeps 1.4 MiB of flags for the 4,194,304
+    # integers, and their 228,778 primes are written PRIME_BLOCK flags at a
+    # time: 1.50 MiB measured (an int64 temporary as long as the output
+    # would add 1.75 MiB)
     lo, hi = 9 * 10**7, 9 * 10**7 + SPAN - 1
     primes_up_to(isqrt(hi))  # warm the base primes so only the segment counts
+    out = np.empty(len(arith._sieve_flags(SPAN)), dtype=np.int64)  # room for a prime per flag
     tracemalloc.start()
     try:
-        primes_up_to(hi, lo)
+        got = arith._sieve_range(lo, hi, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 2**20
+    assert len(got) == 228778
+    assert peak < 1.75 * 2**20
