@@ -136,6 +136,8 @@ def _cmd_constant(args) -> int:
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
     if args.target != "c2":
         _check_shift(args.shift, cutoff)
+    elif args.shift != 1:
+        raise UsageError(f"--shift: c2 does not depend on the shift; omit it (got {args.shift})")
     _echo_config(args, prime_cutoff=cutoff)
     if args.target == "c2":
         ev = curveconst.twin_prime_constant(cutoff)

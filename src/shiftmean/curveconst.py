@@ -30,12 +30,11 @@ from .arith import (
     eval_multiplicative,
     factorize_trial,
     multiplicative_table,
-    prime_segments,
     primes_up_to,
     quad_symbol,
     segmented_table,
 )
-from .euler import EulerProductValue
+from .euler import EulerProductValue, fold_local_factors
 from .harness import RunningSum, prefix_dots, shifted_sum
 from .reports import MeanValueReport
 
@@ -294,25 +293,20 @@ def _qr_table(p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Constants
 
+def _twin_prime_local(primes: np.ndarray, out: np.ndarray) -> tuple:
+    """c2's local factors 1 + s at the odd primes: s = -1/(p-1)^2, into out."""
+    odd = primes[1:] if primes[0] == 2 else primes
+    x = np.subtract(odd, 1.0, out=out[: len(odd)])  # p - 1 as float64
+    x *= x
+    return np.divide(-1.0, x, out=x), 0.0, 1
+
+
 def twin_prime_constant(prime_cutoff: int) -> EulerProductValue:
     """prod_{2 < p <= cutoff} (1 - 1/(p-1)^2), with certified crude tail 2/(P-1)
     and a sharper prime-density estimate alongside."""
     if prime_cutoff < 3:
         raise ValueError(f"prime cutoff must be >= 3, got {prime_cutoff}")
-    log_sum = 0.0
-    # one scratch array serves every segment (the first holds the most
-    # primes), so no segment draws fresh pages for its p - 1
-    scratch = np.empty(0)
-    for primes in prime_segments(prime_cutoff):
-        if primes[0] == 2:
-            primes = primes[1:]
-        if len(scratch) < len(primes):
-            scratch = np.empty(len(primes))
-        x = np.subtract(primes, 1.0, out=scratch[: len(primes)])  # p - 1 as float64
-        x *= x
-        np.divide(-1.0, x, out=x)
-        log_sum += np.sum(np.log1p(x, out=x))
-    value = float(np.exp(log_sum))
+    value = fold_local_factors(prime_cutoff, _twin_prime_local)[0]
     crude = 2.0 / (prime_cutoff - 1)
     sharp = abs(value) / (prime_cutoff * (math.log(prime_cutoff) - 1.0))
     return EulerProductValue(

@@ -11,6 +11,7 @@ live with the tests, in tests/oracles.py.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,16 +148,17 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray, sums: np.ndarray) -> 
     """Per-prime sums over k >= 1 of (f(p^k) + g(p^k)) / p^k on ascending
     primes, written into sums (float64, one entry per prime, zeroed here).
 
-    Also returns the k = 1 envelope max p^2 |term| and the last k used: each
-    series runs until p^k passes POWER_CEILING for every prime or all its
-    terms fall below TERM_FLOOR.  Each k walks the primes FOLD_CHUNK at a
-    time; the envelope (NaN if any term is) and the stop test reduce over
-    the chunks as over one array, and each chunk's primes are converted to
-    float64 on their own, so no float copy of the whole segment is held.
+    Also returns the k = 1 envelope max p^2 |term| and the depth: the last k
+    once p^k passes POWER_CEILING for every prime, else the first of two k in a
+    row whose terms all fall below TERM_FLOOR (khat's vanish at odd k at p = 2).
+    Each k walks the primes FOLD_CHUNK at a time; the envelope (NaN if any term
+    is) and the stop test reduce over the chunks as over one array, and each
+    chunk's primes become float64 alone, so no float copy of the segment is held.
     """
     sums.fill(0.0)
     envelope = 0.0
     depth_used = 0
+    dead = False
     for k in itertools.count(1):
         hi = len(primes)
         if int(primes[-1]) ** k > POWER_CEILING:
@@ -174,29 +176,19 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray, sums: np.ndarray) -> 
                 envelope = float(np.maximum(envelope, np.max(np.abs(terms) * sub * sub)))
             sums[a : a + len(sub)] += terms
             live = live or bool(np.any(np.abs(terms) >= TERM_FLOOR))
-        depth_used = k
-        if not live:
+        if dead and not live:
             break
+        depth_used, dead = k, not live
     return sums, envelope, depth_used
 
 
-def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProductValue:
-    """The constant multiplying the main term of the shifted mean value.
+def fold_local_factors(prime_cutoff: int, local) -> tuple:
+    """(product of 1 + s_p over primes p <= prime_cutoff, max envelope, max depth).
 
-    Product over primes p <= prime_cutoff of the local factors, times the
-    shift correction at each prime dividing the shift.  Primes arrive one
-    sieve segment at a time, and each segment's local power series end as in
-    _local_sums; power_depth is the largest last k.  Deterministic for fixed
-    inputs: primes are folded in ascending order, as a sum of log|factor|
-    and a count of negative factors.
+    Per sieve segment, local(primes, out) writes s_p into a prefix of out and
+    returns (that prefix, envelope, depth).  Primes fold in ascending order, as
+    a sum of log|1 + s_p| and a count of negative factors, so it is deterministic.
     """
-    h_fac = factorize_trial(pair.shift) if pair.shift > 1 else []
-    if h_fac and h_fac[-1][0] > prime_cutoff:
-        raise ValueError(
-            f"prime cutoff {prime_cutoff} below largest prime {h_fac[-1][0]} of shift"
-        )
-    if prime_cutoff < 2:
-        raise ValueError(f"prime cutoff {prime_cutoff} admits no primes")
     log_sum, negative = 0.0, False
     envelope = 0.0
     depth_used = 0
@@ -207,7 +199,7 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProd
     for primes in prime_segments(prime_cutoff):
         if len(scratch) < len(primes):
             scratch = np.empty(len(primes))
-        sums, segment_envelope, segment_depth = _local_sums(pair, primes, scratch[: len(primes)])
+        sums, segment_envelope, segment_depth = local(primes, scratch[: len(primes)])
         envelope = max(envelope, segment_envelope)
         depth_used = max(depth_used, segment_depth)
         below = sums < -1.0
@@ -220,6 +212,21 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProd
             log_sum += np.sum(np.log1p(sums, out=sums))
         del sums, below, primes  # so the next segment is sieved without this one held
     value = float(-np.exp(log_sum) if negative else np.exp(log_sum))
+    return value, envelope, depth_used
+
+
+def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProductValue:
+    """The constant multiplying the main term of the shifted mean value: the fold
+    of _local_sums over primes p <= prime_cutoff, times the shift correction
+    at each prime dividing the shift; power_depth is the largest depth."""
+    h_fac = factorize_trial(pair.shift) if pair.shift > 1 else []
+    if h_fac and h_fac[-1][0] > prime_cutoff:
+        raise ValueError(
+            f"prime cutoff {prime_cutoff} below largest prime {h_fac[-1][0]} of shift"
+        )
+    if prime_cutoff < 2:
+        raise ValueError(f"prime cutoff {prime_cutoff} admits no primes")
+    value, envelope, depth = fold_local_factors(prime_cutoff, functools.partial(_local_sums, pair))
 
     for p, nu in h_fac:
         value *= shift_local_factor(pair.f, pair.g, p, nu, _max_depth(p))
@@ -230,6 +237,6 @@ def shifted_mean_constant(pair: ShiftedPairSpec, prime_cutoff: int) -> EulerProd
     return EulerProductValue(
         value=value,
         prime_cutoff=prime_cutoff,
-        power_depth=depth_used,
+        power_depth=depth,
         tail_bound=tail,
     )

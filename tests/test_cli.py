@@ -153,6 +153,14 @@ def test_cutoff_out_of_range_exits_2(capsys):
     assert "prime-cutoff" in err
 
 
+@pytest.mark.parametrize("shift", ["0", "-7", "2"])
+def test_c2_with_a_shift_exits_2(shift, capsys):
+    # c2 does not depend on the shift, so only the default is accepted
+    code, out, err = run_cli(["constant", "c2", "--shift", shift, "--prime-cutoff", "1e3"], capsys)
+    assert code == 2
+    assert out == "" and "--shift" in err
+
+
 def test_runtime_error_exits_1(tmp_path, capsys):
     out = tmp_path / "missing" / "out.json"
     code, _, err = run_cli(["eval", "totient", "10", "--output", str(out)], capsys)
@@ -301,14 +309,14 @@ GOLDEN_STDOUT = {
         "4abaec8cc9be1df64ee02d7bd2b43bd14a6a648a31b41dcb6b7ae26611e80c6b",
     "meanvalue jordan-3 --x-grid 1000,100000":
         "ecf42c8eae79adb229f1a1f95b8d8bed1d0570d12e3ef1935c0fb6a3f3a94ff3",
-    # re-recorded when khat's G2 G4 table became curveconst.averaged_order_part_fn
-    # rather than the divisor sums of averaged_order_kernel: `empirical` moved
-    # by 1 ulp (229924.20364124308 -> ...305; 40 digits: 229924.2036412430651)
+    # re-recorded when khat's power series stopped only at the second k in a
+    # row with every term below TERM_FLOOR: the constant gained the terms
+    # 3/4^k, k = 24, 26, ..., at p = 2 it used to drop (power_depth 23 -> 35),
+    # so `predicted`, `residual` and `normalized` moved in their last digits
     "meanvalue khat --shift 6 --x-grid 1000,150000 --format json":
-        "96327c5a4c3a6ed8393e9763c6fadbc9820e1551cb76a1b84829092dff684c98",
-    # recorded before the --depth option was removed
+        "aaf824ff5f661bcfbc66848166480584400ce2b46c553785ec1174e2f275b0b4",
     "constant khat --shift 12 --prime-cutoff 1e5":
-        "df29c35e0a0b683e35a65cfc07bfe11ae7d108806d9490a1ff76313fbf9ccd14",
+        "51a93dc165b05d1cbf1ee8df643f865199f0beac1b19eb22fe3fc9cfc14dadd8",
     "constant jordan-3 --shift 30 --prime-cutoff 1e5":
         "2da483a12f2bfcda2207c038e2367880ac2423ec473ec7a8b75c41782b7b089d",
     # recorded before integer sums went through 21-bit limbs; each spans
@@ -323,9 +331,9 @@ GOLDEN_STDOUT = {
         "16e60d6b2f4325c3b5493dd1e9773f9fb5dcc061caa75c7f89ed781ff604ef33",
     "meanvalue phi --shift 3 --x-grid 1000,65538,65539,65540,131075,200000":
         "20185cfb6f63abdc43fdc2d060487fc388ccb959f678881a60558adb3ae21d65",
-    # re-recorded with the khat entry above: four rows' `empirical` moved by 1 ulp
+    # re-recorded with the khat entries above, for the same change of constant
     "meanvalue khat --shift 6 --x-grid 1000,65542,65543,131078,131079,150000 --format json":
-        "eaba2690928bbc31e1e40ea8328b93e2b3df7092228335ada6b5194dbf472047",
+        "ee8c5988a72904eec510a10821059d6de43c239f1ac6b8cb3c4e3da668828788",
     # recorded before `verify t2a|t2b|t3` summed through harness.shifted_sum;
     # with shift 1, x = 65537 ends exactly on a SUM_BLOCK edge
     "verify t2b --x-grid 2,3,65537,65538,1000000":

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftmean import arith, curveconst, euler
+from shiftmean import arith, euler
 from shiftmean.arith import PrimePowerFn, multiplicative_table, primes_up_to
 from shiftmean.curveconst import twin_prime_constant
 from shiftmean.euler import (
@@ -253,13 +253,37 @@ def test_segmented_constants_match_one_fold_of_every_prime(cutoff, monkeypatch):
     # prime.  Folding segment by segment moves the log-space fold by at most
     # 2 ulp from one fold over the whole prime array
     split = _constants(cutoff)
-    for module in (euler, curveconst):
-        monkeypatch.setattr(module, "prime_segments", lambda limit: iter([plain_sieve(limit)]))
+    monkeypatch.setattr(euler, "prime_segments", lambda limit: iter([plain_sieve(limit)]))
     whole = _constants(cutoff)
     for name, c in split.items():
         assert abs(c.value - whole[name].value) <= 2 * np.spacing(abs(whole[name].value)), name
         assert c.power_depth == whole[name].power_depth, name
         assert c.tail_bound == pytest.approx(whole[name].tail_bound, rel=1e-12), name
+
+
+def test_c2_folds_the_primes_of_the_shared_stream(monkeypatch):
+    # c2 and the presets fold through euler.fold_local_factors: a stream of
+    # the primes 2 and 3 alone leaves c2's one odd factor, 1 - 1/4
+    monkeypatch.setattr(euler, "prime_segments", lambda limit: iter([np.array([2, 3])]))
+    assert twin_prime_constant(10**6).value == 0.75
+
+
+def test_power_series_stops_at_the_second_dead_k():
+    # khat's terms at p = 2 are 0 at odd k and 3/4^k at even k, live to k = 34;
+    # the depth is the first of the two dead k, 35 and 36
+    assert shifted_mean_constant(get_preset("khat").pair, 10**3).power_depth == 35
+
+
+@pytest.mark.parametrize("cutoff", [10**3, 10**5, arith.SIEVE_SPAN + 14])
+def test_order_constants_at_shift_one_are_their_means_over_c2(cutoff):
+    # kstar, kstar-odd and khat times c2 are the products of their L_2
+    # factors with c2's, which cancel to 1, 1/3 and 31/30 at every cutoff.
+    # khat's series at p = 2 vanishes at every odd k; stopping at the first
+    # k with no live term dropped 3/4^k for k >= 24 and read 52 ulp low
+    c2 = twin_prime_constant(cutoff).value
+    for name, mean in (("kstar", 1.0), ("kstar-odd", 1 / 3), ("khat", 31 / 30)):
+        value = shifted_mean_constant(get_preset(name).pair, cutoff).value * c2
+        assert abs(value - mean) <= 4 * np.spacing(mean), name
 
 
 def test_signed_constant_matches_an_exact_log_sum():
@@ -288,7 +312,7 @@ def _constant_peak(name, monkeypatch):
 @pytest.mark.parametrize("name", ["c2", "kstar"])
 def test_constant_memory_is_bounded_by_a_segment(name, monkeypatch):
     # one whole-array sieve to 2e7 alone peaks past 40 MiB; streamed segments
-    # need a few MiB each, whatever the cutoff: 8.02 (c2) and 8.66 MiB (kstar)
+    # need a few MiB each, whatever the cutoff: 8.16 (c2) and 8.65 MiB (kstar)
     # measured
     assert _constant_peak(name, monkeypatch) < 16 * 2**20
 
@@ -296,13 +320,15 @@ def test_constant_memory_is_bounded_by_a_segment(name, monkeypatch):
 @pytest.mark.parametrize("name", ["c2", "kstar"])
 def test_constant_fold_releases_each_segment(name, monkeypatch):
     # the segments past the first are sieved into one flag array and one
-    # output array that they share, c2's and kstar's folds each reuse one
-    # scratch array sized by the first segment, each kstar step drops its
-    # arrays before the next segment is sieved, and the fold converts
-    # primes to float one FOLD_CHUNK at a time: 8.00 (c2) and 8.65 MiB
-    # (kstar) measured; with a fresh kstar scratch array per segment, 9.95
-    # MiB, with chunks of 2^15 primes 9.29 MiB, and with a kstar step that
-    # keeps its arrays into the next segment's sieve 8.94 MiB (kstar)
+    # output array that they share, c2 and kstar fold through one loop that
+    # reuses one scratch array sized by the first segment, each step drops
+    # its arrays before the next segment is sieved, and kstar's power series
+    # converts primes to float one FOLD_CHUNK at a time: 8.16 (c2) and 8.65
+    # MiB (kstar) measured; c2's own loop, without the sign pass's bool
+    # array, peaked at 8.00 MiB (c2); with a fresh kstar scratch array per
+    # segment, 9.95 MiB, with chunks of 2^15 primes 9.29 MiB, and with a
+    # kstar step that keeps its arrays into the next segment's sieve 8.94
+    # MiB (kstar)
     assert _constant_peak(name, monkeypatch) < 8.8 * 2**20
 
 
