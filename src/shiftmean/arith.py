@@ -1,11 +1,11 @@
 """Sieve-backed integer arithmetic.
 
 One segmented prime sieve (on the 6k+-1 wheel, SIEVE_SPAN integers at a
-time in 1.4 MiB of flags, so a caller that streams its segments holds a
-bounded amount whatever the limit), trial-division factorization, Jacobi
-symbols, multiplicative functions defined by their values on prime powers,
-and one prime-power sieve that tabulates them (float or exact) over an
-interval.
+time in 1.4 MiB of flags, into int32 prime lists, so a caller that streams
+its segments holds a bounded amount whatever the limit), trial-division
+factorization, Jacobi symbols, multiplicative functions defined by their
+values on prime powers, and one prime-power sieve that tabulates them
+(float or exact) over an interval.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ def factorize_trial(n: int) -> Factorization:
 
     Trial division by 2 and the odd numbers below TRIAL_BOUND, then by the
     primes up to the square root of what is left, tested a sieve segment
-    at a time (prime_segments), so a large n caches no primes past the
-    first segment.
+    at a time (prime_segments), so a large n caches only the base primes
+    up to the fourth root of n.  The int32 primes are divided into n in
+    int64 (n < 2^63) or as Python ints; an n that would need a prime past
+    PRIME_MAX raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -52,11 +54,11 @@ def factorize_trial(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if p * p <= m:
         for primes in prime_segments(isqrt(m)):
-            primes = primes[int(np.searchsorted(primes, p)) :]
+            primes = primes[count_up_to(primes, p - 1) :]
             if not len(primes) or int(primes[0]) ** 2 > m:
                 break
             # every divisor found divides what is left of m once the smaller ones are out
-            rem = m % (primes if m < 2**63 else primes.astype(object))
+            rem = np.int64(m) % primes if m < 2**63 else m % primes.astype(object)
             for q in primes[np.flatnonzero(rem == 0)].tolist():
                 if q * q > m:
                     break
@@ -173,9 +175,14 @@ def jordan_totient(n: int, k: int) -> int:
 # time.  The folds sum per segment, so the boundaries fix their last bits.
 SIEVE_SPAN = 2**22
 
+# Every prime list is int32, 4 bytes a prime, so primes go up to PRIME_MAX,
+# past every CLI ceiling: --prime-cutoff 2e9, x 5e7, sqrt(n) 1e8.
+PRIME_DTYPE = np.int32
+PRIME_MAX = int(np.iinfo(PRIME_DTYPE).max)
+
 # (limit, primes <= limit); replaced in one assignment so a reader never
 # pairs a limit with a prime list sieved for another.
-_prime_cache: tuple = (0, np.empty(0, dtype=np.int64))
+_prime_cache: tuple = (0, np.empty(0, dtype=PRIME_DTYPE))
 
 # Entries per segment of the table sieve.  A table is filled one segment at
 # a time, so beside its output the sieve holds one segment's scratch: one
@@ -195,24 +202,34 @@ PRIME_BLOCK = 2**15
 PAIR_BLOCK = 2**14
 
 
+def count_up_to(primes: np.ndarray, x: int) -> int:
+    """How many of the ascending primes are <= x, 0 <= x <= PRIME_MAX.  The
+    key takes the primes' dtype: searchsorted copies int32 primes to int64
+    first for a key of any other."""
+    return int(np.searchsorted(primes, primes.dtype.type(x), side="right"))
+
+
 def primes_up_to(limit: int) -> np.ndarray:
-    """Ascending int64 array of the primes <= limit, from the cache.
+    """Ascending int32 array of the primes <= limit, from the cache.
 
     A limit at or below the cached one is sliced from the cache (the cached
     array itself at the cached limit).  A larger one sieves only past the
     cached limit, into one array sized by _prime_count_bound that starts
-    with the cached primes, and becomes the cache.
+    with the cached primes, and becomes the cache.  A limit past PRIME_MAX
+    raises ValueError.
     """
     global _prime_cache
     if limit < 2:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=PRIME_DTYPE)
+    if limit > PRIME_MAX:
+        raise ValueError(f"primes are sieved up to {PRIME_MAX}, not {limit}")
     cached_limit, primes = _prime_cache
     if limit == cached_limit:
         return primes
     if limit < cached_limit:
-        return primes[: int(np.searchsorted(primes, limit, side="right"))]
+        return primes[: count_up_to(primes, limit)]
     n = len(primes)
-    out = np.empty(_prime_count_bound(limit), dtype=np.int64)
+    out = np.empty(_prime_count_bound(limit), dtype=PRIME_DTYPE)
     out[:n] = primes
     n += len(_sieve_range(cached_limit + 1, limit, out[n:]))
     primes = out[:n]
@@ -233,53 +250,55 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
     """Yield the primes <= limit in ascending order, one sieve segment at a
     time; a segment that holds no prime is skipped.
 
-    The first segment comes from primes_up_to, so it is cached.  Every
-    later one is sieved, whatever the cache holds, into one flag array and
-    one output array that they share, so a yielded array is valid only
+    Every segment, the first included, is sieved whatever the cache holds,
+    into one flag array (for min(SIEVE_SPAN, limit + 1) integers) and one
+    int32 output array that they share, so a yielded array is valid only
     until the next segment is asked for, and the cache grows only to the
-    first segment and the base primes up to sqrt(limit).  The output array
-    is sized by the count of the second segment's wheel flags left
-    standing, and grown only when a later segment leaves more.
+    base primes up to sqrt(limit).  The output array is sized by the first
+    segment's count of primes and wheel flags left standing, and grown only
+    when a later segment leaves more.  A limit past PRIME_MAX raises
+    ValueError once the segments up to PRIME_MAX are out.
     """
-    flags = out = None
-    for lo in range(0, limit + 1, SIEVE_SPAN):
-        hi = min(lo + SIEVE_SPAN - 1, limit)
-        if lo == 0:
-            primes = primes_up_to(hi)
-        else:
-            if flags is None:
-                flags = _sieve_flags(SIEVE_SPAN)
-            is_prime = _mark_wheel(lo, hi, primes_up_to(isqrt(hi))[2:], flags)
-            count = int(np.count_nonzero(is_prime))
-            if out is None or len(out) < count:
-                out = None  # freed before the larger one is allocated
-                out = np.empty(count, dtype=np.int64)
-            primes = _wheel_primes(lo, hi, is_prime, out)
+    if limit < 2:
+        return
+    out = np.empty(0, dtype=PRIME_DTYPE)
+    for lo, hi, is_prime in _marked_segments(0, min(limit, PRIME_MAX)):
+        count = int(np.count_nonzero(is_prime)) + 2  # + 2 for 2 and 3
+        if len(out) < count:
+            out = None  # freed before the larger one is allocated
+            out = np.empty(count, dtype=PRIME_DTYPE)
+        primes = _wheel_primes(lo, hi, is_prime, out)
         if len(primes):
             yield primes
         del primes  # else its view would keep the last out alive beside a grown one
+    if limit > PRIME_MAX:
+        raise ValueError(f"primes are sieved up to {PRIME_MAX}, not {limit}")
+
+
+def _sieve_range(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi], written to the head of out, which must have room
+    for them; that view is returned."""
+    filled = 0
+    for start, end, is_prime in _marked_segments(lo, hi):
+        filled += len(_wheel_primes(start, end, is_prime, out[filled:]))
+    return out[:filled]
+
+
+def _marked_segments(lo: int, hi: int) -> Iterator[tuple]:
+    """(start, end, is_prime) for [lo, hi] cut into SIEVE_SPAN integers at a
+    time, is_prime from _mark_wheel in one flag array that they share, over
+    the base primes up to sqrt(hi) from primes_up_to."""
+    flags = _sieve_flags(min(SIEVE_SPAN, hi - lo + 1))
+    wheel_base = primes_up_to(isqrt(hi))[2:]
+    for start in range(lo, hi + 1, SIEVE_SPAN):
+        end = min(start + SIEVE_SPAN - 1, hi)
+        base = wheel_base[: count_up_to(wheel_base, isqrt(end))]
+        yield start, end, _mark_wheel(start, end, base, flags)
 
 
 def _sieve_flags(span: int) -> np.ndarray:
     """Flags enough for _mark_wheel over any span consecutive integers."""
     return np.empty(2 * ((span - 1) // 6 + 2), dtype=bool)
-
-
-def _sieve_range(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi], sieved SIEVE_SPAN integers at a time into one
-    flag array and written to the head of out, which must have room for
-    them; that view is returned."""
-    flags = _sieve_flags(min(SIEVE_SPAN, hi - lo + 1))
-    wheel_base = primes_up_to(isqrt(hi))[2:]
-    small = [p for p in (2, 3) if lo <= p <= hi]
-    out[: len(small)] = small
-    filled = len(small)
-    for start in range(lo, hi + 1, SIEVE_SPAN):
-        end = min(start + SIEVE_SPAN - 1, hi)
-        base = wheel_base[: int(np.searchsorted(wheel_base, isqrt(end), side="right"))]
-        is_prime = _mark_wheel(start, end, base, flags)
-        filled += len(_wheel_primes(start, end, is_prime, out[filled:]))
-    return out[:filled]
 
 
 def _mark_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -291,6 +310,7 @@ def _mark_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray) -> np.nda
     # the odd ones n = 5 (mod 6), so each class of a prime p recurs every 2p entries
     is_prime = flags[: 2 * (hi // 6 - k0 + 1)]
     is_prime[:] = True
+    base = base.astype(np.int64)  # the first multiples pass 2^31 near PRIME_MAX
     firsts = []
     for r in (1, 5):
         # first multiple p c >= max(p^2, 6 k0 + r) with p c = r (mod 6): since
@@ -307,11 +327,13 @@ def _mark_wheel(lo: int, hi: int, base: np.ndarray, flags: np.ndarray) -> np.nda
 
 
 def _wheel_primes(lo: int, hi: int, is_prime: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The primes in [lo, hi] that _mark_wheel(lo, hi, ...) left standing,
-    written to the head of out, which must have room for them; that view
-    is returned."""
+    """The primes 2 and 3 that lie in [lo, hi], then those in [lo, hi] that
+    _mark_wheel(lo, hi, ...) left standing, written to the head of out,
+    which must have room for them; that view is returned."""
     k0 = lo // 6
-    filled = 0
+    small = [p for p in (2, 3) if lo <= p <= hi]
+    out[: len(small)] = small
+    filled = len(small)
     for j in range(0, len(is_prime), PRIME_BLOCK):
         n = np.flatnonzero(is_prime[j : j + PRIME_BLOCK])
         # with i = j + n: 3i + 1 + (i & 1) = (3i + 1) | 1, and 6 k0 is even
@@ -358,7 +380,7 @@ class _PrimePowerSieve:
             if powers:
                 self.small.append((step, powers))
         primes = primes_up_to(limit)
-        big = primes[int(np.searchsorted(primes, isqrt(limit), side="right")) :]
+        big = primes[count_up_to(primes, isqrt(limit)) :]
         self.big_unit = all((np.asarray(on_big(big[c : c + PAIR_BLOCK])) == 1).all()
                             for c in range(0, len(big), PAIR_BLOCK))
 
@@ -382,21 +404,23 @@ class _PrimePowerSieve:
             out[m0 * step - lo :: step] *= factors[:n]
         del factors
         if not self.big_unit:
+            # an entry has at most one prime past sqrt(limit), so a block's
+            # positions are distinct and each gets exactly one multiply
             for big, at in self._big_pairs(lo, hi):
-                out[at] *= np.asarray(self.on_big(big), dtype=self.dtype)
+                np.multiply.at(out, at, np.asarray(self.on_big(big), dtype=self.dtype))
 
     def _big_pairs(self, lo: int, hi: int) -> Iterator[tuple]:
         """(P, P q - lo) for the big primes P and cofactors q with
         lo <= P q < hi, a block of whole cofactors at a time: at most
         PAIR_BLOCK pairs, unless one cofactor alone has more."""
         primes = primes_up_to(self.limit)
-        big = primes[int(np.searchsorted(primes, isqrt(self.limit), side="right")) :
-                     int(np.searchsorted(primes, hi - 1, side="right"))]
+        big = primes[count_up_to(primes, isqrt(self.limit)) : count_up_to(primes, hi - 1)]
         if not len(big):
             return
         qs = np.arange(1, (hi - 1) // int(big[0]) + 1)
-        first = np.searchsorted(big, -(-lo // qs))  # the P of cofactor q are big[first : first + count]
-        counts = np.searchsorted(big, (hi - 1) // qs, side="right") - first
+        # the P of cofactor q are big[first : first + count]; keys in the primes' dtype
+        first = np.searchsorted(big, (-(-lo // qs)).astype(big.dtype))
+        counts = np.searchsorted(big, ((hi - 1) // qs).astype(big.dtype), side="right") - first
         ends = np.cumsum(counts)
         a = 0
         while a < len(qs):

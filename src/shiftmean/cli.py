@@ -29,15 +29,18 @@ from .reports import csv_text, dumps_json
 DEFAULT_GRID_START = 1000
 
 # eval factors n by trial division by sieved primes: a prime near 1e16
-# takes about 0.2 s and 39 MB RSS, sieving the primes to 1e8 a segment at
+# takes about 0.3 s and 37 MB RSS, sieving the primes to 1e8 a segment at
 # a time.
 MAX_EVAL_N = 10**16
 
 # meanvalue and verify read every table one segment at a time, so a run
-# holds its segments and the primes up to x, 8 bytes each: 39-45 MB RSS at
-# x = 1e7 for phi, jordan-2, kstar, t3 and gap, and 75 MB for meanvalue
-# jordan-3 at this ceiling, whose tables hold Python ints (29 s).
+# holds its segments and the primes up to x, 4 bytes each: 36-41 MB RSS at
+# x = 1e7 for phi, jordan-2, kstar, t3 and gap, and 64 MB for meanvalue
+# jordan-3 at this ceiling, whose tables hold Python ints (23 s).
 MAX_X = 5 * 10**7
+
+# Largest --prime-cutoff: c2 and kstar fold the primes up to it in 4-7 s.
+MAX_PRIME_CUTOFF = 2 * 10**9
 
 # Integer options are parsed exactly up to this many digits.
 MAX_PARSE_DIGITS = 100
@@ -112,7 +115,7 @@ def _emit(text: str, output: str, end: str = "") -> None:
 def _check_cutoff(cutoff: int, floor: int = 2) -> int:
     # Euler products stream the primes one sieve segment at a time, so memory
     # does not grow with the cutoff.
-    if cutoff < floor or cutoff > 2 * 10**9:
+    if cutoff < floor or cutoff > MAX_PRIME_CUTOFF:
         raise UsageError(f"--prime-cutoff: out of range [{floor}, 2e9] (got {cutoff})")
     return cutoff
 

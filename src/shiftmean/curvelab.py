@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .arith import factorize_trial, primes_up_to
+from .arith import count_up_to, factorize_trial, primes_up_to
 from .curveconst import eval_point
 from .euler import EulerProductValue
 from .reports import csv_text, dumps_json
@@ -119,7 +119,7 @@ def hasse_window_primes(order: int) -> list[int]:
     # window lies inside [order - 3 - 2 isqrt(order), order + 2 isqrt(order) + 4].
     r = math.isqrt(order)
     primes = primes_up_to(order + 2 * r + 4)
-    lo = np.searchsorted(primes, max(5, order - 3 - 2 * r))
+    lo = count_up_to(primes, max(5, order - 3 - 2 * r) - 1)  # the primes below the window
     return [p for p in primes[lo:].tolist() if (p + 1 - order) ** 2 <= 4 * p]
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import PrimePowerFn, factorize_trial, prime_segments
+from .arith import PrimePowerFn, count_up_to, factorize_trial, prime_segments
 
 # Power-series truncation: stop once p^k passes the ceiling or the summand
 # magnitude falls below the floor; both are beyond double resolution for the
@@ -162,7 +162,7 @@ def _local_sums(pair: ShiftedPairSpec, primes: np.ndarray, sums: np.ndarray) -> 
     for k in itertools.count(1):
         hi = len(primes)
         if int(primes[-1]) ** k > POWER_CEILING:
-            hi = int(np.searchsorted(primes, int(POWER_CEILING ** (1.0 / k)) + 1))
+            hi = count_up_to(primes, int(POWER_CEILING ** (1.0 / k)))
         if hi == 0:
             break
         live = False

@@ -84,6 +84,33 @@ def plain_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(~composite).astype(np.int64)
 
 
+def is_prime_miller_rabin(n: int) -> bool:
+    """Primality of 0 <= n < 3,215,031,751 by strong probable-prime tests to
+    the bases 2, 3, 5 and 7, which no composite below that bound passes
+    (Jaeschke, Math. Comp. 1993); no sieve."""
+    if n >= 3215031751:
+        raise ValueError(f"bases 2, 3, 5, 7 decide only n < 3215031751, got {n}")
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Factorization
 

@@ -7,7 +7,7 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from shiftmean import arith
+from shiftmean import arith, cli, curvelab
 from shiftmean.arith import (
     PrimePowerFn,
     eval_multiplicative,
@@ -26,6 +26,7 @@ from oracles import (
     eval_divisor_sum,
     even_val_symbol_table_by_tile,
     factorize_by_trial_division,
+    is_prime_miller_rabin,
     plain_sieve,
     prime_power_sieve_by_buffer,
 )
@@ -135,10 +136,12 @@ def test_factorize_trial_products_of_two_primes_near_the_square_root():
     assert factorize_trial(4194301**2 * 99999989) == [(4194301, 2), (99999989, 1)]
 
 
-def test_factorize_trial_of_a_large_n_caches_one_segment(cold_primes):
-    # the primes to 10^8 are tested a segment at a time; only the first is kept
-    assert factorize_trial(99999989 * 100000007) == [(99999989, 1), (100000007, 1)]
-    assert arith._prime_cache[0] < SPAN
+def test_factorize_trial_of_a_large_n_caches_only_base_primes(cold_primes):
+    # the primes to 10^8 are tested a segment at a time; none is kept, only
+    # the base primes that sieve them, up to 10^4
+    n = 99999989 * 100000007
+    assert factorize_trial(n) == [(99999989, 1), (100000007, 1)]
+    assert arith._prime_cache[0] <= isqrt(isqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +642,7 @@ SPAN = arith.SIEVE_SPAN
 @pytest.fixture
 def cold_primes(monkeypatch):
     """An empty prime cache, restored after the test."""
-    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int32)))
 
 
 @pytest.fixture(scope="module")
@@ -651,7 +654,7 @@ def extended_primes(lo, hi):
     """primes_up_to(hi) from a cache cold but for the primes below lo, so
     that the primes in [lo, hi] are sieved by _sieve_range(lo, hi, ...)
     (from 1 when lo <= 2, where the cache stays empty; the same primes)."""
-    arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+    arith._prime_cache = (0, np.empty(0, dtype=np.int32))
     primes_up_to(lo - 1)
     return primes_up_to(hi)
 
@@ -659,7 +662,7 @@ def extended_primes(lo, hi):
 @pytest.mark.parametrize("limit", [SPAN - 1, SPAN, SPAN + 1, 10**7])
 def test_primes_up_to_equals_plain_sieve(limit, plain_primes, cold_primes):
     got = primes_up_to(limit)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32
     assert np.array_equal(got, plain_primes[plain_primes <= limit])
 
 
@@ -691,8 +694,8 @@ def test_prime_segments_cover_the_primes_once(plain_primes, cold_primes):
     for i, seg in enumerate(segments):
         assert seg[0] >= i * SPAN and seg[-1] < (i + 1) * SPAN
     assert np.array_equal(np.concatenate(segments), plain_primes)
-    # only the first segment, which starts at 0, is cached
-    assert arith._prime_cache[0] == SPAN - 1
+    # every segment is sieved; only the base primes up to sqrt(10^7) are cached
+    assert arith._prime_cache[0] == isqrt(10**7)
     assert [s.tolist() for s in prime_segments(10)] == [[2, 3, 5, 7]]
     # a segment without primes is skipped: [SPAN, SPAN + 14] holds none
     assert list(prime_segments(1)) == []
@@ -701,8 +704,8 @@ def test_prime_segments_cover_the_primes_once(plain_primes, cold_primes):
 
 def test_prime_segments_over_a_warm_cache(plain_primes, cold_primes):
     # the cache covers the first two segments and the start of the third;
-    # every segment past the first is sieved all the same, and the cache
-    # neither grows nor shrinks
+    # every segment is sieved all the same, and the cache neither grows nor
+    # shrinks
     primes_up_to(2 * SPAN + 5)
     segments = [s.copy() for s in prime_segments(10**7)]
     assert len(segments) == -(-(10**7 + 1) // SPAN)
@@ -713,13 +716,13 @@ def test_prime_segments_over_a_warm_cache(plain_primes, cold_primes):
 
 
 def test_prime_segments_past_the_cache_share_one_array(plain_primes, cold_primes, monkeypatch):
-    # 2,442 segments of 2^12: no later segment leaves more wheel flags than
-    # the first sieved one, so none allocates; sized by Dusart's bounds,
-    # whose slack grows with x, 896 of them did
+    # 2,442 segments of 2^12, the first included: no later segment leaves
+    # more wheel flags than the first, so none allocates; sized by Dusart's
+    # bounds, whose slack grows with x, 896 of them did
     monkeypatch.setattr(arith, "SIEVE_SPAN", 2**12)
     bases, segments = [], []
-    for i, seg in enumerate(prime_segments(10**7)):
-        if i and not any(seg.base is b for b in bases):
+    for seg in prime_segments(10**7):
+        if not any(seg.base is b for b in bases):
             bases.append(seg.base)
         segments.append(seg.copy())
     assert len(bases) == 1
@@ -731,7 +734,7 @@ def test_primes_up_to_every_small_range(cold_primes):
     for lo in range(201):
         for hi in range(lo, 201):
             got = extended_primes(lo, hi)
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert np.array_equal(got, expected[expected <= hi]), (lo, hi)
 
 
@@ -754,9 +757,10 @@ def test_primes_up_to_range_starting_at_a_base_prime_square(plain_primes, cold_p
 
 
 def test_cold_primes_up_to_holds_its_primes_once(cold_primes):
-    # the 1,270,607 primes (9.7 MiB) are sieved straight into one array
-    # sized by a bound on their count, next to 1.4 MiB of flags: 11.18 MiB
-    # measured; joining per-segment arrays peaked at 20.73 MiB
+    # the 1,270,607 int32 primes (4.8 MiB) are sieved straight into one
+    # array sized by a bound on their count, next to 1.4 MiB of flags: 6.32
+    # MiB measured; int64 primes peaked at 11.18 MiB, and joining
+    # per-segment arrays at 20.73 MiB
     tracemalloc.start()
     try:
         primes = primes_up_to(2 * 10**7)
@@ -764,7 +768,7 @@ def test_cold_primes_up_to_holds_its_primes_once(cold_primes):
     finally:
         tracemalloc.stop()
     assert len(primes) == 1270607
-    assert peak <= 12 * 2**20
+    assert peak <= 7 * 2**20
 
 
 def test_prime_count_bound_holds_at_every_prime(plain_primes):
@@ -780,7 +784,7 @@ def test_primes_up_to_at_a_small_block(block, monkeypatch, plain_primes, cold_pr
     # everywhere, against segment ends and the bounds of a range
     monkeypatch.setattr(arith, "PRIME_BLOCK", block)
     for limit in range(2, 400):
-        arith._prime_cache = (0, np.empty(0, dtype=np.int64))
+        arith._prime_cache = (0, np.empty(0, dtype=np.int32))
         assert np.array_equal(primes_up_to(limit), plain_primes[plain_primes <= limit]), limit
     for lo in range(0, 60):
         for hi in (lo, lo + 1, lo + 7, 400):
@@ -796,7 +800,7 @@ def test_sieve_segment_memory(cold_primes):
     # would add 1.75 MiB)
     lo, hi = 9 * 10**7, 9 * 10**7 + SPAN - 1
     primes_up_to(isqrt(hi))  # warm the base primes so only the segment counts
-    out = np.empty(len(arith._sieve_flags(SPAN)), dtype=np.int64)  # room for a prime per flag
+    out = np.empty(len(arith._sieve_flags(SPAN)), dtype=np.int32)  # room for a prime per flag
     tracemalloc.start()
     try:
         got = arith._sieve_range(lo, hi, out)
@@ -805,3 +809,59 @@ def test_sieve_segment_memory(cold_primes):
         tracemalloc.stop()
     assert len(got) == 228778
     assert peak < 1.75 * 2**20
+
+
+def test_cli_ceilings_fit_the_int32_primes():
+    # every prime list is int32: the largest prime any CLI call sieves, for
+    # an Euler product, a table to x, the factors of n or a Hasse window,
+    # fits, and so does the wheel's base up to its square root
+    assert arith.PRIME_DTYPE is np.int32 and arith.PRIME_MAX == np.iinfo(np.int32).max
+    cap = curvelab.MAX_ORDER_CAP
+    for ceiling in (cli.MAX_PRIME_CUTOFF, cli.MAX_X, isqrt(cli.MAX_EVAL_N),
+                    cap + 2 * isqrt(cap) + 4):
+        assert ceiling <= arith.PRIME_MAX
+
+
+@pytest.mark.parametrize("hi", [2 * 10**9, arith.PRIME_MAX], ids=["cutoff-ceiling", "int32-max"])
+def test_sieve_window_at_the_top_of_the_int32_primes(hi):
+    # about the last 10^5 integers up to the --prime-cutoff ceiling and up
+    # to 2^31 - 1 (a prime), where the wheel's first multiples pass 2^31.
+    # The window starts at a prime 6k + 1, the number of the first flag,
+    # which an int32 first multiple that wrapped round would clear
+    lo = next(n for n in range(hi - 10**5 + 1, 0, -1) if n % 6 == 1 and is_prime_miller_rabin(n))
+    primes_up_to(isqrt(hi))  # the base primes
+    out = np.empty(len(arith._sieve_flags(hi - lo + 1)), dtype=arith.PRIME_DTYPE)
+    got = arith._sieve_range(lo, hi, out)
+    assert got.tolist() == [n for n in range(lo, hi + 1) if is_prime_miller_rabin(n)]
+
+
+def test_primes_past_prime_max_raise(plain_primes, cold_primes, monkeypatch):
+    with pytest.raises(ValueError, match="sieved up to"):
+        primes_up_to(arith.PRIME_MAX + 1)
+    # the stream yields every segment up to PRIME_MAX first
+    monkeypatch.setattr(arith, "PRIME_MAX", 10**5)
+    segments = []
+    with pytest.raises(ValueError, match="sieved up to"):
+        for seg in prime_segments(10**6):
+            segments.append(seg.copy())
+    assert np.array_equal(np.concatenate(segments), plain_primes[plain_primes <= 10**5])
+
+
+def test_table_segment_over_a_warm_cache_copies_no_primes():
+    # the top segment of a table to 5e6 reads its big primes from the cache
+    # of 348,513 int32 primes with keys of their dtype: the 2 MiB segment and
+    # 1 MiB of scratch, 3.00 MiB measured; searchsorted keys of another
+    # dtype copy the primes they search to int64 (4.66 MiB with the cache's
+    # keys, 4.73 with _big_pairs')
+    from shiftmean.curveconst import shift_part_fn
+
+    limit = 5 * 10**6
+    lo = limit + 1 - arith.TABLE_SPAN
+    multiplicative_table(shift_part_fn, limit, lo)  # warm the prime cache and the sieve
+    tracemalloc.start()
+    try:
+        table = multiplicative_table(shift_part_fn, limit, lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 1.5 * 2**20

@@ -453,7 +453,7 @@ def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch, capsys):
     # Test-only code belongs in tests/; the package holds what the CLI runs.
     # Empty caches, so each function that fills one is entered.
     curvelab.order_histogram.cache_clear()
-    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int32)))
     curveconst._qr_table.cache_clear()
     curveconst._symbol_sieve.cache_clear()
     arith._float_sieve.cache_clear()

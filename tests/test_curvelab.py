@@ -218,7 +218,7 @@ def test_histogram_memory_bounded_at_large_p(monkeypatch):
 def test_expected_m_memory_bounded_at_the_ceiling(monkeypatch):
     c2 = twin_prime_constant(10**5)
     _reset_tables(monkeypatch)
-    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int32)))
     tracemalloc.start()
     try:
         rec = expected_m(MAX_ORDER_CAP, c2=c2)

@@ -297,7 +297,7 @@ def test_signed_constant_matches_an_exact_log_sum():
 
 def _constant_peak(name, monkeypatch):
     """Traced peak of the c2 or kstar constant at cutoff 2e7, from a cold prime cache."""
-    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int32)))
     tracemalloc.start()
     try:
         if name == "c2":
@@ -312,24 +312,24 @@ def _constant_peak(name, monkeypatch):
 @pytest.mark.parametrize("name", ["c2", "kstar"])
 def test_constant_memory_is_bounded_by_a_segment(name, monkeypatch):
     # one whole-array sieve to 2e7 alone peaks past 40 MiB; streamed segments
-    # need a few MiB each, whatever the cutoff: 8.16 (c2) and 8.65 MiB (kstar)
+    # need a few MiB each, whatever the cutoff: 5.01 (c2) and 5.48 MiB (kstar)
     # measured
     assert _constant_peak(name, monkeypatch) < 16 * 2**20
 
 
 @pytest.mark.parametrize("name", ["c2", "kstar"])
 def test_constant_fold_releases_each_segment(name, monkeypatch):
-    # the segments past the first are sieved into one flag array and one
-    # output array that they share, c2 and kstar fold through one loop that
-    # reuses one scratch array sized by the first segment, each step drops
-    # its arrays before the next segment is sieved, and kstar's power series
-    # converts primes to float one FOLD_CHUNK at a time: 8.16 (c2) and 8.65
-    # MiB (kstar) measured; c2's own loop, without the sign pass's bool
-    # array, peaked at 8.00 MiB (c2); with a fresh kstar scratch array per
-    # segment, 9.95 MiB, with chunks of 2^15 primes 9.29 MiB, and with a
-    # kstar step that keeps its arrays into the next segment's sieve 8.94
-    # MiB (kstar)
-    assert _constant_peak(name, monkeypatch) < 8.8 * 2**20
+    # every segment, the first included, is sieved into one flag array and
+    # one int32 output array that they share, the cache keeps only the base
+    # primes, c2 and kstar fold through one loop that reuses one scratch
+    # array sized by the first segment, each step drops its arrays before
+    # the next segment is sieved, and kstar's power series converts primes
+    # to float one FOLD_CHUNK at a time: 5.01 (c2) and 5.48 MiB (kstar)
+    # measured; with int64 primes 6.14 and 6.61 MiB, and with a kstar step
+    # that keeps its arrays into the next segment's sieve 5.76 MiB (kstar);
+    # with int64 primes and the first segment cached, a fresh kstar scratch
+    # array per segment added 1.3 MiB, and chunks of 2^15 primes 0.64 MiB
+    assert _constant_peak(name, monkeypatch) < 5.65 * 2**20
 
 
 def test_tail_bound_monotone_in_cutoff_small_scale():

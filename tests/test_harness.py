@@ -568,19 +568,20 @@ def test_streamed_run_grid_equals_whole_tables_in_python_ints(name, shift, more,
         float(s) for s in run_grid_sums_by_whole_tables(preset, grid)]
 
 
-# 8 bytes per prime below x: the prime cache the table sieve reads its big
+# 4 bytes per prime below x: the prime cache the table sieve reads its big
 # primes from grows with x, and the tables' segments and sums do not
-_PRIME_BYTES = 8 * 664_579  # pi(10^7) int64 primes
+_PRIME_BYTES = 4 * 664_579  # pi(10^7) int32 primes
 _STREAM_SLACK = 2**20
 
 
 @pytest.mark.parametrize("run", ["phi", "jordan-2", "gap"])
 def test_streamed_runs_hold_no_whole_table(run, monkeypatch):
     # peak from 10^6 to 10^7 grows by the prime cache alone (within 1 MiB):
-    # 5.3 -> 9.9 MiB (phi), 6.6 -> 11.2 (jordan-2), 7.9 -> 12.4 (gap) measured;
+    # 4.96 -> 7.35 MiB (phi), 6.34 -> 8.64 (jordan-2), 6.44 -> 8.72 (gap)
+    # measured; with int64 primes 5.3 -> 9.9, 6.6 -> 11.2 and 7.9 -> 12.4;
     # one whole table at 10^7 would add 40-80 MB
     def peak(x):
-        monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+        monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int32)))
         arith._float_sieve.cache_clear()
         arith._jordan_sieve.cache_clear()
         curveconst._symbol_sieve.cache_clear()
