@@ -99,17 +99,14 @@ def _parse_grid(args, field_grid="--x-grid", field_max="--xmax") -> tuple:
     raise UsageError(f"{field_grid}: one of {field_grid} or {field_max} is required")
 
 
-# Characters per write of _emit: a text stream encodes each write whole, so
-# a large payload goes out in slices rather than as one encoded copy.
-EMIT_SLICE = 2**20
+def _open_output(output: str):
+    """The --output file opened for writing, or stdout when none is given."""
+    return open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout)
 
 
-def _emit(text: str, output: str, end: str = "") -> None:
-    """Write text, then end, separately: text + end would copy a large payload."""
-    with (open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout)) as fh:
-        for i in range(0, len(text), EMIT_SLICE):
-            fh.write(text[i : i + EMIT_SLICE])
-        fh.write(end)
+def _emit(text: str, output: str) -> None:
+    with _open_output(output) as fh:
+        fh.write(text)
 
 
 def _check_cutoff(cutoff: int, floor: int = 2) -> int:
@@ -246,10 +243,12 @@ def _cmd_curvelab(args) -> int:
     _echo_config(args, prime_cutoff=cutoff)
     c2 = curveconst.twin_prime_constant(cutoff)
     records = (curvelab.expected_m(n, c2=c2) for n in range(args.n_min, args.n_max + 1))
-    if args.format == "csv":
-        _emit(curvelab.records_to_csv(records), args.output)
-    else:
-        _emit(curvelab.records_to_json(records), args.output, end="\n")
+    with _open_output(args.output) as fh:
+        if args.format == "csv":
+            fh.write(curvelab.records_to_csv(records))
+        else:
+            curvelab.records_to_json(records, fh)
+            fh.write("\n")
     return 0
 
 

@@ -241,8 +241,8 @@ def _symbol_sieve(limit: int, conv: SymbolConvention, span: int) -> tuple:
 
 def _symbol_segment(limit: int, conv: SymbolConvention, lo: int, out: np.ndarray) -> None:
     """Write the entries lo <= n < lo + len(out) of even_val_symbol_table at
-    limit into out."""
-    periodic, rare = _symbol_sieve(limit, conv, len(out))
+    limit into out, len(out) <= TABLE_SPAN; every segment shares one sieve."""
+    periodic, rare = _symbol_sieve(limit, conv, TABLE_SPAN)
     hi = lo + len(out)
     out.fill(1.0)
     if lo == 0 and hi:

@@ -30,11 +30,10 @@ from .reports import csv_text, dumps_json
 # Largest admissible target order, and the ceiling on it.  A histogram costs
 # O(sqrt p) lookups once the class-number table reaches 4p, and the table up
 # to D costs O(D^1.5).  Measured on a 2-core VM, `curvelab --n-min 20
-# --n-max 20000` runs in 1.6-2.1 s at 42 MB RSS as CSV (the records stream to
-# the writer; every cached histogram together is 6.4 MiB) and in 4.0-5.4 s at
-# 129 MB RSS as JSON, which writes 45 MB (each record is encoded on its own,
-# and the joined text is written in slices).  Past this, the exact per-order
-# bigint sums and the indented JSON encoder dominate.
+# --n-max 20000` runs in 1.8-2.6 s at 42 MB RSS as CSV and in 4.2-6.4 s at
+# 38 MB as JSON, which writes 45 MB: the records stream to the writer, which
+# holds one record's text (every cached histogram together is 6.4 MiB).
+# Past this, the exact per-order bigint sums and the JSON encoder dominate.
 DEFAULT_ORDER_CAP = 200
 MAX_ORDER_CAP = 20000
 
@@ -117,10 +116,13 @@ def hasse_window_primes(order: int) -> list[int]:
         raise ValueError(f"order must be >= 1, got {order}")
     # |p + 1 - order| <= 2 sqrt p puts sqrt p within 1 of sqrt order, so the
     # window lies inside [order - 3 - 2 isqrt(order), order + 2 isqrt(order) + 4].
+    # The cache is asked for the next power of two past that, so rising
+    # orders grow it O(log order) times, not once per order.
     r = math.isqrt(order)
-    primes = primes_up_to(order + 2 * r + 4)
-    lo = count_up_to(primes, max(5, order - 3 - 2 * r) - 1)  # the primes below the window
-    return [p for p in primes[lo:].tolist() if (p + 1 - order) ** 2 <= 4 * p]
+    top = order + 2 * r + 4
+    primes = primes_up_to(1 << (top - 1).bit_length())
+    window = primes[count_up_to(primes, max(5, order - 3 - 2 * r) - 1) : count_up_to(primes, top)]
+    return [p for p in window.tolist() if (p + 1 - order) ** 2 <= 4 * p]
 
 
 def expected_m(order: int, *, c2: EulerProductValue) -> CurveDensityRecord:
@@ -149,14 +151,14 @@ def records_to_csv(records) -> str:
     return csv_text("N,expected_m,predicted,ratio", rows)
 
 
-def records_to_json(records) -> str:
-    """The records as dumps_json writes a list of their payloads, byte for byte.
+def records_to_json(records, fh) -> None:
+    """Write to fh what dumps_json writes for the list of the records'
+    payloads, byte for byte.
 
-    Each record is encoded on its own and indented one level more, between
-    "[\n", ",\n" and "\n]", so neither the list of payloads nor the
-    encoder's pieces of the whole array are ever held.
+    Each record is encoded and written as it is drawn, indented one level
+    more, after "[\n" or ",\n", so only one record's text is ever held.
     """
-    parts = []
+    sep = "[\n  "
     for r in records:
         payload = {
             "N": r.order,
@@ -166,9 +168,6 @@ def records_to_json(records) -> str:
             "predicted": r.predicted,
             "note": EXCLUDED_PRIMES_NOTE,
         }
-        parts.append(",\n  " if parts else "[\n  ")
-        parts.append(dumps_json(payload).replace("\n", "\n  "))
-    if not parts:
-        return dumps_json([])
-    parts.append("\n]")
-    return "".join(parts)
+        fh.write(sep + dumps_json(payload).replace("\n", "\n  "))
+        sep = ",\n  "
+    fh.write("[]" if sep == "[\n  " else "\n]")

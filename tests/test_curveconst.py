@@ -285,6 +285,14 @@ def test_symbol_table_memory(conv):
     assert peak < 8 * 2**20
 
 
+def test_symbol_sieve_is_built_once_per_table():
+    # the second of two segments holds 100 entries and reads the sieve that
+    # the first one built
+    curveconst._symbol_sieve.cache_clear()
+    even_val_symbol_table(arith.TABLE_SPAN + 99)
+    assert curveconst._symbol_sieve.cache_info().misses == 1
+
+
 # ---------------------------------------------------------------------------
 # local-factor identities for the kernel pairs
 

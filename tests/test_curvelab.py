@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 
 from shiftmean.curveconst import _qr_table, twin_prime_constant
 from shiftmean import arith, curvelab
+from shiftmean.arith import primes_up_to
 from shiftmean.cli import main
 from shiftmean.reports import dumps_json
 from shiftmean.curvelab import (
@@ -296,6 +298,23 @@ def test_hasse_window_primes_equal_definition_to_3000():
         assert hasse_window_primes(n) == [p for p in primes if (p + 1 - n) ** 2 <= 4 * p], n
 
 
+def test_rising_windows_grow_the_prime_cache_log_times(monkeypatch):
+    # each window asks for the next power of two past its top, so orders
+    # 20..5000 over a cache warmed to 1000 sieve a few times, not per order
+    monkeypatch.setattr(arith, "_prime_cache", (0, np.empty(0, dtype=np.int32)))
+    primes_up_to(1000)
+    mark, calls = arith._mark_wheel, []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return mark(*args)
+
+    monkeypatch.setattr(arith, "_mark_wheel", counted)
+    for n in range(20, 5001):
+        hasse_window_primes(n)
+    assert len(calls) <= math.log2(5000 / 1000) + 2, calls
+
+
 def test_expected_m_record_invariants():
     c2 = twin_prime_constant(10**5)
     rec = expected_m(20, c2=c2)
@@ -306,7 +325,7 @@ def test_expected_m_record_invariants():
         assert (p + 1 - 20) ** 2 <= 4 * p
     assert rec.expected_m == pytest.approx(float(sum(rec.rho.values())))
     assert rec.predicted > 0
-    assert "excluded" in json.loads(records_to_json([rec]))[0]["note"]
+    assert "excluded" in json.loads(_json_text([rec]))[0]["note"]
 
 
 def test_expected_m_domain_errors():
@@ -328,9 +347,15 @@ def test_record_serialization():
     lines = csv.strip().split("\n")
     assert lines[0] == "N,expected_m,predicted,ratio"
     assert len(lines) == 3
-    payload = json.loads(records_to_json(recs))
+    payload = json.loads(_json_text(recs))
     assert payload[0]["N"] == 20
     assert "rho" in payload[0] and "hasse_primes" in payload[0]
+
+
+def _json_text(records):
+    fh = io.StringIO()
+    assert records_to_json(records, fh) is None
+    return fh.getvalue()
 
 
 def _payload(r):
@@ -342,8 +367,35 @@ def _payload(r):
 @pytest.mark.parametrize("orders", [range(20, 61), range(20, 21), range(0)],
                          ids=["20-60", "one", "none"])
 def test_streamed_json_equals_whole_array_encoding(orders):
-    # records_to_json encodes one record at a time; its text is what one
+    # records_to_json writes one record at a time; its text is what one
     # dumps_json of the whole payload list writes
     c2 = twin_prime_constant(10**5)
     recs = [expected_m(n, c2=c2) for n in orders]
-    assert records_to_json(iter(recs)) == dumps_json([_payload(r) for r in recs])
+    assert _json_text(iter(recs)) == dumps_json([_payload(r) for r in recs])
+
+
+class _Discard:
+    """A text sink that counts what it is given and keeps none of it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_json_writer_holds_one_record_at_a_time(monkeypatch):
+    # over a generator of N = 20..3000 into a sink that keeps nothing, the
+    # writer holds one record's text of the 3.3 MiB (a list of every text
+    # and its join peaked at 6.9 MiB)
+    c2 = twin_prime_constant(10**6)
+    for n in range(20, 3001):  # the tables and histograms the run reads are cached
+        expected_m(n, c2=c2)
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        records_to_json((expected_m(n, c2=c2) for n in range(20, 3001)), sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 3 * 2**20
+    assert peak < 2**20
