@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Subcommands: constant, eval, meanvalue, verify, curvelab.  Every run echoes
-its subcommand's options to stderr, parsed, so outputs can be reproduced;
-the data itself goes to stdout or --output.  Identical invocations produce
+its subcommand's options to stderr, parsed, so outputs can be reproduced.
+Each handler checks its input, computes, and returns a writer; main then
+opens --output (or stdout) and runs it, so bad input leaves no file.
+curvelab's writer draws each record as it writes it, so a run that fails
+part-way leaves the records written so far.  Identical invocations produce
 byte-identical files (fixed float formatting, fixed reduction order).
 
 Exit codes: 0 success, 2 usage/configuration error, 1 runtime error.
@@ -24,7 +27,7 @@ from .arith import (
 )
 from .curveconst import SymbolConvention
 from .euler import shifted_mean_constant
-from .reports import csv_text, dumps_json
+from .reports import dumps_json, write_csv, write_json
 
 DEFAULT_GRID_START = 1000
 
@@ -99,16 +102,6 @@ def _parse_grid(args, field_grid="--x-grid", field_max="--xmax") -> tuple:
     raise UsageError(f"{field_grid}: one of {field_grid} or {field_max} is required")
 
 
-def _open_output(output: str):
-    """The --output file opened for writing, or stdout when none is given."""
-    return open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout)
-
-
-def _emit(text: str, output: str) -> None:
-    with _open_output(output) as fh:
-        fh.write(text)
-
-
 def _check_cutoff(cutoff: int, floor: int = 2) -> int:
     # Euler products stream the primes one sieve segment at a time, so memory
     # does not grow with the cutoff.
@@ -129,10 +122,10 @@ def _check_shift(shift: int, cutoff: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns a writer, called with the open output.
 
 
-def _cmd_constant(args) -> int:
+def _cmd_constant(args):
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
     if args.target != "c2":
         _check_shift(args.shift, cutoff)
@@ -155,11 +148,10 @@ def _cmd_constant(args) -> int:
         "tail_bound": ev.tail_bound,
         "tail_bound_sharp": ev.tail_bound_sharp,
     }
-    _emit(dumps_json(payload) + "\n", args.output)
-    return 0
+    return lambda fh: write_json(fh, payload)
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     n = _parse_int(args.n, "n")
     conv = SymbolConvention(args.convention)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
@@ -183,11 +175,10 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"--k: J_{args.k}({n}) exceeds the 128-bit range (n^k >= 2^127)")
     else:
         payload = {"n": n, "k": args.k, "jordan": jordan_totient(n, args.k)}
-    _emit(dumps_json(payload) + "\n", args.output)
-    return 0
+    return lambda fh: write_json(fh, payload)
 
 
-def _cmd_meanvalue(args) -> int:
+def _cmd_meanvalue(args):
     grid = _parse_grid(args)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=2)
     if args.shift >= grid[0]:
@@ -203,11 +194,10 @@ def _cmd_meanvalue(args) -> int:
                          "exceed the 128-bit range (x^k >= 2^127)")
     _echo_config(args, prime_cutoff=cutoff, x_grid=grid)
     report = harness.run_grid(preset, grid, prime_cutoff=cutoff)
-    _emit(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.output)
-    return 0
+    return report.to_csv if args.format == "csv" else report.to_json
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     grid = _parse_grid(args)
     conv = SymbolConvention(args.convention)
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
@@ -219,20 +209,17 @@ def _cmd_verify(args) -> int:
     if args.target in curveconst.MEAN_TARGETS:
         c2 = curveconst.twin_prime_constant(cutoff)
         report = curveconst.mean_order_grid(args.target, grid, conv, c2=c2)
-        _emit(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.output)
-    elif args.target == "gap":
-        gaps = curveconst.substitution_gap(grid, args.gap_d, args.gap_l, conv)
-        if args.format == "csv":
-            _emit(csv_text("x,gap", zip(grid, gaps)), args.output)
-        else:
-            rows = [{"x": x, "gap": gap} for x, gap in zip(grid, gaps)]
-            _emit(dumps_json({"label": "gap", "rows": rows}) + "\n", args.output)
-    else:
+        return report.to_csv if args.format == "csv" else report.to_json
+    if args.target != "gap":
         raise UsageError(f"target: unknown verify target {args.target!r}")
-    return 0
+    gaps = curveconst.substitution_gap(grid, args.gap_d, args.gap_l, conv)
+    if args.format == "csv":
+        return lambda fh: write_csv(fh, "x,gap", zip(grid, gaps))
+    rows = [{"x": x, "gap": gap} for x, gap in zip(grid, gaps)]
+    return lambda fh: write_json(fh, {"label": "gap", "rows": rows})
 
 
-def _cmd_curvelab(args) -> int:
+def _cmd_curvelab(args):
     cutoff = _check_cutoff(_parse_int(args.prime_cutoff, "--prime-cutoff"), floor=3)
     if args.cap > curvelab.MAX_ORDER_CAP:
         raise UsageError(f"--cap: must be <= {curvelab.MAX_ORDER_CAP} (got {args.cap})")
@@ -243,13 +230,8 @@ def _cmd_curvelab(args) -> int:
     _echo_config(args, prime_cutoff=cutoff)
     c2 = curveconst.twin_prime_constant(cutoff)
     records = (curvelab.expected_m(n, c2=c2) for n in range(args.n_min, args.n_max + 1))
-    with _open_output(args.output) as fh:
-        if args.format == "csv":
-            fh.write(curvelab.records_to_csv(records))
-        else:
-            curvelab.records_to_json(records, fh)
-            fh.write("\n")
-    return 0
+    write = curvelab.records_to_csv if args.format == "csv" else curvelab.records_to_json
+    return lambda fh: write(records, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +302,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        write = args.handler(args)
+        out = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+        with out as fh:
+            write(fh)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -25,13 +25,13 @@ import numpy as np
 from .arith import count_up_to, factorize_trial, primes_up_to
 from .curveconst import eval_point
 from .euler import EulerProductValue
-from .reports import csv_text, dumps_json
+from .reports import dumps_json, write_csv
 
 # Largest admissible target order, and the ceiling on it.  A histogram costs
 # O(sqrt p) lookups once the class-number table reaches 4p, and the table up
 # to D costs O(D^1.5).  Measured on a 2-core VM, `curvelab --n-min 20
-# --n-max 20000` runs in 1.8-2.6 s at 42 MB RSS as CSV and in 4.2-6.4 s at
-# 38 MB as JSON, which writes 45 MB: the records stream to the writer, which
+# --n-max 20000` runs in 2.7-2.9 s at 37.5 MB RSS as CSV and in 5.2-5.3 s at
+# 37.8 MB as JSON, which writes 45 MB: the records stream to the writer, which
 # holds one record's text (every cached histogram together is 6.4 MiB).
 # Past this, the exact per-order bigint sums and the JSON encoder dominate.
 DEFAULT_ORDER_CAP = 200
@@ -146,13 +146,14 @@ def expected_m(order: int, *, c2: EulerProductValue) -> CurveDensityRecord:
     return CurveDensityRecord(order=order, rho=rho, expected_m=total, predicted=predicted)
 
 
-def records_to_csv(records) -> str:
+def records_to_csv(records, fh) -> None:
+    """Write one CSV row per record to fh, each as it is drawn."""
     rows = ((r.order, r.expected_m, r.predicted, r.expected_m / r.predicted) for r in records)
-    return csv_text("N,expected_m,predicted,ratio", rows)
+    write_csv(fh, "N,expected_m,predicted,ratio", rows)
 
 
 def records_to_json(records, fh) -> None:
-    """Write to fh what dumps_json writes for the list of the records'
+    """Write to fh what write_json writes for the list of the records'
     payloads, byte for byte.
 
     Each record is encoded and written as it is drawn, indented one level
@@ -170,4 +171,4 @@ def records_to_json(records, fh) -> None:
         }
         fh.write(sep + dumps_json(payload).replace("\n", "\n  "))
         sep = ",\n  "
-    fh.write("[]" if sep == "[\n  " else "\n]")
+    fh.write("[]\n" if sep == "[\n  " else "\n]\n")

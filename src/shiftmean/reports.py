@@ -2,12 +2,13 @@
 
 CSV carries 12 significant digits, JSON the shortest repr that round-trips
 each float; identical inputs therefore serialize to byte-identical output.
+Every writer takes an open text handle and ends its document with a newline.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 
 def fmt_csv(v: float) -> str:
@@ -18,11 +19,16 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def csv_text(header: str, rows) -> str:
-    """The header line, then one line per row: its integer, then its floats."""
-    lines = [header]
-    lines.extend(",".join([str(first), *map(fmt_csv, rest)]) for first, *rest in rows)
-    return "\n".join(lines) + "\n"
+def write_json(fh, obj) -> None:
+    fh.write(dumps_json(obj) + "\n")
+
+
+def write_csv(fh, header: str, rows) -> None:
+    """Write the header line, then each row's line as it is drawn: its
+    integer, then its floats."""
+    fh.write(header + "\n")
+    for first, *rest in rows:
+        fh.write(",".join([str(first), *map(fmt_csv, rest)]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -60,25 +66,9 @@ class MeanValueReport:
             rows.append(MeanValueRow(x, emp, pred, residual, residual / error_fn(x)))
         return cls(rows=tuple(rows), error_label=error_label, label=label)
 
-    def to_csv(self) -> str:
-        return csv_text("x,empirical,predicted,residual,normalized",
-                        ((r.x, r.empirical, r.predicted, r.residual, r.normalized)
-                         for r in self.rows))
+    def to_csv(self, fh) -> None:
+        write_csv(fh, "x,empirical,predicted,residual,normalized", map(astuple, self.rows))
 
-    def to_json(self) -> str:
-        return dumps_json(
-            {
-                "label": self.label,
-                "candidate_error": self.error_label,
-                "rows": [
-                    {
-                        "x": r.x,
-                        "empirical": r.empirical,
-                        "predicted": r.predicted,
-                        "residual": r.residual,
-                        "normalized": r.normalized,
-                    }
-                    for r in self.rows
-                ],
-            }
-        )
+    def to_json(self, fh) -> None:
+        write_json(fh, {"label": self.label, "candidate_error": self.error_label,
+                        "rows": [asdict(r) for r in self.rows]})

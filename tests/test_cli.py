@@ -376,15 +376,49 @@ def test_output_file_byte_identical(tmp_path, capsys):
     assert p1.read_bytes().startswith(b"x,empirical")
 
 
-def test_curvelab_json_output_file_equals_stdout(tmp_path, capsys):
-    # the records are written to the --output file as to stdout, byte for byte
-    args = ["curvelab", "--n-min", "20", "--n-max", "22", "--prime-cutoff", "1e4",
-            "--format", "json"]
-    path = tmp_path / "out.json"
-    assert main(args + ["--output", str(path)]) == 0
-    _, out, _ = run_cli(args, capsys)
+# One small call per subcommand, target kind and format; every one writes
+# through main's single output path.
+OUTPUT_ARGV = {
+    "constant": "constant c2 --prime-cutoff 1e4",
+    "eval": "eval kstar 561 --prime-cutoff 1e4",
+    **{f"{name}-{fmt}": f"{call} --format {fmt}" for fmt in ("csv", "json") for name, call in {
+        "meanvalue": "meanvalue phi --x-grid 100,200 --prime-cutoff 1e4",
+        "verify-t3": "verify t3 --x-grid 1000 --prime-cutoff 1e4",
+        "verify-gap": "verify gap --x-grid 1000,2000 --prime-cutoff 1e4",
+        "curvelab": "curvelab --n-min 20 --n-max 22 --prime-cutoff 1e4",
+    }.items()},
+}
+
+
+@pytest.mark.parametrize("args", OUTPUT_ARGV.values(), ids=OUTPUT_ARGV.keys())
+def test_output_file_equals_stdout(args, tmp_path, capsys):
+    # the data is written to the --output file as to stdout, byte for byte,
+    # and each document ends with one newline
+    path = tmp_path / "out"
+    assert main(args.split() + ["--output", str(path)]) == 0
+    _, out, _ = run_cli(args.split(), capsys)
     assert path.read_bytes() == out.encode()
-    assert out.endswith("\n]\n") and len(json.loads(out)) == 3
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    if "csv" not in args:
+        json.loads(out)
+    if args.startswith("curvelab") and "json" in args:
+        assert out.endswith("\n]\n") and len(json.loads(out)) == 3
+
+
+@pytest.mark.parametrize("args", [
+    "constant c2 --shift 2",
+    "eval totient 0",
+    "meanvalue phi --x-grid 1000,100",
+    "verify t3 --x-grid 1000 --prime-cutoff 2",
+    "curvelab --n-min 6",
+], ids=lambda args: args.split()[0])
+def test_usage_error_creates_no_output_file(args, tmp_path, capsys):
+    # main opens --output only after the handler has checked its input
+    path = tmp_path / "out"
+    code, out, err = run_cli(args.split() + ["--output", str(path)], capsys)
+    assert code == 2 and err.splitlines()[-1].startswith("error: ")
+    assert out == ""
+    assert not path.exists()
 
 
 def test_parser_builds():

@@ -95,6 +95,11 @@ def test_histogram_partition_and_singular_count():
         hist = order_histogram(p)
         assert int(hist.sum()) == p * p - p
         assert len(_nonsingular_pairs(p)) == p * p - p
+    # Kronecker-Hurwitz, sum over t of H(4p - t^2) = 2p, at every window prime
+    # curvelab can read, far past the enumeration oracles
+    top = MAX_ORDER_CAP + 2 * math.isqrt(MAX_ORDER_CAP) + 4
+    for p in primes_up_to(top)[2:].tolist():
+        assert int(order_histogram(p).sum()) == p * p - p
 
 
 def test_histogram_against_direct_counts():
@@ -244,7 +249,7 @@ def test_curvelab_csv_streams_records(monkeypatch, capsys):
         tracemalloc.stop()
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 4981
-    assert peak < 5 * 2**20  # 2.43 MiB measured; 14.25 MiB with a list of records
+    assert peak < 5 * 2**20  # 1.99 MiB measured; 2.43 MiB with the CSV text built whole
 
 
 def test_density_exact_fraction():
@@ -343,8 +348,9 @@ def test_expected_m_domain_errors():
 def test_record_serialization():
     c2 = twin_prime_constant(10**5)
     recs = [expected_m(n, c2=c2) for n in (20, 21)]
-    csv = records_to_csv(recs)
-    lines = csv.strip().split("\n")
+    fh = io.StringIO()
+    assert records_to_csv(recs, fh) is None
+    lines = fh.getvalue().strip().split("\n")
     assert lines[0] == "N,expected_m,predicted,ratio"
     assert len(lines) == 3
     payload = json.loads(_json_text(recs))
@@ -368,10 +374,10 @@ def _payload(r):
                          ids=["20-60", "one", "none"])
 def test_streamed_json_equals_whole_array_encoding(orders):
     # records_to_json writes one record at a time; its text is what one
-    # dumps_json of the whole payload list writes
+    # dumps_json of the whole payload list writes, and a newline
     c2 = twin_prime_constant(10**5)
     recs = [expected_m(n, c2=c2) for n in orders]
-    assert _json_text(iter(recs)) == dumps_json([_payload(r) for r in recs])
+    assert _json_text(iter(recs)) == dumps_json([_payload(r) for r in recs]) + "\n"
 
 
 class _Discard:
@@ -383,19 +389,33 @@ class _Discard:
         self.chars += len(text)
 
 
-def test_json_writer_holds_one_record_at_a_time(monkeypatch):
-    # over a generator of N = 20..3000 into a sink that keeps nothing, the
-    # writer holds one record's text of the 3.3 MiB (a list of every text
-    # and its join peaked at 6.9 MiB)
+def _written_and_peak(write):
+    """Characters write(records, sink) gives a sink that keeps nothing, over
+    a generator of N = 20..3000, and its tracemalloc peak."""
     c2 = twin_prime_constant(10**6)
     for n in range(20, 3001):  # the tables and histograms the run reads are cached
         expected_m(n, c2=c2)
     sink = _Discard()
     tracemalloc.start()
     try:
-        records_to_json((expected_m(n, c2=c2) for n in range(20, 3001)), sink)
+        write((expected_m(n, c2=c2) for n in range(20, 3001)), sink)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sink.chars > 3 * 2**20
+    return sink.chars, peak
+
+
+def test_json_writer_holds_one_record_at_a_time():
+    # the writer holds one record's text of the 3.3 MiB (a list of every
+    # text and its join peaked at 6.9 MiB)
+    chars, peak = _written_and_peak(records_to_json)
+    assert chars > 3 * 2**20
     assert peak < 2**20
+
+
+def test_csv_writer_holds_one_row_at_a_time():
+    # the writer holds one row's line of the 144 KiB: 8 KiB peak, against
+    # 585 KiB when every line was kept in a list and joined
+    chars, peak = _written_and_peak(records_to_csv)
+    assert chars > 2**17
+    assert peak < 2**18

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -639,11 +640,18 @@ def test_run_grid_kstar_residual_scale():
         assert abs(row.normalized) < 2.0
 
 
+def _text(write):
+    """What a report writer writes to a fresh handle."""
+    fh = io.StringIO()
+    assert write(fh) is None
+    return fh.getvalue()
+
+
 def test_run_grid_deterministic():
     a = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4)
     b = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4)
     assert a == b
-    assert a.to_csv() == b.to_csv()
+    assert _text(a.to_csv) == _text(b.to_csv)
 
 
 def test_run_grid_accepts_preset_object_and_shift():
@@ -782,13 +790,12 @@ def test_report_requires_increasing_x():
 
 def test_report_csv_and_json_shape():
     rep = run_grid(get_preset("phi"), [100, 1000], prime_cutoff=10**4)
-    csv = rep.to_csv()
-    lines = csv.strip().split("\n")
+    lines = _text(rep.to_csv).strip().split("\n")
     assert lines[0] == "x,empirical,predicted,residual,normalized"
     assert len(lines) == 3
     assert lines[1].startswith("100,")
     import json
 
-    payload = json.loads(rep.to_json())
+    payload = json.loads(_text(rep.to_json))
     assert payload["candidate_error"] == "x^2 log^2 x"
     assert [r["x"] for r in payload["rows"]] == [100, 1000]
